@@ -309,13 +309,16 @@ def embed_nonzero_case(pres, a, b):
                          substitution=substitution)
 
 
-def zero_case_presentation(pres, zdata):
-    """Base presentation of a zero-case node at the relator's own range.
+def base_presentation(pres, zdata, u=(), extra_pairs=()):
+    """Base presentation of a zero-case node, sized for a residue.
 
-    Returns the presentation over the subscripted alphabet together with
-    the ordered pair list backing it.
+    The subscripted alphabet covers the rewritten relator, the residue
+    sword ``u`` and ``extra_pairs``.  Returns the presentation, ``u`` as a
+    word over it, and the ordered pair list backing the alphabet.
     """
-    pairs = sword_pairs(zdata.rewritten_relator)
+    pairs = (sword_pairs(zdata.rewritten_relator) | sword_pairs(u)
+             | frozenset(extra_pairs))
     alphabet, pair_index, ordered = sub_alphabet_for(pairs, pres.alphabet)
     relator = sword_to_word(zdata.rewritten_relator, pair_index)
-    return OneRelatorPresentation(alphabet, relator), ordered
+    return (OneRelatorPresentation(alphabet, relator),
+            sword_to_word(u, pair_index), ordered)

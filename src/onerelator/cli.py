@@ -18,8 +18,8 @@ from .errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
-from .breakdown import zero_case_presentation
-from .solver import Solver, SolverLimits, Verdict
+from .breakdown import base_presentation
+from .solver import Solver, SolverLimits
 from .textio import (
     parse_alphabet,
     parse_presentation,
@@ -162,7 +162,7 @@ def hierarchy_json(node):
         out["pivot"] = pres.alphabet.names[zd.pivot]
         out["ranges"] = {pres.alphabet.names[g]: list(lohi)
                          for g, lohi in sorted(zd.ranges.items())}
-        child_pres, _ = zero_case_presentation(pres, zd)
+        child_pres, _, _ = base_presentation(pres, zd)
         out["rewritten"] = print_word(child_pres.relator, child_pres.alphabet)
     return out
 

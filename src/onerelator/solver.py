@@ -16,6 +16,12 @@ is what makes the pinch elimination effective: the associated subgroups are
 free on their generator subsets, so the witness is the unique normal form
 and shifting its subscripts realizes the stable-letter conjugation.
 
+Every descent into an HNN base group builds it with
+:func:`.breakdown.base_presentation`, and every witness that comes back
+through a tower of conjugates (``t^i g t^-i`` times a power of ``t``) is
+assembled by :meth:`Solver._tower`.  Breakdown steps are memoized in one
+table per solver.
+
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
 """
@@ -23,20 +29,16 @@ All procedures run under explicit budgets and raise
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import breakdown, presentations, words
+from . import breakdown, words
 from .breakdown import (
+    base_presentation,
     hnn_syllables,
-    rewrite_zero_case,
-    sub_alphabet_for,
-    sword_invert,
     sword_multiply,
-    sword_pairs,
     sword_shift,
     sword_subscript_span,
-    sword_to_word,
     word_to_sword,
 )
-from .errors import PreconditionViolated, ResourceExhausted, UnknownGenerator
+from .errors import ResourceExhausted, UnknownGenerator
 from .presentations import (
     OneRelatorPresentation,
     abelian_obstruction,
@@ -91,19 +93,18 @@ class HierarchyNode:
 
 
 class Solver:
-    """Single-owner decision engine with a breakdown memo table.
+    """Single-owner decision engine with one breakdown memo table.
 
-    The memo caches hierarchy steps per exact normalized presentation, not
-    query answers; distinct instances are independent and may run in
+    The memo holds the results of ``breakdown.classify``,
+    ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``
+    per function, exact normalized presentation and arguments; it never
+    holds query answers.  Distinct instances are independent and may run in
     parallel.
     """
 
-    def __init__(self, limits=None, memoize=True):
+    def __init__(self, limits=None):
         self.limits = limits or SolverLimits()
-        self.memoize = memoize
-        self._steps = {}
-        self._zero_cache = {}
-        self._embed_cache = {}
+        self._memo = {}
         self.stats = {"memo_hits": 0, "nodes": 0, "max_depth": 0}
 
     # -- plumbing ----------------------------------------------------------
@@ -121,35 +122,14 @@ class Solver:
     def _mul(self, u, v):
         return words.multiply(u, v, self.limits.max_word_len)
 
-    def _step(self, pres):
-        key = (pres.alphabet.names, pres.relator)
-        if self.memoize and key in self._steps:
+    def _cached(self, fn, pres, *args):
+        """``fn(pres, *args)`` for a ``breakdown`` step function, memoized."""
+        key = (fn, pres.alphabet.names, pres.relator) + args
+        if key in self._memo:
             self.stats["memo_hits"] += 1
-            return self._steps[key]
-        step = breakdown.classify(pres)
-        if self.memoize:
-            self._steps[key] = step
-        return step
-
-    def _zero_data(self, pres, t, pivot):
-        key = (pres.alphabet.names, pres.relator, t, pivot)
-        if self.memoize and key in self._zero_cache:
-            self.stats["memo_hits"] += 1
-            return self._zero_cache[key]
-        zd = rewrite_zero_case(pres, t, pivot=pivot)
-        if self.memoize:
-            self._zero_cache[key] = zd
-        return zd
-
-    def _embedding(self, pres, a, b):
-        key = (pres.alphabet.names, pres.relator, a, b)
-        if self.memoize and key in self._embed_cache:
-            self.stats["memo_hits"] += 1
-            return self._embed_cache[key]
-        emb = breakdown.embed_nonzero_case(pres, a, b)
-        if self.memoize:
-            self._embed_cache[key] = emb
-        return emb
+            return self._memo[key]
+        out = self._memo[key] = fn(pres, *args)
+        return out
 
     # -- public API --------------------------------------------------------
 
@@ -195,7 +175,7 @@ class Solver:
                                    old_to_new, depth)
             return Verdict.TRIVIAL if not syls else Verdict.NONTRIVIAL
 
-        step = self._step(pres)
+        step = self._cached(breakdown.classify, pres)
         if step.kind == "base_single":
             return (Verdict.TRIVIAL
                     if words.exponent_sum(w, 0) % step.order == 0
@@ -218,11 +198,8 @@ class Solver:
         """Decide a subscripted residue in the HNN base group."""
         if not u:
             return Verdict.TRIVIAL
-        pairs = sword_pairs(zdata.rewritten_relator) | sword_pairs(u)
-        alphabet, pair_index, _ = sub_alphabet_for(pairs, pres.alphabet)
-        base = OneRelatorPresentation(
-            alphabet, sword_to_word(zdata.rewritten_relator, pair_index))
-        return self._wp(base, sword_to_word(u, pair_index), depth + 1)
+        base, word, _ = base_presentation(pres, zdata, u)
+        return self._wp(base, word, depth + 1)
 
     def _fp_reduce(self, pres, w, active_set, active_pres, old_to_new, depth):
         """Free-product normal form over <active | r> * F(rest).
@@ -299,18 +276,36 @@ class Solver:
         except ``exclude_pair``; the verdict's witness comes back as a sword
         over that basis.
         """
-        pairs = (sword_pairs(zdata.rewritten_relator) | sword_pairs(u)
-                 | {exclude_pair})
-        alphabet, pair_index, ordered = sub_alphabet_for(pairs, pres.alphabet)
-        base = OneRelatorPresentation(
-            alphabet, sword_to_word(zdata.rewritten_relator, pair_index))
-        subset = frozenset(k for k, p in enumerate(ordered)
-                           if p != exclude_pair)
-        res = self._member(base, sword_to_word(u, pair_index), subset,
-                           depth + 1)
+        res, ordered = self._base_member(pres, zdata, u,
+                                         lambda p: p != exclude_pair, depth,
+                                         (exclude_pair,))
         if not res.member:
             return res
         return MembershipVerdict(True, word_to_sword(res.witness, ordered))
+
+    def _base_member(self, pres, zdata, u, keep, depth, extra_pairs=()):
+        """Membership of a residue sword in the HNN base group.
+
+        The subgroup is generated by the base generators whose
+        ``(gen, subscript)`` pair satisfies ``keep``.  Returns the verdict,
+        with its witness over the base alphabet, and the ordered pairs naming
+        that alphabet.
+        """
+        base, word, ordered = base_presentation(pres, zdata, u, extra_pairs)
+        subset = frozenset(k for k, p in enumerate(ordered) if keep(p))
+        return self._member(base, word, subset, depth + 1), ordered
+
+    def _tower(self, pieces, g, m):
+        """Member verdict for ``prod g^i v g^-i`` over ``(i, v)`` in
+        ``pieces``, times ``g^m``: a witness pulled back through a tower of
+        ``g``-conjugates."""
+        cap = self.limits.max_word_len
+        parts = []
+        for i, v in pieces:
+            conj = words.power((g + 1,), i, cap)
+            parts.append(words.concat([conj, v, words.invert(conj)], cap))
+        parts.append(words.power((g + 1,), m, cap))
+        return MembershipVerdict(True, words.concat(parts, cap))
 
     # -- Magnus subgroup membership ---------------------------------------
 
@@ -325,7 +320,7 @@ class Solver:
         if split.free_part:
             return self._member_free_split(pres, w, subset, split, depth)
 
-        step = self._step(pres)
+        step = self._cached(breakdown.classify, pres)
         if step.kind == "base_single":
             # subset is empty here (the full subset returned above)
             if words.exponent_sum(w, 0) % step.order == 0:
@@ -336,7 +331,7 @@ class Solver:
             zd = step.zero
             if zd.stable not in subset:
                 return self._member_zero_without_t(pres, zd, w, subset, depth)
-            return self._member_zero_with_t(pres, w, subset, depth)
+            return self._member_zero_with_t(pres, w, subset, zd.stable, depth)
 
         omitted = sorted(set(range(pres.alphabet.size)) - subset)
         if len(omitted) >= 2:
@@ -375,16 +370,9 @@ class Solver:
         items = self._britton(pres, zdata, hnn_syllables(w, t), depth)
         if len(items) > 1:
             return MembershipVerdict(False)
-        u = items[0]
-        pairs = (sword_pairs(zdata.rewritten_relator) | sword_pairs(u)
-                 | {(s, 0) for s in subset})
-        alphabet, pair_index, ordered = sub_alphabet_for(pairs, pres.alphabet)
-        base = OneRelatorPresentation(
-            alphabet, sword_to_word(zdata.rewritten_relator, pair_index))
-        sub_ids = frozenset(k for k, (g, i) in enumerate(ordered)
-                            if g in subset and i == 0)
-        res = self._member(base, sword_to_word(u, pair_index), sub_ids,
-                           depth + 1)
+        res, ordered = self._base_member(
+            pres, zdata, items[0], lambda p: p[0] in subset and p[1] == 0,
+            depth, [(s, 0) for s in subset])
         if not res.member:
             return res
         witness = tuple(
@@ -392,51 +380,37 @@ class Solver:
             for lt in res.witness)
         return MembershipVerdict(True, self._reduce(witness))
 
-    def _member_zero_with_t(self, pres, w, subset, depth):
-        """Stable letter inside the subset.
+    def _member_zero_with_t(self, pres, w, subset, t, depth):
+        """Stable letter ``t`` inside the subset.
 
         ``<t, S'>`` splits as conjugate tower by ``t``: every element is
         (word in the ``t``-conjugates of ``S'``) * ``t^d`` with ``d`` the
         ``t``-exponent sum.  The pivot is taken from the omitted generators
         so the tower sits inside both associated subgroups.
         """
-        t = self._step(pres).zero.stable
-        omitted = sorted(set(range(pres.alphabet.size)) - subset)
-        pivot = omitted[0]
-        zd = self._zero_data(pres, t, pivot)
+        pivot = min(set(range(pres.alphabet.size)) - subset)
+        zd = self._cached(breakdown.rewrite_zero_case, pres, t, pivot)
         d = words.exponent_sum(w, t)
         k = self._mul(w, words.power((t + 1,), -d, self.limits.max_word_len))
         items = self._britton(pres, zd, hnn_syllables(k, t), depth)
         if len(items) > 1:
             return MembershipVerdict(False)
-        u = items[0]
         others = subset - {t}
-        pairs = sword_pairs(zd.rewritten_relator) | sword_pairs(u)
-        alphabet, pair_index, ordered = sub_alphabet_for(pairs, pres.alphabet)
-        base = OneRelatorPresentation(
-            alphabet, sword_to_word(zd.rewritten_relator, pair_index))
-        sub_ids = frozenset(k2 for k2, (g, _) in enumerate(ordered)
-                            if g in others)
-        res = self._member(base, sword_to_word(u, pair_index), sub_ids,
-                           depth + 1)
+        res, ordered = self._base_member(
+            pres, zd, items[0], lambda p: p[0] in others, depth)
         if not res.member:
             return res
-        parts = []
+        pieces = []
         for lt in res.witness:
             g, i = ordered[words.letter_gen(lt)]
-            conj = words.power((t + 1,), i, self.limits.max_word_len)
-            parts.append(words.concat(
-                [conj, (words.letter_sign(lt) * (g + 1),),
-                 words.invert(conj)], self.limits.max_word_len))
-        parts.append(words.power((t + 1,), d, self.limits.max_word_len))
-        return MembershipVerdict(
-            True, words.concat(parts, self.limits.max_word_len))
+            pieces.append((i, (words.letter_sign(lt) * (g + 1),)))
+        return self._tower(pieces, t, d)
 
     def _member_nonzero_fixed(self, pres, w, subset, omitted, depth):
         """Both substitution generators can be taken outside the subset, so
         the embedding fixes the subset pointwise."""
         a, b = omitted[0], omitted[1]
-        emb = self._embedding(pres, a, b)
+        emb = self._cached(breakdown.embed_nonzero_case, pres, a, b)
         image_subset = frozenset(emb.gen_map[s] for s in subset)
         res = self._member(emb.image_presentation, emb.translate(w),
                            image_subset, depth)
@@ -458,7 +432,7 @@ class Solver:
         ``x^alpha = image of b'``.
         """
         bprime = min(subset)
-        emb = self._embedding(pres, gstar, bprime)
+        emb = self._cached(breakdown.embed_nonzero_case, pres, gstar, bprime)
         alpha = emb.alpha
         wprime = emb.translate(w)
         xlt = emb.x_gen + 1
@@ -472,36 +446,23 @@ class Solver:
         back = {v: kk for kk, v in emb.gen_map.items()}
 
         if emb.x_gen in words.support(imagep.relator):
-            zd = self._zero_data(imagep, emb.x_gen, emb.y_gen)
+            zd = self._cached(breakdown.rewrite_zero_case, imagep, emb.x_gen,
+                              emb.y_gen)
             items = self._britton(imagep, zd, hnn_syllables(k, emb.x_gen),
                                   depth)
             if len(items) > 1:
                 return MembershipVerdict(False)
-            u = items[0]
-            pairs = sword_pairs(zd.rewritten_relator) | sword_pairs(u)
-            alphabet, pair_index, ordered = sub_alphabet_for(
-                pairs, imagep.alphabet)
-            base = OneRelatorPresentation(
-                alphabet, sword_to_word(zd.rewritten_relator, pair_index))
-            sub_ids = frozenset(
-                k2 for k2, (g, i) in enumerate(ordered)
-                if g in back and i % alpha == 0)
-            res = self._member(base, sword_to_word(u, pair_index), sub_ids,
-                               depth + 1)
+            res, ordered = self._base_member(
+                imagep, zd, items[0],
+                lambda p: p[0] in back and p[1] % alpha == 0, depth)
             if not res.member:
                 return res
-            parts = []
+            pieces = []
             for lt in res.witness:
                 g, i = ordered[words.letter_gen(lt)]
-                conj = words.power((bprime + 1,), i // alpha,
-                                   self.limits.max_word_len)
-                parts.append(words.concat(
-                    [conj, (words.letter_sign(lt) * (back[g] + 1),),
-                     words.invert(conj)], self.limits.max_word_len))
-            parts.append(words.power((bprime + 1,), m,
-                                     self.limits.max_word_len))
-            return MembershipVerdict(
-                True, words.concat(parts, self.limits.max_word_len))
+                pieces.append(
+                    (i // alpha, (words.letter_sign(lt) * (back[g] + 1),)))
+            return self._tower(pieces, bprime, m)
 
         # x vanished from the image relator: the image group is the free
         # product of <x> and the x-free image presentation.
@@ -511,65 +472,25 @@ class Solver:
         rest_subset = frozenset(old_to_new[g] for g in back
                                 if g in old_to_new)
         new_to_old = {v: kk for kk, v in old_to_new.items()}
-
-        def runs(word):
-            out = []
-            h = 0
-            buf = []
-            for lt in word:
-                if words.letter_gen(lt) == emb.x_gen:
-                    if buf:
-                        out.append((h, tuple(buf)))
-                        buf = []
-                    h += words.letter_sign(lt)
-                else:
-                    buf.append(lt)
-            if buf:
-                out.append((h, tuple(buf)))
-            return out
-
-        while True:
-            for h, v in runs(k):
-                if self._wp(rest_pres, map_word(v, old_to_new),
-                            depth + 1) is Verdict.TRIVIAL:
-                    idx = self._find_run(k, v, emb.x_gen)
-                    k = self._reduce(k[:idx] + k[idx + len(v):])
-                    break
-            else:
-                break
-        parts = []
-        for h, v in runs(k):
+        syls = self._fp_reduce(imagep, k, set(rest_ids), rest_pres,
+                               old_to_new, depth + 1)
+        pieces = []
+        h = 0
+        for is_rest, v in syls:
+            if not is_rest:
+                h += words.exponent_sum(v, emb.x_gen)
+                continue
             if h % alpha != 0:
                 return MembershipVerdict(False)
             res = self._member(rest_pres, map_word(v, old_to_new),
                                rest_subset, depth + 1)
             if not res.member:
                 return MembershipVerdict(False)
-            conj = words.power((bprime + 1,), h // alpha,
-                               self.limits.max_word_len)
-            inner = tuple(
+            pieces.append((h // alpha, tuple(
                 words.letter_sign(lt) * (back[new_to_old[
                     words.letter_gen(lt)]] + 1)
-                for lt in res.witness)
-            parts.append(words.concat([conj, inner, words.invert(conj)],
-                                      self.limits.max_word_len))
-        parts.append(words.power((bprime + 1,), m, self.limits.max_word_len))
-        return MembershipVerdict(
-            True, words.concat(parts, self.limits.max_word_len))
-
-    @staticmethod
-    def _find_run(word, run, x_gen):
-        """Index of the first maximal non-x run equal to ``run``."""
-        n = len(run)
-        for idx in range(len(word) - n + 1):
-            if word[idx:idx + n] != run:
-                continue
-            before_ok = idx == 0 or words.letter_gen(word[idx - 1]) == x_gen
-            after_ok = (idx + n == len(word)
-                        or words.letter_gen(word[idx + n]) == x_gen)
-            if before_ok and after_ok:
-                return idx
-        raise AssertionError("run vanished from its own word")
+                for lt in res.witness)))
+        return self._tower(pieces, bprime, m)
 
     # -- hierarchy tree ----------------------------------------------------
 
@@ -580,12 +501,11 @@ class Solver:
         node_pres = pres
         if split.free_part:
             node_pres, _, _ = restrict_to_subalphabet(pres, split.active)
-        step = self._step(node_pres)
+        step = self._cached(breakdown.classify, node_pres)
         node = HierarchyNode(presentation=node_pres, kind=step.kind,
                              step=step, free_part=free_names)
         if step.kind == "zero":
-            child_pres, _ = breakdown.zero_case_presentation(node_pres,
-                                                             step.zero)
+            child_pres, _, _ = base_presentation(node_pres, step.zero)
             node.children.append(self._tree(child_pres, depth + 1))
         elif step.kind == "nonzero":
             node.children.append(
@@ -609,7 +529,3 @@ def is_root(s, r, alphabet, limits=None):
 
 def hierarchy_tree(pres, limits=None):
     return Solver(limits).hierarchy_tree(pres)
-
-
-def britton_reduce(pres, zdata, form, limits=None):
-    return Solver(limits).britton_reduce(pres, zdata, form)

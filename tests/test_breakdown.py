@@ -2,6 +2,7 @@ import pytest
 
 from onerelator import breakdown, words
 from onerelator.breakdown import (
+    base_presentation,
     classify,
     embed_nonzero_case,
     hnn_syllables,
@@ -15,7 +16,6 @@ from onerelator.breakdown import (
     sword_reduce,
     sword_shift,
     sword_subscript_span,
-    zero_case_presentation,
 )
 from onerelator.errors import PreconditionViolated
 from onerelator.presentations import make_presentation
@@ -145,10 +145,17 @@ def test_embed_nonzero_preconditions():
 def test_zero_case_presentation():
     p = make_presentation(AB, (1, 2, -1, -2, -2))
     zd = rewrite_zero_case(p, 0)
-    base, ordered = zero_case_presentation(p, zd)
+    base, word, ordered = base_presentation(p, zd)
     assert base.alphabet.names == ("b_0", "b_1")
     assert base.relator == (2, -1, -1)
+    assert word == ()
     assert ordered == ((1, 0), (1, 1))
+    # a residue and extra pairs widen the alphabet; the relator is renamed
+    base, word, ordered = base_presentation(p, zd, ((1, 2, -1),), [(1, -1)])
+    assert base.alphabet.names == ("b_-1", "b_0", "b_1", "b_2")
+    assert base.relator == (3, -2, -2)
+    assert word == (-4,)
+    assert ordered == ((1, -1), (1, 0), (1, 1), (1, 2))
 
 
 def exhaustive_relators(max_len):

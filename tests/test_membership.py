@@ -4,7 +4,7 @@ import pytest
 
 from onerelator import words
 from onerelator.errors import UnknownGenerator
-from onerelator.oracles import random_reduced_word
+from onerelator.oracles import psl2_eval, random_reduced_word
 from onerelator.presentations import make_presentation
 from onerelator.solver import Solver, Verdict, magnus_membership
 from onerelator.words import Alphabet
@@ -102,6 +102,26 @@ def test_membership_nonzero_two_omitted():
     assert not magnus_membership(ABCREL, (2,), {0}).member
     res = magnus_membership(ABCREL, (1,), {0})
     check_witness(ABCREL, (1,), {0}, res)
+
+
+def test_membership_omit_one_x_vanishes_non_member():
+    # <a,b,c | ababc>, subset {b,c}: a -> y x^-2, b -> x^2 drops x from the
+    # image relator.  a is not in <b,c>: b, c and the relator all have
+    # a-exponent sum divisible by 2, and a has 1
+    p = make_presentation(ABC, (1, 2, 1, 2, 3))
+    assert words.exponent_sum(p.relator, 0) == 2
+    assert not magnus_membership(p, (1,), {1, 2}).member
+
+
+def test_membership_omit_one_x_present_non_member():
+    # <a,b | a^2 b^-3>, subset {a}: b -> y x^-2, a -> x^-3 keeps x in the
+    # image relator.  b a b^-1 abelianizes to a, and a^n = a modulo
+    # (2,-3) only for n = 1, so a is the only candidate; but
+    # b a b^-1 a^-1 survives in the PSL2(Z) quotient a^2 = b^3 = 1
+    p = make_presentation(AB, (1, 1, -2, -2, -2))
+    assert psl2_eval(p.relator).is_identity()
+    assert not psl2_eval((2, 1, -2, -1)).is_identity()
+    assert not magnus_membership(p, (2, 1, -2), {0}).member
 
 
 def test_membership_torsion_quotient():

@@ -1,6 +1,8 @@
+import collections
+
 import pytest
 
-from onerelator import words
+from onerelator import breakdown, words
 from onerelator.breakdown import hnn_syllables, rewrite_zero_case
 from onerelator.errors import ResourceExhausted, UnknownGenerator
 from onerelator.presentations import make_presentation
@@ -140,6 +142,46 @@ def test_memoization_hits():
     before = solver.stats["memo_hits"]
     solver.word_problem(BS12, (2, 1, 2, -1, -2, -2, -2))
     assert solver.stats["memo_hits"] > before
+
+
+def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
+    """Repeated membership queries on one solver compute each breakdown
+    step the solver asks for once per (function, presentation, arguments);
+    steps that ``classify`` computes internally are not counted."""
+    calls = collections.Counter()
+    nested = []
+
+    def counting(name):
+        fn = getattr(breakdown, name)
+
+        def wrapper(pres, *args):
+            if not nested:
+                calls[name, pres.alphabet.names, pres.relator, args] += 1
+            nested.append(name)
+            try:
+                return fn(pres, *args)
+            finally:
+                nested.pop()
+
+        monkeypatch.setattr(breakdown, name, wrapper)
+
+    for name in ("classify", "rewrite_zero_case", "embed_nonzero_case"):
+        counting(name)
+    # x vanishes from the image relator of ababc; it stays in a^2 b^-3's
+    queries = [(make_presentation(ABC, (1, 2, 1, 2, 3)), {1, 2},
+                [(1,), (2, 1, 2, 3, 3), (1, 2, 1, 2, 3, 2)]),
+               (TREFOIL, {0}, [(2, 1, -2), (2, 1, 1, -2)])]
+    solver = Solver()
+    answers = []
+    for _ in range(2):
+        before = solver.stats["memo_hits"]
+        answers.append([solver.magnus_membership(p, w, subset)
+                        for p, subset, ws in queries for w in ws])
+        assert solver.stats["memo_hits"] > before
+    assert answers[0] == answers[1]
+    assert {key[0] for key in calls} == {
+        "classify", "rewrite_zero_case", "embed_nonzero_case"}
+    assert set(calls.values()) == {1}
 
 
 def test_is_root():
