@@ -17,6 +17,7 @@ triples; they only exist inside hierarchy computations and are converted to
 ordinary words over a concrete sub-alphabet when recursing.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import words
@@ -95,7 +96,6 @@ class ZeroCaseData:
                                 # associated subgroups
     rewritten_relator: tuple    # sword, strictly shorter than the relator
     ranges: dict                # gen id -> (min subscript, max subscript)
-    rotation: int               # rotation of the relator used by the scan
 
     def pivot_range(self):
         return self.ranges[self.pivot]
@@ -156,6 +156,24 @@ def classify(pres):
     return BreakdownStep(kind="nonzero", nonzero=embed_nonzero_case(pres, a, b))
 
 
+def tietze_values(relator):
+    """Value of each generator that occurs exactly once in the relator.
+
+    From ``r = p h^e q`` the conjugate ``h^e q p`` is also trivial, so
+    ``h = ((q p)^-1)^e``: a Tietze move deletes ``h`` and the relator, and
+    the group is free on the other generators.  Returns ``{h: value}`` with
+    each value a reduced word over those generators.
+    """
+    seen = Counter(words.letter_gen(lt) for lt in relator)
+    out = {}
+    for k, lt in enumerate(relator):
+        g = words.letter_gen(lt)
+        if seen[g] == 1:
+            qp = words.reduce(relator[k + 1:] + relator[:k])
+            out[g] = qp if lt < 0 else words.invert(qp)
+    return out
+
+
 def rewrite_zero_case(pres, t, pivot=None):
     """Rewrite the relator over subscripted generators ``g_i = t^i g t^-i``.
 
@@ -197,7 +215,7 @@ def rewrite_zero_case(pres, t, pivot=None):
         lo, hi = ranges.get(g, (i, i))
         ranges[g] = (min(lo, i), max(hi, i))
     return ZeroCaseData(stable=t, pivot=pivot, rewritten_relator=rewritten,
-                        ranges=ranges, rotation=rot)
+                        ranges=ranges)
 
 
 def substitute_back(u, t):

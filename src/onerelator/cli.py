@@ -283,7 +283,11 @@ def main(argv=None):
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceExhausted as exc:
-        print(f"resource exhausted: {exc}", file=sys.stderr)
+        fields = ", ".join(f"{k} {v}" for k, v in (
+            ("budget", exc.budget), ("limit", exc.limit),
+            ("depth", exc.depth)) if v is not None)
+        suffix = f" ({fields})" if fields else ""
+        print(f"resource exhausted: {exc}{suffix}", file=sys.stderr)
         return EXIT_EXHAUSTED
 
 

@@ -25,8 +25,17 @@ class ResourceExhausted(OneRelatorError):
     """A configured budget (depth, word length, subscript span) was hit.
 
     This is never a verdict: the procedure is total in theory, so running
-    out of budget is reported honestly instead of guessing.
+    out of budget is reported honestly instead of guessing.  ``budget`` names
+    the :class:`~onerelator.solver.SolverLimits` field that ran out
+    (``"max_depth"``, ``"max_word_len"`` or ``"max_subscript_span"``),
+    ``limit`` its value and ``depth`` the hierarchy depth, where known.
     """
+
+    def __init__(self, message, budget=None, limit=None, depth=None):
+        super().__init__(message)
+        self.budget = budget
+        self.limit = limit
+        self.depth = depth
 
 
 class WordSyntaxError(OneRelatorError):

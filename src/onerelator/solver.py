@@ -3,6 +3,11 @@
 The word problem and Magnus-subgroup membership are decided by recursion
 over the hierarchy produced in :mod:`.breakdown`:
 
+* a generator ``h`` that occurs once in the relator is eliminated by a
+  Tietze move (:func:`.breakdown.tietze_values`): the group is free on the
+  other generators, so the query is decided by substituting for ``h`` and
+  freely reducing (for membership ``h`` must lie outside the subset, and the
+  reduced image is the witness),
 * free-factor generators split off as a free product,
 * a zero-exponent-sum generator gives an HNN extension whose base is a
   one-relator group on subscripted generators with a strictly shorter
@@ -20,7 +25,7 @@ Every descent into an HNN base group builds it with
 :func:`.breakdown.base_presentation`, and every witness that comes back
 through a tower of conjugates (``t^i g t^-i`` times a power of ``t``) is
 assembled by :meth:`Solver._tower`.  Breakdown steps are memoized in one
-table per solver.
+table per solver, bounded at :data:`MEMO_ENTRIES` entries.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
@@ -47,6 +52,10 @@ from .presentations import (
     restrict_to_subalphabet,
     split_free_factor,
 )
+
+
+#: the breakdown memo evicts its oldest entry beyond this many
+MEMO_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -95,17 +104,26 @@ class HierarchyNode:
 class Solver:
     """Single-owner decision engine with one breakdown memo table.
 
+    Every hierarchy node first tries the Tietze move: if a generator occurs
+    once in the relator (and, for membership, lies outside the subset), the
+    node is decided in the free group on the other generators and counted
+    in ``stats["eliminations"]``.  The elimination table is recomputed per
+    node, never memoized.
+
     The memo holds the results of ``breakdown.classify``,
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``
     per function, exact normalized presentation and arguments; it never
-    holds query answers.  Distinct instances are independent and may run in
+    holds query answers.  It keeps at most :data:`MEMO_ENTRIES` entries,
+    evicting the oldest first, so a stream of distinct presentations runs
+    in bounded memory.  Distinct instances are independent and may run in
     parallel.
     """
 
     def __init__(self, limits=None):
         self.limits = limits or SolverLimits()
         self._memo = {}
-        self.stats = {"memo_hits": 0, "nodes": 0, "max_depth": 0}
+        self.stats = {"memo_hits": 0, "nodes": 0, "max_depth": 0,
+                      "eliminations": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -114,7 +132,8 @@ class Solver:
         self.stats["max_depth"] = max(self.stats["max_depth"], depth)
         if depth > self.limits.max_depth:
             raise ResourceExhausted(
-                f"hierarchy depth exceeds {self.limits.max_depth}")
+                f"hierarchy depth exceeds {self.limits.max_depth}",
+                budget="max_depth", limit=self.limits.max_depth, depth=depth)
 
     def _reduce(self, raw):
         return words.reduce(raw, self.limits.max_word_len)
@@ -129,7 +148,27 @@ class Solver:
             self.stats["memo_hits"] += 1
             return self._memo[key]
         out = self._memo[key] = fn(pres, *args)
+        if len(self._memo) > MEMO_ENTRIES:
+            del self._memo[next(iter(self._memo))]
         return out
+
+    def _eliminate(self, pres, w, subset=frozenset()):
+        """Tietze move on the least once-occurring generator outside
+        ``subset``: the reduced image of ``w`` in the free group on the
+        other generators, or None when no such generator exists."""
+        values = breakdown.tietze_values(pres.relator)
+        h = min((g for g in values if g not in subset), default=None)
+        if h is None:
+            return None
+        value, inverse = values[h], words.invert(values[h])
+        out = []
+        for lt in w:
+            if words.letter_gen(lt) != h:
+                out.append(lt)
+            else:
+                out.extend(value if lt > 0 else inverse)
+        self.stats["eliminations"] += 1
+        return self._reduce(out)
 
     # -- public API --------------------------------------------------------
 
@@ -166,6 +205,9 @@ class Solver:
             return Verdict.TRIVIAL
         if abelian_obstruction(pres, w):
             return Verdict.NONTRIVIAL
+        image = self._eliminate(pres, w)
+        if image is not None:
+            return Verdict.NONTRIVIAL if image else Verdict.TRIVIAL
 
         split = split_free_factor(pres)
         if split.free_part:
@@ -252,7 +294,9 @@ class Solver:
                 if sword_subscript_span(sw) > self.limits.max_subscript_span:
                     raise ResourceExhausted(
                         "subscript span exceeds "
-                        f"{self.limits.max_subscript_span}")
+                        f"{self.limits.max_subscript_span}",
+                        budget="max_subscript_span",
+                        limit=self.limits.max_subscript_span, depth=depth)
             for j in range(1, len(items) - 2, 2):
                 if items[j] == -items[j + 2]:
                     up = items[j] == 1
@@ -315,6 +359,11 @@ class Solver:
             return MembershipVerdict(True, w)
         if not w:
             return MembershipVerdict(True, ())
+        image = self._eliminate(pres, w, subset)
+        if image is not None:
+            if words.support(image) <= subset:
+                return MembershipVerdict(True, image)
+            return MembershipVerdict(False)
 
         split = split_free_factor(pres)
         if split.free_part:

@@ -6,6 +6,7 @@ word handed out by this module is freely reduced, so equality of group
 elements is tuple equality and the empty tuple is the identity.
 """
 
+from itertools import chain, repeat
 from math import gcd
 
 from .errors import ResourceExhausted, UnknownGenerator
@@ -76,7 +77,8 @@ def reduce(raw, max_len=DEFAULT_MAX_WORD_LEN):
         else:
             out.append(lt)
             if len(out) > max_len:
-                raise ResourceExhausted(f"word length exceeds {max_len}")
+                raise ResourceExhausted(f"word length exceeds {max_len}",
+                                        budget="max_word_len", limit=max_len)
     return tuple(out)
 
 
@@ -89,15 +91,14 @@ def multiply(u, v, max_len=DEFAULT_MAX_WORD_LEN):
         else:
             out.append(lt)
             if len(out) > max_len:
-                raise ResourceExhausted(f"word length exceeds {max_len}")
+                raise ResourceExhausted(f"word length exceeds {max_len}",
+                                        budget="max_word_len", limit=max_len)
     return tuple(out)
 
 
 def concat(words, max_len=DEFAULT_MAX_WORD_LEN):
-    out = ()
-    for w in words:
-        out = multiply(out, w, max_len)
-    return out
+    """Product of words, freely reduced in one pass over their letters."""
+    return reduce(chain.from_iterable(words), max_len)
 
 
 def invert(u):
@@ -105,12 +106,10 @@ def invert(u):
 
 
 def power(u, n, max_len=DEFAULT_MAX_WORD_LEN):
+    """``u^n``, freely reduced in one pass over its letters."""
     if n < 0:
-        return power(invert(u), -n, max_len)
-    out = ()
-    for _ in range(n):
-        out = multiply(out, u, max_len)
-    return out
+        u, n = invert(u), -n
+    return reduce(chain.from_iterable(repeat(u, n)), max_len)
 
 
 def cyclic_reduce(w):

@@ -146,10 +146,14 @@ def test_exit_code_2_on_bad_input(capsys):
 
 
 def test_exit_code_3_on_exhaustion(capsys):
-    code = main(["--max-depth", "1", "solve", "a,b | abAB^2",
-                 "a^2bA^2B^4"])
+    # no level this query reaches can eliminate a generator, so deciding
+    # it needs depth 2
+    code = main(["--max-depth", "1", "solve", "a,b | aba^2b^2",
+                 "baba^2b^2B"])
     assert code == 3
-    assert "resource exhausted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resource exhausted" in err
+    assert "budget max_depth, limit 1, depth 2" in err
 
 
 def test_global_flags_reach_solver(capsys):

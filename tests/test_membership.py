@@ -50,6 +50,40 @@ def test_abc_relator_eliminates_c():
     assert res.witness == (-2, -1)
 
 
+def test_readme_example_is_one_tietze_move():
+    # c occurs once in abc and is omitted from the subset: c = b^-1 a^-1
+    solver = Solver()
+    res = solver.magnus_membership(ABCREL, (3,), {0, 1})
+    assert res.witness == (-2, -1)
+    assert solver.stats["eliminations"] == solver.stats["nodes"] == 1
+
+
+def test_tietze_member_and_non_member():
+    # <a,b,c | a b a b^-1 c^-1>: c = a b a b^-1 occurs once
+    p = make_presentation(ABC, (1, 2, 1, -2, -3))
+    solver = Solver()
+    w = (3, 2, 1)
+    res = solver.magnus_membership(p, w, {0, 1})
+    check_witness(p, w, {0, 1}, res)
+    assert res.witness == (1, 2, 1, 1)
+    # the image a b a^2 of c b a uses b, so it is not in <a>
+    assert not solver.magnus_membership(p, w, {0}).member
+    assert solver.stats["eliminations"] == 2
+
+
+def test_tietze_subset_holding_the_once_occurring_generator():
+    # c is the only once-occurring generator and lies in the subset, so
+    # the query falls through to the hierarchy: a b a b^-1 = c
+    p = make_presentation(ABC, (1, 2, 1, -2, -3))
+    solver = Solver()
+    w = (1, 2, 1, -2)
+    res = solver.magnus_membership(p, w, {2})
+    check_witness(p, w, {2}, res)
+    assert res.witness == (3,)
+    assert solver.stats["nodes"] > 1
+    assert not solver.magnus_membership(p, (1,), {2}).member
+
+
 def test_magnus_subgroup_is_free_basis():
     # the subgroup <a,b> of <a,b,c | abc> is free: a b a^-1 b^-1 is a
     # member (itself) but stays nontrivial
@@ -102,6 +136,24 @@ def test_membership_nonzero_two_omitted():
     assert not magnus_membership(ABCREL, (2,), {0}).member
     res = magnus_membership(ABCREL, (1,), {0})
     check_witness(ABCREL, (1,), {0}, res)
+
+
+def test_membership_nonzero_two_omitted_without_elimination():
+    # <a,b,c | a^2 b^2 c^2>: no generator occurs once, so subset {c} takes
+    # the embedding that fixes c; a^2 b^2 = c^-2
+    p = make_presentation(ABC, (1, 1, 2, 2, 3, 3))
+    res = magnus_membership(p, (1, 1, 2, 2, 3), {2})
+    check_witness(p, (1, 1, 2, 2, 3), {2}, res)
+    assert res.witness == (-3,)
+    assert not magnus_membership(p, (1,), {2}).member
+    # <a,b,c | a^2 b^2>, subset {a,c}: the active syllable b is not in <a>,
+    # and for subset {a} the free syllable c is not in it either
+    p = make_presentation(ABC, (1, 1, 2, 2))
+    assert not magnus_membership(p, (2, 3), {0, 2}).member
+    assert not magnus_membership(p, (1, 3), {0}).member
+    res = magnus_membership(p, (2, 2, 3), {0, 2})
+    check_witness(p, (2, 2, 3), {0, 2}, res)
+    assert res.witness == (-1, -1, 3)
 
 
 def test_membership_omit_one_x_vanishes_non_member():

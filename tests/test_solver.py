@@ -3,6 +3,7 @@ import collections
 import pytest
 
 from onerelator import breakdown, words
+from onerelator import solver as solver_mod
 from onerelator.breakdown import hnn_syllables, rewrite_zero_case
 from onerelator.errors import ResourceExhausted, UnknownGenerator
 from onerelator.presentations import make_presentation
@@ -128,12 +129,72 @@ def test_britton_keeps_genuine_stable_letters():
 
 def test_depth_budget_reported_honestly():
     solver = Solver(SolverLimits(max_depth=1))
-    # a^2 b a^-2 b^-4 needs two base descents, over the depth budget
-    with pytest.raises(ResourceExhausted):
-        solver.word_problem(BS12, (1, 1, 2, -1, -1, -2, -2, -2, -2))
+    # <a,b | a b a^2 b^2> has no generator occurring once, nor has the image
+    # of its Magnus embedding; the base group's once-occurring generator
+    # lies in the associated subgroup, so the query descends to depth 2,
+    # over the depth budget
+    p = make_presentation(AB, (1, 2, 1, 1, 2, 2))
+    w = words.concat([(2,), p.relator, (-2,)])
+    with pytest.raises(ResourceExhausted) as info:
+        solver.word_problem(p, w)
+    assert info.value.budget == "max_depth"
+    assert info.value.limit == 1 and info.value.depth == 2
     # the budget is not a verdict: a roomier solver still decides it
-    assert Solver().word_problem(
-        BS12, (1, 1, 2, -1, -1, -2, -2, -2, -2)) is Verdict.TRIVIAL
+    assert Solver(SolverLimits(max_depth=2)).word_problem(
+        p, w) is Verdict.TRIVIAL
+
+
+def test_word_length_budget_is_named():
+    with pytest.raises(ResourceExhausted) as info:
+        Solver(SolverLimits(max_word_len=4)).word_problem(Z2, (1,) * 5)
+    assert (info.value.budget, info.value.limit) == ("max_word_len", 4)
+
+
+def test_tietze_values():
+    # a b a c: b = (a c a)^-1 and c = (a b a)^-1
+    assert breakdown.tietze_values((1, 2, 1, 3)) == {
+        1: (-1, -3, -1), 2: (-1, -2, -1)}
+    # a b a b^-1 c^-1: c = a b a b^-1, from a negative occurrence
+    assert breakdown.tietze_values((1, 2, 1, -2, -3)) == {2: (1, 2, 1, -2)}
+    assert breakdown.tietze_values(BS12.relator) == {}
+
+
+def test_wp_tietze_positive_occurrence():
+    # <a,b,c | abac> is free on a, c with b = a^-1 c^-1 a^-1
+    p = make_presentation(ABC, (1, 2, 1, 3))
+    solver = Solver()
+    assert solver.word_problem(p, (2, 1, 3, 1)) is Verdict.TRIVIAL
+    assert solver.word_problem(p, (2, 3, -2, -3)) is Verdict.NONTRIVIAL
+    assert solver.stats["eliminations"] == solver.stats["nodes"] == 2
+
+
+def test_wp_tietze_negative_occurrence():
+    # <a,b,c | a b a b^-1 c^-1> is free on a, b with c = a b a b^-1
+    p = make_presentation(ABC, (1, 2, 1, -2, -3))
+    solver = Solver()
+    assert solver.word_problem(p, (3, 2, -1, -2, -1)) is Verdict.TRIVIAL
+    assert solver.word_problem(p, (3, 1, -3, -1)) is Verdict.NONTRIVIAL
+    assert solver.stats["eliminations"] == solver.stats["nodes"] == 2
+    # <a,b | a^-1 b^3> is infinite cyclic on b, so a commutes with b
+    p = make_presentation(AB, (-1, 2, 2, 2))
+    assert solver.word_problem(p, (1, 2, -1, -2)) is Verdict.TRIVIAL
+
+
+def test_memo_is_bounded():
+    """Past MEMO_ENTRIES breakdown steps the oldest are evicted, and an
+    evicted presentation is answered as before."""
+    pres = [make_presentation(Alphabet((f"a{k}", "b")), (1, 1, -2, -2, -2))
+            for k in range(1100)]
+    queries = [(2, 1, 1, -2, -2, -2, -2), (1, 2, -1, -2)]
+    solver = Solver()
+    first = [solver.word_problem(pres[0], w) for w in queries]
+    assert first == [Verdict.TRIVIAL, Verdict.NONTRIVIAL]
+    for p in pres[1:]:
+        assert [solver.word_problem(p, w) for w in queries] == first
+    assert len(solver._memo) <= solver_mod.MEMO_ENTRIES == 1024
+    assert (breakdown.classify, pres[0].alphabet.names,
+            pres[0].relator) not in solver._memo
+    assert [solver.word_problem(pres[0], w) for w in queries] == first
 
 
 def test_memoization_hits():
