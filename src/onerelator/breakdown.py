@@ -43,10 +43,6 @@ def sword_multiply(u, v):
     return sword_reduce(u + v)
 
 
-def sword_invert(u):
-    return tuple((g, i, -s) for g, i, s in reversed(u))
-
-
 def sword_shift(u, delta):
     """Image under the stable-letter conjugation ``g_i -> g_{i+delta}``."""
     return tuple((g, i + delta, s) for g, i, s in u)
@@ -227,24 +223,6 @@ def substitute_back(u, t):
         out.append(s * (g + 1))
         out.extend([-tlt] * i if i >= 0 else [tlt] * (-i))
     return words.reduce(out)
-
-
-def rewrite_word_to_subscripted(w, t):
-    """Split off the stable letter from a query word.
-
-    Returns ``(t_exp, sword)`` with ``w = image(sword) * t^t_exp`` after
-    free reduction, where the image substitutes ``g_i = t^i g t^-i``.
-    Subscripts are the running ``t``-heights of the scan.
-    """
-    height = 0
-    out = []
-    for lt in w:
-        g = words.letter_gen(lt)
-        if g == t:
-            height += words.letter_sign(lt)
-        else:
-            out.append((g, height, words.letter_sign(lt)))
-    return height, sword_reduce(tuple(out))
 
 
 def hnn_syllables(w, t):

@@ -283,11 +283,12 @@ def main(argv=None):
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceExhausted as exc:
-        fields = ", ".join(f"{k} {v}" for k, v in (
-            ("budget", exc.budget), ("limit", exc.limit),
-            ("depth", exc.depth)) if v is not None)
+        info = {"budget": exc.budget, "limit": exc.limit, "depth": exc.depth}
+        fields = ", ".join(f"{k} {v}" for k, v in info.items()
+                           if v is not None)
         suffix = f" ({fields})" if fields else ""
         print(f"resource exhausted: {exc}{suffix}", file=sys.stderr)
+        emit(args, [], {"command": args.command, "exhausted": True, **info})
         return EXIT_EXHAUSTED
 
 

@@ -1,7 +1,7 @@
-"""One-relator presentations: normalization, exponent data, canonical keys."""
+"""One-relator presentations: normalization, the abelian obstruction,
+free-factor splits and sub-alphabet restriction."""
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import words
 from .errors import EmptyRelator, UnknownGenerator
@@ -26,12 +26,6 @@ class FreeFactorSplit:
     free_part: tuple  # the rest, sorted
 
 
-@dataclass(frozen=True)
-class AbelianizationData:
-    exponent_vector: tuple
-    gcd: int
-
-
 def make_presentation(alphabet, relator_input):
     """Build a presentation, storing the cyclically reduced relator core.
 
@@ -50,11 +44,6 @@ def split_free_factor(pres):
     active = words.support(pres.relator)
     free_part = tuple(g for g in range(pres.alphabet.size) if g not in active)
     return FreeFactorSplit(tuple(sorted(active)), free_part)
-
-
-def abelianization(pres):
-    vec = words.exponent_vector(pres.relator, pres.alphabet.size)
-    return AbelianizationData(vec, words.vector_gcd(vec))
 
 
 def abelian_obstruction(pres, w):
@@ -76,32 +65,6 @@ def abelian_obstruction(pres, w):
             k = x // r
             break
     return any(x != k * r for r, x in zip(rvec, wvec))
-
-
-def canonical_key(pres):
-    """Key equal across cyclic shifts, inversion and generator renamings.
-
-    Brute-force minimization: alphabets at desk scale are tiny, so scanning
-    all rank-preserving renamings is affordable.
-    """
-    n = pres.alphabet.size
-    r = pres.relator
-    best = None
-    candidates = []
-    doubled = r + r
-    for shift in range(len(r)):
-        candidates.append(doubled[shift:shift + len(r)])
-    ri = words.invert(r)
-    doubled = ri + ri
-    for shift in range(len(r)):
-        candidates.append(doubled[shift:shift + len(r)])
-    for perm in permutations(range(n)):
-        for cand in candidates:
-            img = tuple(words.letter_sign(lt) * (perm[words.letter_gen(lt)] + 1)
-                        for lt in cand)
-            if best is None or img < best:
-                best = img
-    return (n, best)
 
 
 def restrict_to_subalphabet(pres, gens):

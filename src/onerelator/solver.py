@@ -8,12 +8,16 @@ over the hierarchy produced in :mod:`.breakdown`:
   other generators, so the query is decided by substituting for ``h`` and
   freely reducing (for membership ``h`` must lie outside the subset, and the
   reduced image is the witness),
-* free-factor generators split off as a free product,
+* free-factor generators split off as a free product; a query's
+  free-product normal form comes from one stack pass over its maximal runs
+  (:meth:`Solver._fp_reduce`),
 * a zero-exponent-sum generator gives an HNN extension whose base is a
   one-relator group on subscripted generators with a strictly shorter
   relator; queries are put in stable-letter syllable form and pinches
   ``t u t^-1`` (``u`` in an associated Magnus subgroup) are eliminated by
   rewriting ``u`` over the subgroup's free basis and shifting subscripts,
+  in one left-to-right stack pass that tests each pinch once
+  (:meth:`Solver._britton`),
 * otherwise an injective substitution creates such a generator.
 
 Membership queries return witnesses (words over the queried subset), which
@@ -33,6 +37,7 @@ All procedures run under explicit budgets and raise
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 
 from . import breakdown, words
 from .breakdown import (
@@ -79,17 +84,6 @@ class Verdict(Enum):
 class MembershipVerdict:
     member: bool
     witness: tuple = None  # word over the queried subset iff member
-
-
-@dataclass
-class HnnQueryForm:
-    """Alternating ``[sword, +-1, sword, ..., sword]`` stable-letter form."""
-
-    items: list
-
-    @classmethod
-    def from_word(cls, w, t):
-        return cls(hnn_syllables(w, t))
 
 
 @dataclass
@@ -190,10 +184,6 @@ class Solver:
         pres = make_presentation(alphabet, s)
         return self.word_problem(pres, r) is Verdict.TRIVIAL
 
-    def britton_reduce(self, pres, zdata, form):
-        items = self._britton(pres, zdata, list(form.items), 0)
-        return HnnQueryForm(items)
-
     def hierarchy_tree(self, pres):
         return self._tree(pres, 0)
 
@@ -213,8 +203,7 @@ class Solver:
         if split.free_part:
             active_pres, old_to_new, _ = restrict_to_subalphabet(
                 pres, split.active)
-            syls = self._fp_reduce(pres, w, set(split.active), active_pres,
-                                   old_to_new, depth)
+            syls = self._fp_reduce(w, active_pres, old_to_new, depth)
             return Verdict.TRIVIAL if not syls else Verdict.NONTRIVIAL
 
         step = self._cached(breakdown.classify, pres)
@@ -227,8 +216,7 @@ class Solver:
             zd = step.zero
             if words.exponent_sum(w, zd.stable) != 0:
                 return Verdict.NONTRIVIAL
-            items = self._britton(pres, zd, hnn_syllables(w, zd.stable),
-                                  depth)
+            items = self._britton(pres, zd, w, depth)
             if len(items) > 1:
                 return Verdict.NONTRIVIAL
             return self._wp_in_base(pres, zd, items[0], depth)
@@ -243,75 +231,69 @@ class Solver:
         base, word, _ = base_presentation(pres, zdata, u)
         return self._wp(base, word, depth + 1)
 
-    def _fp_reduce(self, pres, w, active_set, active_pres, old_to_new, depth):
+    def _fp_reduce(self, w, active_pres, old_to_new, depth):
         """Free-product normal form over <active | r> * F(rest).
 
-        Returns the surviving syllables, each nontrivial in its factor; the
-        word is trivial iff none survive.  Free-part syllables are reduced
-        nonempty words in a free group, hence nontrivial as they stand.
+        ``old_to_new`` maps the active generators into ``active_pres``.  One
+        stack pass over the maximal runs of ``w``: a run merges into a top
+        syllable of its own factor, and the result is kept only if it is
+        nonempty and, in the active factor, nontrivial.  Returns the
+        surviving syllables as ``(is_active, word)``; the word is trivial
+        iff none survive.  Free-part syllables are reduced nonempty words in
+        a free group, hence nontrivial as they stand.
         """
         syls = []
-        for lt in w:
-            is_act = words.letter_gen(lt) in active_set
+        for is_act, run in groupby(
+                w, lambda lt: words.letter_gen(lt) in old_to_new):
+            u = tuple(run)
             if syls and syls[-1][0] == is_act:
-                syls[-1] = (is_act, syls[-1][1] + (lt,))
-            else:
-                syls.append((is_act, (lt,)))
-        while True:
-            keep = []
-            for is_act, u in syls:
-                if is_act and self._wp(active_pres, map_word(u, old_to_new),
-                                       depth) is Verdict.TRIVIAL:
-                    continue
-                keep.append((is_act, u))
-            merged = []
-            for is_act, u in keep:
-                if merged and merged[-1][0] == is_act:
-                    prod = self._mul(merged[-1][1], u)
-                    if prod:
-                        merged[-1] = (is_act, prod)
-                    else:
-                        merged.pop()
-                else:
-                    merged.append((is_act, u))
-            if merged == syls:
-                return syls
-            syls = merged
+                u = self._mul(syls.pop()[1], u)
+            if u and not (is_act and self._wp(
+                    active_pres, map_word(u, old_to_new),
+                    depth) is Verdict.TRIVIAL):
+                syls.append((is_act, u))
+        return syls
 
     # -- Britton reduction -------------------------------------------------
 
-    def _britton(self, pres, zdata, items, depth):
-        """Remove every stable-letter pinch from an HNN syllable form.
+    def _britton(self, pres, zdata, w, depth):
+        """Britton-reduce ``w`` in one left-to-right stack pass.
 
-        ``t u t^-1`` with ``u`` in the lower associated subgroup (every
-        generator but the pivot's top subscript) becomes the subscript-shift
-        of ``u``'s free-basis witness; symmetrically for ``t^-1 u t``.  Each
-        elimination deletes two stable letters, so this terminates.
+        ``w`` enters in the stable-letter syllable form of
+        :func:`.breakdown.hnn_syllables` and the output stack alternates
+        swords and stable letters.  An incoming stable letter inverse to the
+        one on top closes a pinch ``t u t^-1`` around the top sword ``u``;
+        if ``u`` lies in the associated subgroup (every generator but the
+        pivot's top subscript for ``t u t^-1``, symmetrically for
+        ``t^-1 u t``), the sword below, the subscript-shift of ``u``'s
+        free-basis witness and the incoming sword fold into one sword.  A
+        sword below the top never changes again, so each incoming stable
+        letter costs at most one membership test, and the result has no
+        pinch left.  Only folded swords can grow a subscript span, so the
+        span budget is checked on each fold.
         """
         lo, hi = zdata.pivot_range()
-        while True:
-            for sw in items[0::2]:
-                if sword_subscript_span(sw) > self.limits.max_subscript_span:
-                    raise ResourceExhausted(
-                        "subscript span exceeds "
-                        f"{self.limits.max_subscript_span}",
-                        budget="max_subscript_span",
-                        limit=self.limits.max_subscript_span, depth=depth)
-            for j in range(1, len(items) - 2, 2):
-                if items[j] == -items[j + 2]:
-                    up = items[j] == 1
-                    exclude = (zdata.pivot, hi if up else lo)
-                    res = self._assoc_member(pres, zdata, items[j + 1],
-                                             exclude, depth)
-                    if res.member:
-                        shifted = sword_shift(res.witness, 1 if up else -1)
-                        merged = sword_multiply(
-                            sword_multiply(items[j - 1], shifted),
-                            items[j + 3])
-                        items[j - 1:j + 4] = [merged]
-                        break
-            else:
-                return items
+        cap = self.limits.max_subscript_span
+        items = hnn_syllables(w, zdata.stable)
+        out = items[:1]
+        for sign, sw in zip(items[1::2], items[2::2]):
+            if len(out) > 1 and out[-2] == -sign:
+                up = out[-2] == 1
+                res = self._assoc_member(pres, zdata, out[-1],
+                                         (zdata.pivot, hi if up else lo),
+                                         depth)
+                if res.member:
+                    shifted = sword_shift(res.witness, 1 if up else -1)
+                    out[-3:] = [sword_multiply(
+                        sword_multiply(out[-3], shifted), sw)]
+                    if sword_subscript_span(out[-1]) > cap:
+                        raise ResourceExhausted(
+                            f"subscript span exceeds {cap}",
+                            budget="max_subscript_span", limit=cap,
+                            depth=depth)
+                    continue
+            out += (sign, sw)
+        return out
 
     def _assoc_member(self, pres, zdata, u, exclude_pair, depth):
         """Membership of a subscripted word in an associated subgroup.
@@ -389,14 +371,13 @@ class Solver:
                                              depth)
 
     def _member_free_split(self, pres, w, subset, split, depth):
-        active_set = set(split.active)
-        active_pres, old_to_new, old_gens = restrict_to_subalphabet(
+        active_pres, old_to_new, _ = restrict_to_subalphabet(
             pres, split.active)
         new_to_old = {v: k for k, v in old_to_new.items()}
-        syls = self._fp_reduce(pres, w, active_set, active_pres, old_to_new,
-                               depth)
-        sub_active = frozenset(old_to_new[g] for g in subset & active_set)
-        sub_free = subset - active_set
+        syls = self._fp_reduce(w, active_pres, old_to_new, depth)
+        sub_active = frozenset(old_to_new[g] for g in subset
+                               if g in old_to_new)
+        sub_free = subset - old_to_new.keys()
         witness_parts = []
         for is_act, u in syls:
             if is_act:
@@ -413,10 +394,9 @@ class Solver:
             True, words.concat(witness_parts, self.limits.max_word_len))
 
     def _member_zero_without_t(self, pres, zdata, w, subset, depth):
-        t = zdata.stable
-        if words.exponent_sum(w, t) != 0:
+        if words.exponent_sum(w, zdata.stable) != 0:
             return MembershipVerdict(False)
-        items = self._britton(pres, zdata, hnn_syllables(w, t), depth)
+        items = self._britton(pres, zdata, w, depth)
         if len(items) > 1:
             return MembershipVerdict(False)
         res, ordered = self._base_member(
@@ -424,10 +404,9 @@ class Solver:
             depth, [(s, 0) for s in subset])
         if not res.member:
             return res
-        witness = tuple(
-            words.letter_sign(lt) * (ordered[words.letter_gen(lt)][0] + 1)
-            for lt in res.witness)
-        return MembershipVerdict(True, self._reduce(witness))
+        gens = {k: g for k, (g, _) in enumerate(ordered)}
+        return MembershipVerdict(True,
+                                 self._reduce(map_word(res.witness, gens)))
 
     def _member_zero_with_t(self, pres, w, subset, t, depth):
         """Stable letter ``t`` inside the subset.
@@ -441,7 +420,7 @@ class Solver:
         zd = self._cached(breakdown.rewrite_zero_case, pres, t, pivot)
         d = words.exponent_sum(w, t)
         k = self._mul(w, words.power((t + 1,), -d, self.limits.max_word_len))
-        items = self._britton(pres, zd, hnn_syllables(k, t), depth)
+        items = self._britton(pres, zd, k, depth)
         if len(items) > 1:
             return MembershipVerdict(False)
         others = subset - {t}
@@ -466,10 +445,7 @@ class Solver:
         if not res.member:
             return res
         back = {v: k for k, v in emb.gen_map.items()}
-        witness = tuple(
-            words.letter_sign(lt) * (back[words.letter_gen(lt)] + 1)
-            for lt in res.witness)
-        return MembershipVerdict(True, witness)
+        return MembershipVerdict(True, map_word(res.witness, back))
 
     def _member_nonzero_omit_one(self, pres, w, subset, gstar, depth):
         """Exactly one generator is missing from the subset.
@@ -497,8 +473,7 @@ class Solver:
         if emb.x_gen in words.support(imagep.relator):
             zd = self._cached(breakdown.rewrite_zero_case, imagep, emb.x_gen,
                               emb.y_gen)
-            items = self._britton(imagep, zd, hnn_syllables(k, emb.x_gen),
-                                  depth)
+            items = self._britton(imagep, zd, k, depth)
             if len(items) > 1:
                 return MembershipVerdict(False)
             res, ordered = self._base_member(
@@ -518,11 +493,9 @@ class Solver:
         rest_ids = tuple(g for g in range(imagep.alphabet.size)
                          if g != emb.x_gen)
         rest_pres, old_to_new, _ = restrict_to_subalphabet(imagep, rest_ids)
-        rest_subset = frozenset(old_to_new[g] for g in back
-                                if g in old_to_new)
-        new_to_old = {v: kk for kk, v in old_to_new.items()}
-        syls = self._fp_reduce(imagep, k, set(rest_ids), rest_pres,
-                               old_to_new, depth + 1)
+        # rest ids of the subset's images -> the subset's original ids
+        to_src = {old_to_new[g]: kk for g, kk in back.items()}
+        syls = self._fp_reduce(k, rest_pres, old_to_new, depth + 1)
         pieces = []
         h = 0
         for is_rest, v in syls:
@@ -532,13 +505,10 @@ class Solver:
             if h % alpha != 0:
                 return MembershipVerdict(False)
             res = self._member(rest_pres, map_word(v, old_to_new),
-                               rest_subset, depth + 1)
+                               frozenset(to_src), depth + 1)
             if not res.member:
                 return MembershipVerdict(False)
-            pieces.append((h // alpha, tuple(
-                words.letter_sign(lt) * (back[new_to_old[
-                    words.letter_gen(lt)]] + 1)
-                for lt in res.witness)))
+            pieces.append((h // alpha, map_word(res.witness, to_src)))
         return self._tower(pieces, bprime, m)
 
     # -- hierarchy tree ----------------------------------------------------

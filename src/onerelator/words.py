@@ -52,13 +52,6 @@ class Alphabet:
         return f"Alphabet({', '.join(self.names)})"
 
 
-def letter(gen, sign=1):
-    """Encode generator id ``gen`` with the given sign as a letter."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * (gen + 1)
-
-
 def letter_gen(lt):
     """Generator id of a letter."""
     return abs(lt) - 1

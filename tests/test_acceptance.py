@@ -6,6 +6,7 @@ the runtime envelope.  Randomized sweeps are seeded for reproducibility.
 
 import random
 import time
+from collections import Counter
 
 from onerelator import oracles, words
 from onerelator.breakdown import classify, substitute_back
@@ -18,10 +19,11 @@ from onerelator.oracles import (
     free_at_length,
     ncl_semidecide,
     psl2_eval,
+    random_cyclically_reduced_word,
     random_reduced_word,
     smith_invariants,
 )
-from onerelator.presentations import make_presentation
+from onerelator.presentations import make_presentation, map_word
 from onerelator.solver import Solver, Verdict
 from onerelator.textio import parse_presentation, parse_word, print_word
 from onerelator.words import Alphabet
@@ -275,3 +277,65 @@ def test_criterion_10_parser_round_trip(capsys):
         assert "offset" in err
     print("criterion 10: 1000 words + 200 presentations round-trip, "
           "malformed inputs exit 2 PASS")
+
+
+def fuzz_relator(rng):
+    """Full-support cyclically reduced relator of length 4-8 over 2 or 3
+    generators in which every generator occurs at least twice, so that no
+    Tietze move decides the top node and the hierarchy path runs."""
+    while True:
+        n = rng.choice((2, 3))
+        r = random_cyclically_reduced_word(rng, n, rng.randint(4, 8),
+                                           require_full_support=True)
+        if min(Counter(words.letter_gen(lt) for lt in r).values()) >= 2:
+            return n, r
+
+
+def splice_conjugates(rng, w, relator, num_gens):
+    """``w`` with 1-3 conjugates ``c r^+-1 c^-1`` (``|c| <= 3``) inserted at
+    random positions, freely reduced: equal to ``w`` in the group."""
+    w = list(w)
+    for _ in range(rng.randint(1, 3)):
+        c = random_reduced_word(rng, num_gens, rng.randint(0, 3))
+        r = relator if rng.random() < 0.5 else words.invert(relator)
+        pos = rng.randint(0, len(w))
+        w[pos:pos] = c + r + words.invert(c)
+    return words.reduce(w)
+
+
+def fuzz_queries(rng, relators, per_relator):
+    """Seeded ``(pres, w, subset, witness)`` draws: ``subset`` None for a
+    word-problem query with a trivial answer, else a proper generator
+    subset and the exact witness the membership query must return."""
+    for _ in range(relators):
+        n, r = fuzz_relator(rng)
+        pres = make_presentation(Alphabet("abc"[:n]), r)
+        for _ in range(per_relator):
+            yield pres, splice_conjugates(rng, (), r, n), None, None
+            gens = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            v = map_word(random_reduced_word(rng, len(gens),
+                                             rng.randint(1, 6)),
+                         dict(enumerate(gens)))
+            yield pres, splice_conjugates(rng, v, r, n), frozenset(gens), v
+
+
+def test_differential_fuzz():
+    """Random relators without a once-occurring generator, 1000 of them,
+    4 trivial words and 4 constructed members each: every product of
+    relator conjugates is trivial, and every subset word with conjugates
+    spliced in comes back as its own witness.  Budget: 60 s."""
+    solver = Solver()
+    t0 = time.perf_counter()
+    trivial = members = 0
+    for pres, w, subset, v in fuzz_queries(random.Random(SEED), 1000, 4):
+        if subset is None:
+            assert solver.word_problem(pres, w) is Verdict.TRIVIAL, (pres, w)
+            trivial += 1
+        else:
+            res = solver.magnus_membership(pres, w, subset)
+            assert res.member and res.witness == v, (pres, w, subset)
+            members += 1
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60
+    print(f"differential fuzz: {trivial} trivial, {members} members, "
+          f"{elapsed:.2f}s PASS")

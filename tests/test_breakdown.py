@@ -6,11 +6,9 @@ from onerelator.breakdown import (
     classify,
     embed_nonzero_case,
     hnn_syllables,
-    rewrite_word_to_subscripted,
     rewrite_zero_case,
     sub_alphabet_for,
     substitute_back,
-    sword_invert,
     sword_multiply,
     sword_pairs,
     sword_reduce,
@@ -29,7 +27,6 @@ def test_sword_algebra():
     u = ((1, 0, 1), (1, 0, -1), (0, 2, 1))
     assert sword_reduce(u) == ((0, 2, 1),)
     assert sword_multiply(((0, 2, 1),), ((0, 2, -1),)) == ()
-    assert sword_invert(((0, 1, 1), (1, 0, -1))) == ((1, 0, 1), (0, 1, -1))
     assert sword_shift(((0, 1, 1),), -3) == ((0, -2, 1),)
     assert sword_pairs(((0, 1, 1), (0, 1, -1), (1, 0, 1))) == \
         {(0, 1), (1, 0)}
@@ -85,23 +82,14 @@ def test_rewrite_zero_case_preconditions():
         rewrite_zero_case(make_presentation(AB, (1, 2, -1, -2)), 0, pivot=0)
 
 
-def test_rewrite_word_to_subscripted():
-    # w = a b a^-1: one b at height 1 and a zero t-exponent
-    t_exp, sw = rewrite_word_to_subscripted((1, 2, -1), 0)
-    assert t_exp == 0
-    assert sw == ((1, 1, 1),)
-    # w = b a: the a survives as the stable tail
-    t_exp, sw = rewrite_word_to_subscripted((2, 1), 0)
-    assert t_exp == 1
-    assert sw == ((1, 0, 1),)
-
-
 def test_substitute_back_inverts_rewrite():
+    # swords of the syllable form sit at subscript 0, so substituting back
+    # and re-inserting the stable letters rebuilds the word
     for w in [(2, 1, 2, -1), (1, 1, 2, -1, -1, -2), (2, 2, -1, 2, 1)]:
-        t_exp, sw = rewrite_word_to_subscripted(w, 0)
-        rebuilt = words.multiply(substitute_back(sw, 0),
-                                 words.power((1,), t_exp))
-        assert rebuilt == words.reduce(w)
+        items = hnn_syllables(w, 0)
+        parts = [substitute_back(sw, 0) if k % 2 == 0 else (sw,)
+                 for k, sw in enumerate(items)]
+        assert words.concat(parts) == words.reduce(w)
 
 
 def test_hnn_syllables():

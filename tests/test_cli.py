@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,35 @@ def test_exit_code_3_on_exhaustion(capsys):
     err = capsys.readouterr().err
     assert "resource exhausted" in err
     assert "budget max_depth, limit 1, depth 2" in err
+
+
+def test_exhaustion_json(capsys):
+    code = main(["--max-depth", "1", "--json", "solve", "a,b | aba^2b^2",
+                 "baba^2b^2B"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out) == {"command": "solve", "exhausted": True,
+                                   "budget": "max_depth", "limit": 1,
+                                   "depth": 2}
+    assert "resource exhausted" in out.err
+
+
+def test_readme_command_lines_run(capsys):
+    # every line of the README's "Command line" block exits 0 and prints
+    # the result its "# -> ..." comment shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.strip().splitlines()
+    assert len(lines) >= 6
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "onerel"
+        assert main(argv[1:]) == 0, line
+        out = capsys.readouterr().out.strip()
+        if comment.strip().startswith("->"):
+            assert out == comment.strip()[2:].strip(), line
 
 
 def test_global_flags_reach_solver(capsys):

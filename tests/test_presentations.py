@@ -1,11 +1,8 @@
 import pytest
 
-from onerelator import presentations, words
 from onerelator.errors import EmptyRelator, UnknownGenerator
 from onerelator.presentations import (
     abelian_obstruction,
-    abelianization,
-    canonical_key,
     make_presentation,
     map_word,
     restrict_to_subalphabet,
@@ -44,13 +41,6 @@ def test_split_free_factor():
     assert split_free_factor(p2).free_part == ()
 
 
-def test_abelianization():
-    p = make_presentation(AB, (1, 1, 2, 2, 2, 2))
-    data = abelianization(p)
-    assert data.exponent_vector == (2, 4)
-    assert data.gcd == 2
-
-
 def test_abelian_obstruction():
     p = make_presentation(AB, (1, 2, -1, -2))  # Z^2
     assert abelian_obstruction(p, (1,))
@@ -59,22 +49,6 @@ def test_abelian_obstruction():
     # (2, 1) is the relator vector itself: no obstruction
     assert not abelian_obstruction(q, (1, 1, 2))
     assert abelian_obstruction(q, (1,))
-
-
-def test_canonical_key_invariance():
-    r = (1, 2, -1, -2, -2)
-    p = make_presentation(AB, r)
-    # cyclic shift
-    assert canonical_key(make_presentation(AB, r[2:] + r[:2])) == \
-        canonical_key(p)
-    # inversion
-    assert canonical_key(make_presentation(AB, words.invert(r))) == \
-        canonical_key(p)
-    # rename a <-> b
-    swapped = tuple(words.letter_sign(lt) * (2 - words.letter_gen(lt))
-                    for lt in r)
-    assert canonical_key(make_presentation(AB, swapped)) == canonical_key(p)
-    assert canonical_key(make_presentation(AB, (1, 2))) != canonical_key(p)
 
 
 def test_restrict_to_subalphabet():

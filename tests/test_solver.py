@@ -4,11 +4,9 @@ import pytest
 
 from onerelator import breakdown, words
 from onerelator import solver as solver_mod
-from onerelator.breakdown import hnn_syllables, rewrite_zero_case
 from onerelator.errors import ResourceExhausted, UnknownGenerator
 from onerelator.presentations import make_presentation
 from onerelator.solver import (
-    HnnQueryForm,
     Solver,
     SolverLimits,
     Verdict,
@@ -105,26 +103,41 @@ def test_wp_surface_relator():
 
 
 def test_britton_reduce_pinch():
-    zd = rewrite_zero_case(BS12, 0)
     solver = Solver()
-    # a b a^-1 pinches to b_1 = b^2 at subscript level
-    form = HnnQueryForm.from_word((1, 2, -1), 0)
-    out = solver.britton_reduce(BS12, zd, form)
-    assert out.items == [((1, 1, 1),)]
+    # a b a^-1 pinches to b_1, whose witness over <b> is b^2
+    res = solver.magnus_membership(BS12, (1, 2, -1), {1})
+    assert res.member and res.witness == (2, 2)
     # a b a^-1 b^-2 loses all stable letters; the residue is the relator
     # sword itself, so triviality falls to the base group
-    form = HnnQueryForm.from_word((1, 2, -1, -2, -2), 0)
-    out = solver.britton_reduce(BS12, zd, form)
-    assert out.items == [zd.rewritten_relator]
+    assert solver.word_problem(BS12, (1, 2, -1, -2, -2)) is Verdict.TRIVIAL
 
 
 def test_britton_keeps_genuine_stable_letters():
-    zd = rewrite_zero_case(BS12, 0)
     solver = Solver()
     # a^-1 b a is not in the base: b is not a square
-    form = HnnQueryForm.from_word((-1, 2, 1), 0)
-    out = solver.britton_reduce(BS12, zd, form)
-    assert len(out.items) == 5
+    assert not solver.magnus_membership(BS12, (-1, 2, 1), {1}).member
+    # so the pinch a^-1 b a of a^-1 b a b^-1 stays and the word is
+    # nontrivial, although no abelian or Tietze shortcut decides it
+    assert solver.word_problem(BS12, (-1, 2, 1, -2)) is Verdict.NONTRIVIAL
+
+
+def test_britton_tests_each_stable_letter_once(monkeypatch):
+    # in a^-1 b a (b a b a^-1)^k the first a closes a failing pinch and each
+    # a^-1 a succeeding one; a restarted scan re-tests the failing pinch
+    # after every removal
+    calls = []
+    assoc_member = Solver._assoc_member
+
+    def counting(self, *args):
+        calls.append(args)
+        return assoc_member(self, *args)
+
+    monkeypatch.setattr(Solver, "_assoc_member", counting)
+    for k in (1, 3, 6):
+        calls.clear()
+        w = words.concat([(-1, 2, 1)] + [(2, 1, 2, -1)] * k)
+        assert Solver().word_problem(BS12, w) is Verdict.NONTRIVIAL
+        assert len(calls) == k + 1
 
 
 def test_depth_budget_reported_honestly():
