@@ -12,9 +12,12 @@ of three shapes:
   ``a -> y x^-beta, b -> x^alpha`` lands the group in a fresh presentation
   where ``x`` has exponent sum zero, forcing the previous shape.
 
+Every step works on a generator count (the rank) and a relator over ids
+``0..rank-1``; generator names exist only where a hierarchy is printed.
+
 Subscripted words ("swords") are tuples of ``(gen_id, subscript, sign)``
 triples; they only exist inside hierarchy computations and are converted to
-ordinary words over a concrete sub-alphabet when recursing.
+ordinary words over the base group's ids (:func:`base_word`) when recursing.
 """
 
 from collections import Counter
@@ -22,8 +25,6 @@ from dataclasses import dataclass, field
 
 from . import words
 from .errors import PreconditionViolated
-from .presentations import OneRelatorPresentation
-from .words import Alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -48,30 +49,11 @@ def sword_shift(u, delta):
     return tuple((g, i + delta, s) for g, i, s in u)
 
 
-def sword_pairs(u):
-    return frozenset((g, i) for g, i, _ in u)
-
-
 def sword_subscript_span(u):
     if not u:
         return 0
     subs = [i for _, i, _ in u]
     return max(subs) - min(subs)
-
-
-def sub_alphabet_for(pairs, base_alphabet):
-    """Concrete alphabet for a set of ``(gen, subscript)`` pairs.
-
-    Pairs are ordered by ``(gen, subscript)``; names follow the
-    ``name_subscript`` convention so hierarchy nodes stay readable.
-    """
-    ordered = tuple(sorted(pairs))
-    names = tuple(f"{base_alphabet.names[g]}_{i}" for g, i in ordered)
-    return Alphabet(names), {p: k for k, p in enumerate(ordered)}, ordered
-
-
-def sword_to_word(u, pair_index):
-    return tuple(s * (pair_index[(g, i)] + 1) for g, i, s in u)
 
 
 def word_to_sword(w, ordered_pairs):
@@ -92,6 +74,10 @@ class ZeroCaseData:
                                 # associated subgroups
     rewritten_relator: tuple    # sword, strictly shorter than the relator
     ranges: dict                # gen id -> (min subscript, max subscript)
+    pairs: tuple                # the relator's (gen, subscript) pairs,
+                                # sorted: base generator k is pairs[k]
+    index: dict                 # pair -> base generator id
+    base_relator: tuple         # rewritten_relator over the base ids
 
     def pivot_range(self):
         return self.ranges[self.pivot]
@@ -103,21 +89,22 @@ class EmbeddingData:
     src_b: int
     alpha: int                  # exponent sum of src_a in the relator
     beta: int                   # exponent sum of src_b in the relator
-    image_presentation: OneRelatorPresentation
-    x_gen: int                  # id of x in the image alphabet
-    y_gen: int                  # id of y in the image alphabet
+    image_relator: tuple        # over the same number of generators
+    x_gen: int                  # id of x in the image
+    y_gen: int                  # id of y in the image
     gen_map: dict               # other old gen id -> image gen id
     substitution: dict = field(repr=False)  # old gen id -> image word
 
-    def translate(self, w):
-        """Image of a query word under the embedding, freely reduced."""
+    def translate(self, w, max_len=words.DEFAULT_MAX_WORD_LEN):
+        """Image of a query word under the embedding, freely reduced;
+        raises ResourceExhausted past ``max_len`` letters."""
         out = []
         for lt in w:
             img = self.substitution[words.letter_gen(lt)]
             if words.letter_sign(lt) < 0:
                 img = words.invert(img)
             out.extend(img)
-        return words.reduce(out)
+        return words.reduce(out, max_len)
 
 
 @dataclass(frozen=True)
@@ -131,25 +118,29 @@ class BreakdownStep:
 # ---------------------------------------------------------------------------
 # operations
 
-def classify(pres):
-    """Deterministic hierarchy classification of a full-support presentation.
+def classify(rank, relator):
+    """Deterministic hierarchy classification of a relator that uses every
+    one of the ``rank`` generators.
 
     Ties are broken by smallest generator id: the stable letter is the least
     zero-exponent-sum generator, the embedding pair the two least ids.
     """
-    sup = words.support(pres.relator)
-    if sup != set(range(pres.alphabet.size)):
+    sup = words.support(relator)
+    if sup != set(range(rank)):
         raise PreconditionViolated(
-            "relator must use every generator; run split_free_factor first")
+            "relator must use every generator; split off the free part "
+            "first (restrict_to_subalphabet)")
     if len(sup) == 0:
         return BreakdownStep(kind="base_free")
     if len(sup) == 1:
-        return BreakdownStep(kind="base_single", order=len(pres.relator))
+        return BreakdownStep(kind="base_single", order=len(relator))
     for t in sorted(sup):
-        if words.exponent_sum(pres.relator, t) == 0:
-            return BreakdownStep(kind="zero", zero=rewrite_zero_case(pres, t))
+        if words.exponent_sum(relator, t) == 0:
+            return BreakdownStep(kind="zero",
+                                 zero=rewrite_zero_case(relator, t))
     a, b = sorted(sup)[:2]
-    return BreakdownStep(kind="nonzero", nonzero=embed_nonzero_case(pres, a, b))
+    return BreakdownStep(kind="nonzero",
+                         nonzero=embed_nonzero_case(rank, relator, a, b))
 
 
 def tietze_values(relator):
@@ -170,26 +161,26 @@ def tietze_values(relator):
     return out
 
 
-def rewrite_zero_case(pres, t, pivot=None):
+def rewrite_zero_case(relator, t, pivot=None):
     """Rewrite the relator over subscripted generators ``g_i = t^i g t^-i``.
 
     The scan starts at the least rotation beginning with a non-``t`` letter,
     with initial height equal to the ``t``-exponent sum of the rotated-out
     prefix, and drops every ``t`` letter while stamping each other letter
-    with the current height.
+    with the current height.  The base group is built here, once per node:
+    its generators are the rewritten relator's sorted pairs.
     """
-    r = pres.relator
-    if words.exponent_sum(r, t) != 0:
+    if words.exponent_sum(relator, t) != 0:
         raise PreconditionViolated("stable letter must have exponent sum 0")
-    sup = words.support(r)
+    sup = words.support(relator)
     if t not in sup or len(sup) < 2:
         raise PreconditionViolated("stable letter must occur with company")
     rot = 0
-    while words.letter_gen(r[rot]) == t:
+    while words.letter_gen(relator[rot]) == t:
         rot += 1
-    height = words.exponent_sum(r[:rot], t)
+    height = words.exponent_sum(relator[:rot], t)
     out = []
-    for lt in r[rot:] + r[:rot]:
+    for lt in relator[rot:] + relator[:rot]:
         g = words.letter_gen(lt)
         if g == t:
             height += words.letter_sign(lt)
@@ -210,8 +201,32 @@ def rewrite_zero_case(pres, t, pivot=None):
     for g, i, _ in rewritten:
         lo, hi = ranges.get(g, (i, i))
         ranges[g] = (min(lo, i), max(hi, i))
+    pairs = tuple(sorted({(g, i) for g, i, _ in rewritten}))
+    index = {p: k for k, p in enumerate(pairs)}
+    base_relator = tuple(s * (index[(g, i)] + 1) for g, i, s in rewritten)
     return ZeroCaseData(stable=t, pivot=pivot, rewritten_relator=rewritten,
-                        ranges=ranges)
+                        ranges=ranges, pairs=pairs, index=index,
+                        base_relator=base_relator)
+
+
+def base_word(zdata, u):
+    """A residue sword as a word over a zero node's base group.
+
+    Base generator ``k < len(zdata.pairs)`` is ``zdata.pairs[k]``; the
+    residue's pairs outside that window are numbered after it, in order of
+    first occurrence, and are free generators (the relator misses them).
+    Returns the word and the pairs of all base generators, window first:
+    their count is the base group's rank for this residue.
+    """
+    index, n = zdata.index, len(zdata.pairs)
+    outside = {}
+    out = []
+    for g, i, s in u:
+        k = index.get((g, i))
+        if k is None:
+            k = outside.setdefault((g, i), n + len(outside))
+        out.append(s * (k + 1))
+    return tuple(out), zdata.pairs + tuple(outside)
 
 
 def substitute_back(u, t):
@@ -246,27 +261,7 @@ def hnn_syllables(w, t):
     return items
 
 
-def fresh_names(alphabet, count):
-    taken = set(alphabet.names)
-    picked = []
-    for c in "xyzwvutsrqponmlkjihgfedcba":
-        if c not in taken:
-            picked.append(c)
-            taken.add(c)
-            if len(picked) == count:
-                return picked
-    # fall back to decorated names when single letters run out
-    k = 0
-    while len(picked) < count:
-        cand = f"x{k}"
-        if cand not in taken:
-            picked.append(cand)
-            taken.add(cand)
-        k += 1
-    return picked
-
-
-def embed_nonzero_case(pres, a, b):
+def embed_nonzero_case(rank, relator, a, b):
     """Magnus embedding ``a -> y x^-beta, b -> x^alpha`` (others fixed).
 
     The image relator gets ``x``-exponent sum ``alpha*(-beta) + beta*alpha
@@ -274,15 +269,12 @@ def embed_nonzero_case(pres, a, b):
     maps a free basis to a free basis of a subgroup, hence is injective,
     and a word is trivial iff its image is trivial in the image group.
     """
-    alpha = words.exponent_sum(pres.relator, a)
-    beta = words.exponent_sum(pres.relator, b)
+    alpha = words.exponent_sum(relator, a)
+    beta = words.exponent_sum(relator, b)
     if alpha == 0 or beta == 0 or a == b:
         raise PreconditionViolated("embedding needs two distinct generators "
                                    "with nonzero exponent sums")
-    xname, yname = fresh_names(pres.alphabet, 2)
-    others = [g for g in range(pres.alphabet.size) if g not in (a, b)]
-    image_alphabet = Alphabet(
-        (xname, yname) + tuple(pres.alphabet.names[g] for g in others))
+    others = [g for g in range(rank) if g not in (a, b)]
     x_gen, y_gen = 0, 1
     gen_map = {g: 2 + k for k, g in enumerate(others)}
     substitution = {g: (gen_map[g] + 1,) for g in others}
@@ -292,29 +284,13 @@ def embed_nonzero_case(pres, a, b):
     substitution[b] = tuple([x_gen + 1] * alpha if alpha > 0
                             else [-(x_gen + 1)] * (-alpha))
     out = []
-    for lt in pres.relator:
+    for lt in relator:
         img = substitution[words.letter_gen(lt)]
         if words.letter_sign(lt) < 0:
             img = words.invert(img)
         out.extend(img)
     _, core = words.cyclic_reduce(words.reduce(out))
-    image_presentation = OneRelatorPresentation(image_alphabet, core)
     return EmbeddingData(src_a=a, src_b=b, alpha=alpha, beta=beta,
-                         image_presentation=image_presentation,
-                         x_gen=x_gen, y_gen=y_gen, gen_map=gen_map,
-                         substitution=substitution)
+                         image_relator=core, x_gen=x_gen, y_gen=y_gen,
+                         gen_map=gen_map, substitution=substitution)
 
-
-def base_presentation(pres, zdata, u=(), extra_pairs=()):
-    """Base presentation of a zero-case node, sized for a residue.
-
-    The subscripted alphabet covers the rewritten relator, the residue
-    sword ``u`` and ``extra_pairs``.  Returns the presentation, ``u`` as a
-    word over it, and the ordered pair list backing the alphabet.
-    """
-    pairs = (sword_pairs(zdata.rewritten_relator) | sword_pairs(u)
-             | frozenset(extra_pairs))
-    alphabet, pair_index, ordered = sub_alphabet_for(pairs, pres.alphabet)
-    relator = sword_to_word(zdata.rewritten_relator, pair_index)
-    return (OneRelatorPresentation(alphabet, relator),
-            sword_to_word(u, pair_index), ordered)

@@ -18,7 +18,6 @@ from .errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
-from .breakdown import base_presentation
 from .solver import Solver, SolverLimits
 from .textio import (
     parse_alphabet,
@@ -162,8 +161,8 @@ def hierarchy_json(node):
         out["pivot"] = pres.alphabet.names[zd.pivot]
         out["ranges"] = {pres.alphabet.names[g]: list(lohi)
                          for g, lohi in sorted(zd.ranges.items())}
-        child_pres, _, _ = base_presentation(pres, zd)
-        out["rewritten"] = print_word(child_pres.relator, child_pres.alphabet)
+        child = node.children[0].presentation
+        out["rewritten"] = print_word(child.relator, child.alphabet)
     return out
 
 

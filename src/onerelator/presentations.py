@@ -1,5 +1,5 @@
-"""One-relator presentations: normalization, the abelian obstruction,
-free-factor splits and sub-alphabet restriction."""
+"""One-relator presentations: normalization, the abelian obstruction and
+sub-alphabet restriction."""
 
 from dataclasses import dataclass
 
@@ -19,13 +19,6 @@ class OneRelatorPresentation:
                 f"{print_word(self.relator, self.alphabet)}>")
 
 
-@dataclass(frozen=True)
-class FreeFactorSplit:
-    """Partition of the alphabet into relator support and untouched part."""
-    active: tuple   # generator ids occurring in the relator, sorted
-    free_part: tuple  # the rest, sorted
-
-
 def make_presentation(alphabet, relator_input):
     """Build a presentation, storing the cyclically reduced relator core.
 
@@ -40,21 +33,16 @@ def make_presentation(alphabet, relator_input):
     return OneRelatorPresentation(alphabet, core)
 
 
-def split_free_factor(pres):
-    active = words.support(pres.relator)
-    free_part = tuple(g for g in range(pres.alphabet.size) if g not in active)
-    return FreeFactorSplit(tuple(sorted(active)), free_part)
-
-
-def abelian_obstruction(pres, w):
-    """Fast negative certificate for the word problem.
+def abelian_obstruction(rank, relator, w):
+    """Fast negative certificate for the word problem in
+    ``<rank generators | relator>``.
 
     A word can lie in the normal closure of the relator only if its exponent
     vector is an integer multiple of the relator's.  Returns True when that
     necessary condition FAILS (so ``w`` is certainly nontrivial).
     """
-    rvec = words.exponent_vector(pres.relator, pres.alphabet.size)
-    wvec = words.exponent_vector(w, pres.alphabet.size)
+    rvec = words.exponent_vector(relator, rank)
+    wvec = words.exponent_vector(w, rank)
     if all(x == 0 for x in rvec):
         return any(x != 0 for x in wvec)
     # find the multiplier from the first nonzero relator entry
@@ -67,21 +55,17 @@ def abelian_obstruction(pres, w):
     return any(x != k * r for r, x in zip(rvec, wvec))
 
 
-def restrict_to_subalphabet(pres, gens):
-    """Presentation of ``<gens | relator>`` with generators reindexed 0..k-1.
+def restrict_to_subalphabet(relator, gens):
+    """The relator of ``<gens | relator>`` with ``gens`` reindexed 0..k-1
+    in increasing order.
 
-    ``gens`` must contain the relator's support.  Returns the new
-    presentation plus the id maps in both directions.
+    ``gens`` must contain the relator's support.  Returns the new relator
+    and the id map ``old_to_new``.
     """
-    gens = tuple(sorted(gens))
-    old_to_new = {g: i for i, g in enumerate(gens)}
-    if not words.support(pres.relator) <= set(gens):
+    old_to_new = {g: i for i, g in enumerate(sorted(gens))}
+    if not words.support(relator) <= old_to_new.keys():
         raise UnknownGenerator("subalphabet misses relator letters")
-    sub_alphabet = Alphabet(tuple(pres.alphabet.names[g] for g in gens))
-    relator = tuple(
-        words.letter_sign(lt) * (old_to_new[words.letter_gen(lt)] + 1)
-        for lt in pres.relator)
-    return OneRelatorPresentation(sub_alphabet, relator), old_to_new, gens
+    return map_word(relator, old_to_new), old_to_new
 
 
 def map_word(w, old_to_new):

@@ -25,11 +25,15 @@ is what makes the pinch elimination effective: the associated subgroups are
 free on their generator subsets, so the witness is the unique normal form
 and shifting its subscripts realizes the stable-letter conjugation.
 
-Every descent into an HNN base group builds it with
-:func:`.breakdown.base_presentation`, and every witness that comes back
+The recursion carries no generator names: a node is a rank and a relator
+over ids ``0..rank-1``.  A zero node's base group is built once, by
+:func:`.breakdown.rewrite_zero_case`, and every descent into it maps its
+residue with :func:`.breakdown.base_word`.  Every witness that comes back
 through a tower of conjugates (``t^i g t^-i`` times a power of ``t``) is
 assembled by :meth:`Solver._tower`.  Breakdown steps are memoized in one
-table per solver, bounded at :data:`MEMO_ENTRIES` entries.
+table per solver, keyed by function and arguments and bounded at
+:data:`MEMO_ENTRIES` entries.  Names are made only in
+:meth:`Solver._tree`, for the tree that ``hierarchy_tree`` returns.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
@@ -37,11 +41,11 @@ All procedures run under explicit budgets and raise
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby, islice
 
 from . import breakdown, words
 from .breakdown import (
-    base_presentation,
+    base_word,
     hnn_syllables,
     sword_multiply,
     sword_shift,
@@ -55,8 +59,8 @@ from .presentations import (
     map_word,
     make_presentation,
     restrict_to_subalphabet,
-    split_free_factor,
 )
+from .words import Alphabet
 
 
 #: the breakdown memo evicts its oldest entry beyond this many
@@ -98,6 +102,11 @@ class HierarchyNode:
 class Solver:
     """Single-owner decision engine with one breakdown memo table.
 
+    The recursion works on ``(rank, relator)``: generator ids
+    ``0..rank-1`` and no names.  Names are made in one place only,
+    :meth:`_tree`, for the presentations that :meth:`hierarchy_tree`
+    returns.
+
     Every hierarchy node first tries the Tietze move: if a generator occurs
     once in the relator (and, for membership, lies outside the subset), the
     node is decided in the free group on the other generators and counted
@@ -105,12 +114,14 @@ class Solver:
     node, never memoized.
 
     The memo holds the results of ``breakdown.classify``,
-    ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``
-    per function, exact normalized presentation and arguments; it never
-    holds query answers.  It keeps at most :data:`MEMO_ENTRIES` entries,
-    evicting the oldest first, so a stream of distinct presentations runs
-    in bounded memory.  Distinct instances are independent and may run in
-    parallel.
+    ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
+    keyed by the function and its arguments (rank, relator, generator ids),
+    so presentations that differ only in generator names share entries.  A
+    zero node's entry carries its base group, built once; residues are
+    mapped onto it by :func:`.breakdown.base_word`.  The memo never holds
+    query answers.  It keeps at most :data:`MEMO_ENTRIES` entries, evicting
+    the oldest first, so a stream of distinct presentations runs in bounded
+    memory.  Distinct instances are independent and may run in parallel.
     """
 
     def __init__(self, limits=None):
@@ -135,22 +146,22 @@ class Solver:
     def _mul(self, u, v):
         return words.multiply(u, v, self.limits.max_word_len)
 
-    def _cached(self, fn, pres, *args):
-        """``fn(pres, *args)`` for a ``breakdown`` step function, memoized."""
-        key = (fn, pres.alphabet.names, pres.relator) + args
+    def _cached(self, fn, *args):
+        """``fn(*args)`` for a ``breakdown`` step function, memoized."""
+        key = (fn,) + args
         if key in self._memo:
             self.stats["memo_hits"] += 1
             return self._memo[key]
-        out = self._memo[key] = fn(pres, *args)
+        out = self._memo[key] = fn(*args)
         if len(self._memo) > MEMO_ENTRIES:
             del self._memo[next(iter(self._memo))]
         return out
 
-    def _eliminate(self, pres, w, subset=frozenset()):
+    def _eliminate(self, relator, w, subset=frozenset()):
         """Tietze move on the least once-occurring generator outside
         ``subset``: the reduced image of ``w`` in the free group on the
         other generators, or None when no such generator exists."""
-        values = breakdown.tietze_values(pres.relator)
+        values = breakdown.tietze_values(relator)
         h = min((g for g in values if g not in subset), default=None)
         if h is None:
             return None
@@ -169,7 +180,7 @@ class Solver:
     def word_problem(self, pres, w):
         w = self._reduce(w)
         words.validate_word(pres.alphabet, w)
-        return self._wp(pres, w, 0)
+        return self._wp(pres.alphabet.size, pres.relator, w, 0)
 
     def magnus_membership(self, pres, w, subset):
         w = self._reduce(w)
@@ -177,7 +188,7 @@ class Solver:
         subset = frozenset(subset)
         if not subset <= set(range(pres.alphabet.size)):
             raise UnknownGenerator("subset contains ids outside the alphabet")
-        return self._member(pres, w, subset, 0)
+        return self._member(pres.alphabet.size, pres.relator, w, subset, 0)
 
     def is_root(self, s, r, alphabet):
         """True iff ``r`` dies in ``<alphabet | s>``."""
@@ -189,24 +200,23 @@ class Solver:
 
     # -- word problem ------------------------------------------------------
 
-    def _wp(self, pres, w, depth):
+    def _wp(self, rank, relator, w, depth):
         self._bump(depth)
         if not w:
             return Verdict.TRIVIAL
-        if abelian_obstruction(pres, w):
+        if abelian_obstruction(rank, relator, w):
             return Verdict.NONTRIVIAL
-        image = self._eliminate(pres, w)
+        image = self._eliminate(relator, w)
         if image is not None:
             return Verdict.NONTRIVIAL if image else Verdict.TRIVIAL
 
-        split = split_free_factor(pres)
-        if split.free_part:
-            active_pres, old_to_new, _ = restrict_to_subalphabet(
-                pres, split.active)
-            syls = self._fp_reduce(w, active_pres, old_to_new, depth)
+        active = words.support(relator)
+        if len(active) < rank:
+            relator, old_to_new = restrict_to_subalphabet(relator, active)
+            syls = self._fp_reduce(w, relator, old_to_new, depth)
             return Verdict.TRIVIAL if not syls else Verdict.NONTRIVIAL
 
-        step = self._cached(breakdown.classify, pres)
+        step = self._cached(breakdown.classify, rank, relator)
         if step.kind == "base_single":
             return (Verdict.TRIVIAL
                     if words.exponent_sum(w, 0) % step.order == 0
@@ -216,32 +226,30 @@ class Solver:
             zd = step.zero
             if words.exponent_sum(w, zd.stable) != 0:
                 return Verdict.NONTRIVIAL
-            items = self._britton(pres, zd, w, depth)
+            items = self._britton(zd, w, depth)
             if len(items) > 1:
                 return Verdict.NONTRIVIAL
-            return self._wp_in_base(pres, zd, items[0], depth)
+            if not items[0]:
+                return Verdict.TRIVIAL
+            word, pairs = base_word(zd, items[0])
+            return self._wp(len(pairs), zd.base_relator, word, depth + 1)
 
         emb = step.nonzero
-        return self._wp(emb.image_presentation, emb.translate(w), depth)
+        return self._wp(rank, emb.image_relator,
+                        emb.translate(w, self.limits.max_word_len), depth)
 
-    def _wp_in_base(self, pres, zdata, u, depth):
-        """Decide a subscripted residue in the HNN base group."""
-        if not u:
-            return Verdict.TRIVIAL
-        base, word, _ = base_presentation(pres, zdata, u)
-        return self._wp(base, word, depth + 1)
+    def _fp_reduce(self, w, relator, old_to_new, depth):
+        """Free-product normal form over <active | relator> * F(rest).
 
-    def _fp_reduce(self, w, active_pres, old_to_new, depth):
-        """Free-product normal form over <active | r> * F(rest).
-
-        ``old_to_new`` maps the active generators into ``active_pres``.  One
-        stack pass over the maximal runs of ``w``: a run merges into a top
-        syllable of its own factor, and the result is kept only if it is
-        nonempty and, in the active factor, nontrivial.  Returns the
-        surviving syllables as ``(is_active, word)``; the word is trivial
-        iff none survive.  Free-part syllables are reduced nonempty words in
-        a free group, hence nontrivial as they stand.
+        ``old_to_new`` maps the active generators onto the ids of
+        ``relator``.  One stack pass over the maximal runs of ``w``: a run
+        merges into a top syllable of its own factor, and the result is
+        kept only if it is nonempty and, in the active factor, nontrivial.
+        Returns the surviving syllables as ``(is_active, word)``; the word
+        is trivial iff none survive.  Free-part syllables are reduced
+        nonempty words in a free group, hence nontrivial as they stand.
         """
+        rank = len(old_to_new)
         syls = []
         for is_act, run in groupby(
                 w, lambda lt: words.letter_gen(lt) in old_to_new):
@@ -249,14 +257,14 @@ class Solver:
             if syls and syls[-1][0] == is_act:
                 u = self._mul(syls.pop()[1], u)
             if u and not (is_act and self._wp(
-                    active_pres, map_word(u, old_to_new),
+                    rank, relator, map_word(u, old_to_new),
                     depth) is Verdict.TRIVIAL):
                 syls.append((is_act, u))
         return syls
 
     # -- Britton reduction -------------------------------------------------
 
-    def _britton(self, pres, zdata, w, depth):
+    def _britton(self, zdata, w, depth):
         """Britton-reduce ``w`` in one left-to-right stack pass.
 
         ``w`` enters in the stable-letter syllable form of
@@ -279,9 +287,9 @@ class Solver:
         for sign, sw in zip(items[1::2], items[2::2]):
             if len(out) > 1 and out[-2] == -sign:
                 up = out[-2] == 1
-                res = self._assoc_member(pres, zdata, out[-1],
-                                         (zdata.pivot, hi if up else lo),
-                                         depth)
+                excluded = (zdata.pivot, hi if up else lo)
+                res = self._base_member(zdata, out[-1],
+                                        lambda p: p != excluded, depth)
                 if res.member:
                     shifted = sword_shift(res.witness, 1 if up else -1)
                     out[-3:] = [sword_multiply(
@@ -295,31 +303,20 @@ class Solver:
             out += (sign, sw)
         return out
 
-    def _assoc_member(self, pres, zdata, u, exclude_pair, depth):
-        """Membership of a subscripted word in an associated subgroup.
-
-        The subgroup is generated by every subscripted generator in play
-        except ``exclude_pair``; the verdict's witness comes back as a sword
-        over that basis.
-        """
-        res, ordered = self._base_member(pres, zdata, u,
-                                         lambda p: p != exclude_pair, depth,
-                                         (exclude_pair,))
-        if not res.member:
-            return res
-        return MembershipVerdict(True, word_to_sword(res.witness, ordered))
-
-    def _base_member(self, pres, zdata, u, keep, depth, extra_pairs=()):
-        """Membership of a residue sword in the HNN base group.
+    def _base_member(self, zdata, u, keep, depth):
+        """Membership of a residue sword in the zero node's base group.
 
         The subgroup is generated by the base generators whose
-        ``(gen, subscript)`` pair satisfies ``keep``.  Returns the verdict,
-        with its witness over the base alphabet, and the ordered pairs naming
-        that alphabet.
+        ``(gen, subscript)`` pair satisfies ``keep``; the witness comes back
+        as a sword over those pairs.
         """
-        base, word, ordered = base_presentation(pres, zdata, u, extra_pairs)
-        subset = frozenset(k for k, p in enumerate(ordered) if keep(p))
-        return self._member(base, word, subset, depth + 1), ordered
+        word, pairs = base_word(zdata, u)
+        subset = frozenset(k for k, p in enumerate(pairs) if keep(p))
+        res = self._member(len(pairs), zdata.base_relator, word, subset,
+                           depth + 1)
+        if not res.member:
+            return res
+        return MembershipVerdict(True, word_to_sword(res.witness, pairs))
 
     def _tower(self, pieces, g, m):
         """Member verdict for ``prod g^i v g^-i`` over ``(i, v)`` in
@@ -335,23 +332,23 @@ class Solver:
 
     # -- Magnus subgroup membership ---------------------------------------
 
-    def _member(self, pres, w, subset, depth):
+    def _member(self, rank, relator, w, subset, depth):
         self._bump(depth)
-        if subset == set(range(pres.alphabet.size)):
+        if subset == set(range(rank)):
             return MembershipVerdict(True, w)
         if not w:
             return MembershipVerdict(True, ())
-        image = self._eliminate(pres, w, subset)
+        image = self._eliminate(relator, w, subset)
         if image is not None:
             if words.support(image) <= subset:
                 return MembershipVerdict(True, image)
             return MembershipVerdict(False)
 
-        split = split_free_factor(pres)
-        if split.free_part:
-            return self._member_free_split(pres, w, subset, split, depth)
+        active = words.support(relator)
+        if len(active) < rank:
+            return self._member_free_split(relator, w, subset, active, depth)
 
-        step = self._cached(breakdown.classify, pres)
+        step = self._cached(breakdown.classify, rank, relator)
         if step.kind == "base_single":
             # subset is empty here (the full subset returned above)
             if words.exponent_sum(w, 0) % step.order == 0:
@@ -361,28 +358,30 @@ class Solver:
         if step.kind == "zero":
             zd = step.zero
             if zd.stable not in subset:
-                return self._member_zero_without_t(pres, zd, w, subset, depth)
-            return self._member_zero_with_t(pres, w, subset, zd.stable, depth)
+                return self._member_zero_without_t(zd, w, subset, depth)
+            return self._member_zero_with_t(rank, relator, w, subset,
+                                            zd.stable, depth)
 
-        omitted = sorted(set(range(pres.alphabet.size)) - subset)
+        omitted = sorted(set(range(rank)) - subset)
         if len(omitted) >= 2:
-            return self._member_nonzero_fixed(pres, w, subset, omitted, depth)
-        return self._member_nonzero_omit_one(pres, w, subset, omitted[0],
-                                             depth)
+            return self._member_nonzero_fixed(rank, relator, w, subset,
+                                              omitted, depth)
+        return self._member_nonzero_omit_one(rank, relator, w, subset,
+                                             omitted[0], depth)
 
-    def _member_free_split(self, pres, w, subset, split, depth):
-        active_pres, old_to_new, _ = restrict_to_subalphabet(
-            pres, split.active)
+    def _member_free_split(self, relator, w, subset, active, depth):
+        relator, old_to_new = restrict_to_subalphabet(relator, active)
         new_to_old = {v: k for k, v in old_to_new.items()}
-        syls = self._fp_reduce(w, active_pres, old_to_new, depth)
+        syls = self._fp_reduce(w, relator, old_to_new, depth)
         sub_active = frozenset(old_to_new[g] for g in subset
                                if g in old_to_new)
         sub_free = subset - old_to_new.keys()
         witness_parts = []
         for is_act, u in syls:
             if is_act:
-                res = self._member(active_pres, map_word(u, old_to_new),
-                                   sub_active, depth)
+                res = self._member(len(old_to_new), relator,
+                                   map_word(u, old_to_new), sub_active,
+                                   depth)
                 if not res.member:
                     return MembershipVerdict(False)
                 witness_parts.append(map_word(res.witness, new_to_old))
@@ -393,22 +392,21 @@ class Solver:
         return MembershipVerdict(
             True, words.concat(witness_parts, self.limits.max_word_len))
 
-    def _member_zero_without_t(self, pres, zdata, w, subset, depth):
+    def _member_zero_without_t(self, zdata, w, subset, depth):
         if words.exponent_sum(w, zdata.stable) != 0:
             return MembershipVerdict(False)
-        items = self._britton(pres, zdata, w, depth)
+        items = self._britton(zdata, w, depth)
         if len(items) > 1:
             return MembershipVerdict(False)
-        res, ordered = self._base_member(
-            pres, zdata, items[0], lambda p: p[0] in subset and p[1] == 0,
-            depth, [(s, 0) for s in subset])
+        res = self._base_member(zdata, items[0],
+                                lambda p: p[0] in subset and p[1] == 0,
+                                depth)
         if not res.member:
             return res
-        gens = {k: g for k, (g, _) in enumerate(ordered)}
         return MembershipVerdict(True,
-                                 self._reduce(map_word(res.witness, gens)))
+                                 tuple(s * (g + 1) for g, _, s in res.witness))
 
-    def _member_zero_with_t(self, pres, w, subset, t, depth):
+    def _member_zero_with_t(self, rank, relator, w, subset, t, depth):
         """Stable letter ``t`` inside the subset.
 
         ``<t, S'>`` splits as conjugate tower by ``t``: every element is
@@ -416,38 +414,37 @@ class Solver:
         ``t``-exponent sum.  The pivot is taken from the omitted generators
         so the tower sits inside both associated subgroups.
         """
-        pivot = min(set(range(pres.alphabet.size)) - subset)
-        zd = self._cached(breakdown.rewrite_zero_case, pres, t, pivot)
+        pivot = min(set(range(rank)) - subset)
+        zd = self._cached(breakdown.rewrite_zero_case, relator, t, pivot)
         d = words.exponent_sum(w, t)
         k = self._mul(w, words.power((t + 1,), -d, self.limits.max_word_len))
-        items = self._britton(pres, zd, k, depth)
+        items = self._britton(zd, k, depth)
         if len(items) > 1:
             return MembershipVerdict(False)
         others = subset - {t}
-        res, ordered = self._base_member(
-            pres, zd, items[0], lambda p: p[0] in others, depth)
+        res = self._base_member(zd, items[0], lambda p: p[0] in others,
+                                depth)
         if not res.member:
             return res
-        pieces = []
-        for lt in res.witness:
-            g, i = ordered[words.letter_gen(lt)]
-            pieces.append((i, (words.letter_sign(lt) * (g + 1),)))
-        return self._tower(pieces, t, d)
+        return self._tower([(i, (s * (g + 1),)) for g, i, s in res.witness],
+                           t, d)
 
-    def _member_nonzero_fixed(self, pres, w, subset, omitted, depth):
+    def _member_nonzero_fixed(self, rank, relator, w, subset, omitted, depth):
         """Both substitution generators can be taken outside the subset, so
         the embedding fixes the subset pointwise."""
         a, b = omitted[0], omitted[1]
-        emb = self._cached(breakdown.embed_nonzero_case, pres, a, b)
+        emb = self._cached(breakdown.embed_nonzero_case, rank, relator, a, b)
         image_subset = frozenset(emb.gen_map[s] for s in subset)
-        res = self._member(emb.image_presentation, emb.translate(w),
+        res = self._member(rank, emb.image_relator,
+                           emb.translate(w, self.limits.max_word_len),
                            image_subset, depth)
         if not res.member:
             return res
         back = {v: k for k, v in emb.gen_map.items()}
         return MembershipVerdict(True, map_word(res.witness, back))
 
-    def _member_nonzero_omit_one(self, pres, w, subset, gstar, depth):
+    def _member_nonzero_omit_one(self, rank, relator, w, subset, gstar,
+                                 depth):
         """Exactly one generator is missing from the subset.
 
         Substituting ``gstar -> y x^-beta`` and ``b' -> x^alpha`` sends
@@ -457,9 +454,10 @@ class Solver:
         ``x^alpha = image of b'``.
         """
         bprime = min(subset)
-        emb = self._cached(breakdown.embed_nonzero_case, pres, gstar, bprime)
+        emb = self._cached(breakdown.embed_nonzero_case, rank, relator,
+                           gstar, bprime)
         alpha = emb.alpha
-        wprime = emb.translate(w)
+        wprime = emb.translate(w, self.limits.max_word_len)
         xlt = emb.x_gen + 1
         d = words.exponent_sum(wprime, emb.x_gen)
         if d % alpha != 0:
@@ -467,35 +465,31 @@ class Solver:
         m = d // alpha
         k = self._mul(wprime, words.power((xlt,), -alpha * m,
                                           self.limits.max_word_len))
-        imagep = emb.image_presentation
+        image = emb.image_relator
         back = {v: kk for kk, v in emb.gen_map.items()}
 
-        if emb.x_gen in words.support(imagep.relator):
-            zd = self._cached(breakdown.rewrite_zero_case, imagep, emb.x_gen,
+        if emb.x_gen in words.support(image):
+            zd = self._cached(breakdown.rewrite_zero_case, image, emb.x_gen,
                               emb.y_gen)
-            items = self._britton(imagep, zd, k, depth)
+            items = self._britton(zd, k, depth)
             if len(items) > 1:
                 return MembershipVerdict(False)
-            res, ordered = self._base_member(
-                imagep, zd, items[0],
-                lambda p: p[0] in back and p[1] % alpha == 0, depth)
+            res = self._base_member(
+                zd, items[0], lambda p: p[0] in back and p[1] % alpha == 0,
+                depth)
             if not res.member:
                 return res
-            pieces = []
-            for lt in res.witness:
-                g, i = ordered[words.letter_gen(lt)]
-                pieces.append(
-                    (i // alpha, (words.letter_sign(lt) * (back[g] + 1),)))
-            return self._tower(pieces, bprime, m)
+            return self._tower(
+                [(i // alpha, (s * (back[g] + 1),))
+                 for g, i, s in res.witness], bprime, m)
 
         # x vanished from the image relator: the image group is the free
         # product of <x> and the x-free image presentation.
-        rest_ids = tuple(g for g in range(imagep.alphabet.size)
-                         if g != emb.x_gen)
-        rest_pres, old_to_new, _ = restrict_to_subalphabet(imagep, rest_ids)
+        rest_ids = tuple(g for g in range(rank) if g != emb.x_gen)
+        rest, old_to_new = restrict_to_subalphabet(image, rest_ids)
         # rest ids of the subset's images -> the subset's original ids
         to_src = {old_to_new[g]: kk for g, kk in back.items()}
-        syls = self._fp_reduce(k, rest_pres, old_to_new, depth + 1)
+        syls = self._fp_reduce(k, rest, old_to_new, depth + 1)
         pieces = []
         h = 0
         for is_rest, v in syls:
@@ -504,7 +498,7 @@ class Solver:
                 continue
             if h % alpha != 0:
                 return MembershipVerdict(False)
-            res = self._member(rest_pres, map_word(v, old_to_new),
+            res = self._member(len(rest_ids), rest, map_word(v, old_to_new),
                                frozenset(to_src), depth + 1)
             if not res.member:
                 return MembershipVerdict(False)
@@ -514,22 +508,40 @@ class Solver:
     # -- hierarchy tree ----------------------------------------------------
 
     def _tree(self, pres, depth):
+        """The named hierarchy below ``pres``: the one place where the
+        generators of base groups and embedding images get names."""
         self._bump(depth)
-        split = split_free_factor(pres)
-        free_names = tuple(pres.alphabet.names[g] for g in split.free_part)
-        node_pres = pres
-        if split.free_part:
-            node_pres, _, _ = restrict_to_subalphabet(pres, split.active)
-        step = self._cached(breakdown.classify, node_pres)
-        node = HierarchyNode(presentation=node_pres, kind=step.kind,
-                             step=step, free_part=free_names)
+        names, relator = pres.alphabet.names, pres.relator
+        active = words.support(relator)
+        free_part = tuple(n for g, n in enumerate(names) if g not in active)
+        if free_part:
+            relator, _ = restrict_to_subalphabet(relator, active)
+            names = tuple(n for g, n in enumerate(names) if g in active)
+            pres = OneRelatorPresentation(Alphabet(names), relator)
+        step = self._cached(breakdown.classify, len(names), relator)
+        node = HierarchyNode(presentation=pres, kind=step.kind, step=step,
+                             free_part=free_part)
         if step.kind == "zero":
-            child_pres, _, _ = base_presentation(node_pres, step.zero)
-            node.children.append(self._tree(child_pres, depth + 1))
+            child_names = [f"{names[g]}_{i}" for g, i in step.zero.pairs]
+            child_relator = step.zero.base_relator
         elif step.kind == "nonzero":
-            node.children.append(
-                self._tree(step.nonzero.image_presentation, depth + 1))
+            emb = step.nonzero
+            child_names = fresh_names(names, 2) + [
+                names[g] for g in sorted(emb.gen_map)]
+            child_relator = emb.image_relator
+        else:
+            return node
+        child = OneRelatorPresentation(Alphabet(child_names), child_relator)
+        node.children.append(self._tree(child, depth + 1))
         return node
+
+
+def fresh_names(names, count):
+    """The first ``count`` names outside ``names`` among ``x, y, z, w, v,
+    ..., a`` and then ``x0, x1, ...``: the generators an embedding adds."""
+    pool = chain("xyzwvutsrqponmlkjihgfedcba",
+                 (f"x{k}" for k in range(len(names) + count)))
+    return list(islice((n for n in pool if n not in names), count))
 
 
 # -- module-level conveniences ---------------------------------------------

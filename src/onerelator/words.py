@@ -7,7 +7,6 @@ elements is tuple equality and the empty tuple is the identity.
 """
 
 from itertools import chain, repeat
-from math import gcd
 
 from .errors import ResourceExhausted, UnknownGenerator
 
@@ -165,10 +164,3 @@ def validate_word(alphabet, w):
         if lt == 0 or letter_gen(lt) >= n:
             raise UnknownGenerator(
                 f"letter {lt} has no generator in {alphabet!r}")
-
-
-def vector_gcd(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g

@@ -160,7 +160,7 @@ def test_criterion_7_klein_bottle_and_trefoil():
     assert solver.word_problem(trefoil, (1, 2)) is Verdict.NONTRIVIAL
     # abelianization certificate: (1,1) is not a multiple of (2,-3)
     from onerelator.presentations import abelian_obstruction
-    assert abelian_obstruction(trefoil, (1, 2))
+    assert abelian_obstruction(2, trefoil.relator, (1, 2))
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     print(f"criterion 7: klein + trefoil cross-checked, {elapsed:.2f}s PASS")
@@ -191,7 +191,7 @@ def test_criterion_8_hierarchy_strict_descent():
         if len(pres.relator) < len(r):
             continue
         checked += 1
-        step = classify(pres)
+        step = classify(2, pres.relator)
         if step.kind == "zero":
             zd = step.zero
             assert len(zd.rewritten_relator) < len(r)

@@ -113,6 +113,56 @@ def test_hierarchy_json_schema(capsys):
     assert node["case"] in ("base_single", "base_free")
 
 
+def tree(case, alphabet, relator, children=(), **extra):
+    """A ``--json`` hierarchy node, for pinning whole documents."""
+    return {"case": case, "alphabet": alphabet.split(","),
+            "relator": relator, "children": list(children), **extra}
+
+
+HIERARCHY_OUTPUT = [
+    ("x,y | x^2y^3",
+     ["nonzero: x,y | x^2y^3",
+      "  zero: z,w | wZ^3wz^3 stable=z pivot=w w:[0,3]",
+      "    nonzero: w_0,w_3 | w_3w_0",
+      "      base_single: y | y free_part=x"],
+     tree("nonzero", "x,y", "x^2y^3", [
+         tree("zero", "z,w", "wZ^3wz^3", [
+             tree("nonzero", "w_0,w_3", "w_3w_0", [
+                 tree("base_single", "y", "y", free_part=["x"])])],
+             stable="z", pivot="w", ranges={"w": [0, 3]},
+             rewritten="w_3w_0")])),
+    ("a,b | abAB^2",
+     ["zero: a,b | abAB^2 stable=a pivot=b b:[0,1]",
+      "  nonzero: b_0,b_1 | b_1B_0^2",
+      "    zero: x,y | XYxY stable=x pivot=y y:[0,1]",
+      "      nonzero: y_0,y_1 | Y_0Y_1",
+      "        base_single: y | Y free_part=x"],
+     tree("zero", "a,b", "abAB^2", [
+         tree("nonzero", "b_0,b_1", "b_1B_0^2", [
+             tree("zero", "x,y", "XYxY", [
+                 tree("nonzero", "y_0,y_1", "Y_0Y_1", [
+                     tree("base_single", "y", "Y", free_part=["x"])])],
+                 stable="x", pivot="y", ranges={"y": [0, 1]},
+                 rewritten="Y_0Y_1")])],
+         stable="a", pivot="b", ranges={"b": [0, 1]},
+         rewritten="b_1B_0^2")),
+    ("a,b,c | a^2",
+     ["base_single: a | a^2 free_part=b,c"],
+     tree("base_single", "a", "a^2", free_part=["b", "c"])),
+]
+
+
+@pytest.mark.parametrize("text,lines,doc", HIERARCHY_OUTPUT)
+def test_hierarchy_output_pinned(capsys, text, lines, doc):
+    """Fresh embedding names, subscripted base names and free parts, as
+    printed in text and as a JSON document, byte for byte."""
+    assert main(["hierarchy", text]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert main(["--json", "hierarchy", text]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_is_root_command(capsys):
     assert main(["is-root", "ab", "abab", "--alphabet", "a,b"]) == 0
     assert capsys.readouterr().out.strip() == "root"

@@ -12,6 +12,7 @@ from onerelator.solver import (
     Verdict,
     word_problem,
 )
+from onerelator.textio import parse_presentation, parse_word
 from onerelator.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -126,13 +127,13 @@ def test_britton_tests_each_stable_letter_once(monkeypatch):
     # a^-1 a succeeding one; a restarted scan re-tests the failing pinch
     # after every removal
     calls = []
-    assoc_member = Solver._assoc_member
+    base_member = Solver._base_member
 
     def counting(self, *args):
         calls.append(args)
-        return assoc_member(self, *args)
+        return base_member(self, *args)
 
-    monkeypatch.setattr(Solver, "_assoc_member", counting)
+    monkeypatch.setattr(Solver, "_base_member", counting)
     for k in (1, 3, 6):
         calls.clear()
         w = words.concat([(-1, 2, 1)] + [(2, 1, 2, -1)] * k)
@@ -161,6 +162,18 @@ def test_word_length_budget_is_named():
     with pytest.raises(ResourceExhausted) as info:
         Solver(SolverLimits(max_word_len=4)).word_problem(Z2, (1,) * 5)
     assert (info.value.budget, info.value.limit) == ("max_word_len", 4)
+
+
+def test_word_length_budget_covers_the_embedding():
+    # b^5 a^3 has 8 letters, but its image under the Magnus embedding of
+    # <a,b | a^3 b^5> has 33: over a 12-letter budget that is exhaustion,
+    # not a verdict
+    p = parse_presentation("a,b | a^3b^5")
+    w = parse_word("b^5a^3", p.alphabet)
+    with pytest.raises(ResourceExhausted) as info:
+        Solver(SolverLimits(max_word_len=12)).word_problem(p, w)
+    assert (info.value.budget, info.value.limit) == ("max_word_len", 12)
+    assert Solver().word_problem(p, w) is Verdict.TRIVIAL
 
 
 def test_tietze_values():
@@ -196,18 +209,40 @@ def test_wp_tietze_negative_occurrence():
 def test_memo_is_bounded():
     """Past MEMO_ENTRIES breakdown steps the oldest are evicted, and an
     evicted presentation is answered as before."""
-    pres = [make_presentation(Alphabet((f"a{k}", "b")), (1, 1, -2, -2, -2))
-            for k in range(1100)]
-    queries = [(2, 1, 1, -2, -2, -2, -2), (1, 2, -1, -2)]
+    # BS(1,k) = <a,b | a b a^-1 b^-k>, k = 2..1101: 1100 distinct relators
+    pres = [make_presentation(AB, (1, 2, -1) + (-2,) * k)
+            for k in range(2, 1102)]
+
+    def answers(p):
+        # a conjugate of the relator, and the commutator of a and b
+        return [solver.word_problem(p, w) for w in
+                (words.concat([(2,), p.relator, (-2,)]), (1, 2, -1, -2))]
+
     solver = Solver()
-    first = [solver.word_problem(pres[0], w) for w in queries]
+    first = answers(pres[0])
     assert first == [Verdict.TRIVIAL, Verdict.NONTRIVIAL]
     for p in pres[1:]:
-        assert [solver.word_problem(p, w) for w in queries] == first
+        assert answers(p) == first
     assert len(solver._memo) <= solver_mod.MEMO_ENTRIES == 1024
-    assert (breakdown.classify, pres[0].alphabet.names,
-            pres[0].relator) not in solver._memo
-    assert [solver.word_problem(pres[0], w) for w in queries] == first
+    assert (breakdown.classify, 2, pres[0].relator) not in solver._memo
+    assert answers(pres[0]) == first
+
+
+def test_memo_is_name_free():
+    """The memo keys on (rank, relator), not on generator names: a renamed
+    presentation is answered from the entries the original left."""
+    solver = Solver()
+    ab = parse_presentation("a,b | abAB^2")
+    xy = parse_presentation("x,y | xyXY^2")
+    # the commutator has no abelian or Tietze shortcut at the top, so it is
+    # decided through classify and Britton reduction
+    assert solver.word_problem(ab, parse_word("abAB", ab.alphabet)) is \
+        Verdict.NONTRIVIAL
+    entries, hits = set(solver._memo), solver.stats["memo_hits"]
+    assert solver.word_problem(xy, parse_word("xyXY", xy.alphabet)) is \
+        Verdict.NONTRIVIAL
+    assert set(solver._memo) == entries
+    assert solver.stats["memo_hits"] > hits
 
 
 def test_memoization_hits():
@@ -220,7 +255,7 @@ def test_memoization_hits():
 
 def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
     """Repeated membership queries on one solver compute each breakdown
-    step the solver asks for once per (function, presentation, arguments);
+    step the solver asks for once per (function, arguments);
     steps that ``classify`` computes internally are not counted."""
     calls = collections.Counter()
     nested = []
@@ -228,12 +263,12 @@ def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
     def counting(name):
         fn = getattr(breakdown, name)
 
-        def wrapper(pres, *args):
+        def wrapper(*args):
             if not nested:
-                calls[name, pres.alphabet.names, pres.relator, args] += 1
+                calls[name, args] += 1
             nested.append(name)
             try:
-                return fn(pres, *args)
+                return fn(*args)
             finally:
                 nested.pop()
 
@@ -283,6 +318,23 @@ def test_hierarchy_tree_shapes():
         depth += 1
     assert leaf.kind in ("base_single", "base_free")
     assert depth <= len(BS12.relator)
+
+
+def test_hierarchy_tree_names():
+    """Generator names are made only in the hierarchy tree: an embedding
+    image takes the first two unused names of x, y, z, w, ..., a base group
+    names its generators gen_subscript, and a free part keeps its names."""
+    def names(node):
+        return node.presentation.alphabet.names
+
+    tree = Solver().hierarchy_tree(parse_presentation("a,b | a^2b^3"))
+    assert names(tree.children[0]) == ("x", "y")
+    tree = Solver().hierarchy_tree(parse_presentation("x,y | x^2y^3"))
+    assert names(tree.children[0]) == ("z", "w")
+    assert names(tree.children[0].children[0]) == ("w_0", "w_3")
+    assert names(Solver().hierarchy_tree(BS12).children[0]) == ("b_0", "b_1")
+    tree = Solver().hierarchy_tree(parse_presentation("a,b,c | a^2"))
+    assert names(tree) == ("a",) and tree.free_part == ("b", "c")
 
 
 def test_hierarchy_tree_free_part():

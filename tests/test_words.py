@@ -94,9 +94,3 @@ def test_validate_word():
         words.validate_word(ab, (3,))
     with pytest.raises(UnknownGenerator):
         words.validate_word(ab, (0,))
-
-
-def test_vector_gcd():
-    assert words.vector_gcd((4, -6)) == 2
-    assert words.vector_gcd((0, 0)) == 0
-    assert words.vector_gcd((0, 5)) == 5
