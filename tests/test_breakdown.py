@@ -15,6 +15,7 @@ from onerelator.breakdown import (
 )
 from onerelator.errors import PreconditionViolated
 from onerelator.presentations import make_presentation
+from onerelator.solver import Solver, fresh_names
 from onerelator.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -27,6 +28,16 @@ def test_sword_algebra():
     assert sword_shift(((0, 1, 1),), -3) == ((0, -2, 1),)
     assert sword_subscript_span(((0, -2, 1), (1, 5, 1))) == 7
     assert sword_subscript_span(()) == 0
+
+
+def test_sub_alphabet_naming():
+    # BS(1,2) = a b a^-1 b^-2: the base group is generated by b_0, b_1,
+    # numbered in the sorted order of the rewritten relator's pairs
+    zd = classify(2, (1, 2, -1, -2, -2)).zero
+    assert zd.pairs == ((1, 0), (1, 1))
+    assert zd.index[(1, 0)] == 0
+    tree = Solver().hierarchy_tree(make_presentation(AB, (1, 2, -1, -2, -2)))
+    assert tree.children[0].presentation.alphabet.names == ("b_0", "b_1")
 
 
 def test_classify_cases():
@@ -82,6 +93,11 @@ def test_hnn_syllables():
     items = hnn_syllables((2, 1, 2, -1, -2), 0)
     assert items == [((1, 0, 1),), 1, ((1, 0, 1),), -1, ((1, 0, -1),)]
     assert hnn_syllables((2, 2), 0) == [((1, 0, 1), (1, 0, 1))]
+
+
+def test_fresh_names_avoid_collisions():
+    assert fresh_names(("a", "b"), 2) == ["x", "y"]
+    assert fresh_names(("x", "y"), 2) == ["z", "w"]
 
 
 def test_embed_nonzero_case():
