@@ -15,9 +15,12 @@ of three shapes:
 Every step works on a generator count (the rank) and a relator over ids
 ``0..rank-1``; generator names exist only where a hierarchy is printed.
 
-Subscripted words ("swords") are tuples of ``(gen_id, subscript, sign)``
-triples; they only exist inside hierarchy computations and are converted to
-ordinary words over the base group's ids (:func:`base_word`) when recursing.
+Inside a zero node of rank ``rank`` the subscripted letter ``g_i`` is the
+letter id ``1 + g + rank*z(i)``, where ``z`` zigzags the subscript
+(``z(i) = 2i`` for ``i >= 0``, ``-2i-1`` otherwise), so words over
+subscripted letters are ordinary :mod:`.words` words and ``g_0`` is the
+plain letter of ``g``.  :func:`base_word` renumbers such a word onto the
+base group's ids when recursing.
 """
 
 from collections import Counter
@@ -28,40 +31,32 @@ from .errors import PreconditionViolated
 
 
 # ---------------------------------------------------------------------------
-# subscripted words
+# subscripted letters (private: they run once per letter)
 
-def sword_reduce(raw):
-    out = []
-    for g, i, s in raw:
-        if out and out[-1][0] == g and out[-1][1] == i and out[-1][2] == -s:
-            out.pop()
-        else:
-            out.append((g, i, s))
-    return tuple(out)
+def _encode(rank, g, i):
+    """Letter id of ``g_i``."""
+    return 1 + g + rank * (2 * i if i >= 0 else -2 * i - 1)
 
 
-def sword_multiply(u, v):
-    return sword_reduce(u + v)
+def _decode(rank, a):
+    """``(g, i)`` of the letter id ``a > 0``."""
+    z, g = divmod(a - 1, rank)
+    return g, (z // 2 if z % 2 == 0 else -(z + 1) // 2)
 
 
-def sword_shift(u, delta):
+def _shift(rank, w, delta):
     """Image under the stable-letter conjugation ``g_i -> g_{i+delta}``."""
-    return tuple((g, i + delta, s) for g, i, s in u)
-
-
-def sword_subscript_span(u):
-    if not u:
-        return 0
-    subs = [i for _, i, _ in u]
-    return max(subs) - min(subs)
-
-
-def word_to_sword(w, ordered_pairs):
     out = []
     for lt in w:
-        g, i = ordered_pairs[words.letter_gen(lt)]
-        out.append((g, i, words.letter_sign(lt)))
+        g, i = _decode(rank, abs(lt))
+        a = _encode(rank, g, i + delta)
+        out.append(a if lt > 0 else -a)
     return tuple(out)
+
+
+def _subscript_span(rank, w):
+    subs = [_decode(rank, abs(lt))[1] for lt in w]
+    return max(subs) - min(subs) if subs else 0
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +67,12 @@ class ZeroCaseData:
     stable: int                 # generator t with exponent sum 0
     pivot: int                  # generator whose subscript range bounds the
                                 # associated subgroups
-    rewritten_relator: tuple    # sword, strictly shorter than the relator
-    ranges: dict                # gen id -> (min subscript, max subscript)
-    pairs: tuple                # the relator's (gen, subscript) pairs,
-                                # sorted: base generator k is pairs[k]
-    index: dict                 # pair -> base generator id
-    base_relator: tuple         # rewritten_relator over the base ids
-
-    def pivot_range(self):
-        return self.ranges[self.pivot]
+    rank: int                   # the node's rank, which fixes letter ids
+    pairs: tuple                # the rewritten relator's (gen, subscript)
+                                # pairs, sorted: base generator k is pairs[k]
+    ids: tuple                  # letter id of each base generator
+    index: dict                 # letter id -> base generator id
+    base_relator: tuple         # the rewritten relator over the base ids
 
 
 @dataclass(frozen=True)
@@ -98,18 +90,12 @@ class EmbeddingData:
     def translate(self, w, max_len=words.DEFAULT_MAX_WORD_LEN):
         """Image of a query word under the embedding, freely reduced;
         raises ResourceExhausted past ``max_len`` letters."""
-        out = []
-        for lt in w:
-            img = self.substitution[words.letter_gen(lt)]
-            if words.letter_sign(lt) < 0:
-                img = words.invert(img)
-            out.extend(img)
-        return words.reduce(out, max_len)
+        return words.substitute(w, self.substitution, max_len)
 
 
 @dataclass(frozen=True)
 class BreakdownStep:
-    kind: str                   # "base_free" | "base_single" | "zero" | "nonzero"
+    kind: str                   # "base_single" | "zero" | "nonzero"
     order: int = 0              # |n| for a single-generator relator g^n
     zero: ZeroCaseData = None
     nonzero: EmbeddingData = None
@@ -130,8 +116,6 @@ def classify(rank, relator):
         raise PreconditionViolated(
             "relator must use every generator; split off the free part "
             "first (restrict_to_subalphabet)")
-    if len(sup) == 0:
-        return BreakdownStep(kind="base_free")
     if len(sup) == 1:
         return BreakdownStep(kind="base_single", order=len(relator))
     for t in sorted(sup):
@@ -168,13 +152,15 @@ def rewrite_zero_case(relator, t, pivot=None):
     with initial height equal to the ``t``-exponent sum of the rotated-out
     prefix, and drops every ``t`` letter while stamping each other letter
     with the current height.  The base group is built here, once per node:
-    its generators are the rewritten relator's sorted pairs.
+    its generators are the rewritten relator's sorted pairs.  The relator
+    uses every generator, so its rank is one more than its largest id.
     """
     if words.exponent_sum(relator, t) != 0:
         raise PreconditionViolated("stable letter must have exponent sum 0")
     sup = words.support(relator)
     if t not in sup or len(sup) < 2:
         raise PreconditionViolated("stable letter must occur with company")
+    rank = max(sup) + 1
     rot = 0
     while words.letter_gen(relator[rot]) == t:
         rot += 1
@@ -185,79 +171,62 @@ def rewrite_zero_case(relator, t, pivot=None):
         if g == t:
             height += words.letter_sign(lt)
         else:
-            out.append((g, height, words.letter_sign(lt)))
-    rewritten = sword_reduce(tuple(out))
+            out.append(words.letter_sign(lt) * _encode(rank, g, height))
+    rewritten = words.reduce(out)
     if pivot is None:
         pivot = min(g for g in sup if g != t)
-    if pivot == t or pivot not in {g for g, _, _ in rewritten}:
+    heights = [i for g, i in (_decode(rank, abs(lt)) for lt in rewritten)
+               if g == pivot]
+    if not heights:
         raise PreconditionViolated("pivot must be a non-stable relator letter")
     # normalize to the relator copy whose pivot window starts at subscript 0:
     # queries enter the HNN form at level 0, so the base must own the
     # pivot's zero subscript
-    delta = -min(i for g, i, _ in rewritten if g == pivot)
-    if delta:
-        rewritten = sword_shift(rewritten, delta)
-    ranges = {}
-    for g, i, _ in rewritten:
-        lo, hi = ranges.get(g, (i, i))
-        ranges[g] = (min(lo, i), max(hi, i))
-    pairs = tuple(sorted({(g, i) for g, i, _ in rewritten}))
-    index = {p: k for k, p in enumerate(pairs)}
-    base_relator = tuple(s * (index[(g, i)] + 1) for g, i, s in rewritten)
-    return ZeroCaseData(stable=t, pivot=pivot, rewritten_relator=rewritten,
-                        ranges=ranges, pairs=pairs, index=index,
-                        base_relator=base_relator)
+    rewritten = _shift(rank, rewritten, -min(heights))
+    pairs = tuple(sorted({_decode(rank, abs(lt)) for lt in rewritten}))
+    ids = tuple(_encode(rank, g, i) for g, i in pairs)
+    index = {a: k for k, a in enumerate(ids)}
+    base_relator = tuple(index[lt] + 1 if lt > 0 else -index[-lt] - 1
+                         for lt in rewritten)
+    return ZeroCaseData(stable=t, pivot=pivot, rank=rank, pairs=pairs,
+                        ids=ids, index=index, base_relator=base_relator)
 
 
 def base_word(zdata, u):
-    """A residue sword as a word over a zero node's base group.
+    """A residue word as a word over a zero node's base group.
 
-    Base generator ``k < len(zdata.pairs)`` is ``zdata.pairs[k]``; the
-    residue's pairs outside that window are numbered after it, in order of
-    first occurrence, and are free generators (the relator misses them).
-    Returns the word and the pairs of all base generators, window first:
-    their count is the base group's rank for this residue.
+    Base generator ``k < len(zdata.ids)`` is the letter ``zdata.ids[k]``;
+    the residue's letters outside that window are numbered after it, in
+    order of first occurrence, and are free generators (the relator misses
+    them).  Returns the word and the letter ids of all base generators,
+    window first: their count is the base group's rank for this residue.
     """
-    index, n = zdata.index, len(zdata.pairs)
+    index, n = zdata.index, len(zdata.ids)
     outside = {}
     out = []
-    for g, i, s in u:
-        k = index.get((g, i))
+    for lt in u:
+        a = abs(lt)
+        k = index.get(a)
         if k is None:
-            k = outside.setdefault((g, i), n + len(outside))
-        out.append(s * (k + 1))
-    return tuple(out), zdata.pairs + tuple(outside)
-
-
-def substitute_back(u, t):
-    """Undo subscripting: ``g_i -> t^i g t^-i``.  Oracle for round-trips."""
-    out = []
-    tlt = t + 1
-    for g, i, s in u:
-        out.extend([tlt] * i if i >= 0 else [-tlt] * (-i))
-        out.append(s * (g + 1))
-        out.extend([-tlt] * i if i >= 0 else [tlt] * (-i))
-    return words.reduce(out)
+            k = outside.setdefault(a, n + len(outside))
+        out.append(k + 1 if lt > 0 else -k - 1)
+    return tuple(out), zdata.ids + tuple(outside)
 
 
 def hnn_syllables(w, t):
-    """HNN query form: ``[sword, sign, sword, sign, ..., sword]``.
+    """HNN query form: ``[word, sign, word, sign, ..., word]``.
 
-    Non-``t`` letters keep subscript 0; each ``t`` letter becomes an
-    explicit ``+1``/``-1`` stable-letter syllable between sword chunks.
+    ``w`` is cut at its ``t`` letters, each of which becomes an explicit
+    ``+1``/``-1`` stable-letter syllable; the pieces between keep their
+    letters, which are the subscript-0 letters of the zero node.
     """
-    items = [()]
-    buf = []
-    for lt in w:
-        g = words.letter_gen(lt)
-        if g == t:
-            items[-1] = sword_reduce(tuple(buf))
-            buf = []
-            items.append(words.letter_sign(lt))
-            items.append(())
-        else:
-            buf.append((g, 0, words.letter_sign(lt)))
-    items[-1] = sword_reduce(tuple(buf))
+    items = []
+    start = 0
+    for k, lt in enumerate(w):
+        if abs(lt) == t + 1:
+            items += (w[start:k], 1 if lt > 0 else -1)
+            start = k + 1
+    items.append(w[start:])
     return items
 
 
@@ -283,13 +252,7 @@ def embed_nonzero_case(rank, relator, a, b):
                              else [x_gen + 1] * (-beta)))
     substitution[b] = tuple([x_gen + 1] * alpha if alpha > 0
                             else [-(x_gen + 1)] * (-alpha))
-    out = []
-    for lt in relator:
-        img = substitution[words.letter_gen(lt)]
-        if words.letter_sign(lt) < 0:
-            img = words.invert(img)
-        out.extend(img)
-    _, core = words.cyclic_reduce(words.reduce(out))
+    _, core = words.cyclic_reduce(words.substitute(relator, substitution))
     return EmbeddingData(src_a=a, src_b=b, alpha=alpha, beta=beta,
                          image_relator=core, x_gen=x_gen, y_gen=y_gen,
                          gen_map=gen_map, substitution=substitution)

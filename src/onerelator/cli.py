@@ -149,38 +149,38 @@ def cmd_member(args):
 
 def hierarchy_json(node):
     pres = node.presentation
+    names = pres.alphabet.names
     out = {"case": node.kind,
            "relator": print_word(pres.relator, pres.alphabet),
-           "alphabet": list(pres.alphabet.names),
+           "alphabet": list(names),
            "children": [hierarchy_json(c) for c in node.children]}
     if node.free_part:
         out["free_part"] = list(node.free_part)
     if node.kind == "zero":
         zd = node.step.zero
-        out["stable"] = pres.alphabet.names[zd.stable]
-        out["pivot"] = pres.alphabet.names[zd.pivot]
-        out["ranges"] = {pres.alphabet.names[g]: list(lohi)
-                         for g, lohi in sorted(zd.ranges.items())}
+        out["stable"] = names[zd.stable]
+        out["pivot"] = names[zd.pivot]
+        # pairs are sorted, so a generator's last subscript is its greatest
+        out["ranges"] = ranges = {}
+        for g, i in zd.pairs:
+            ranges.setdefault(names[g], [i, i])[1] = i
         child = node.children[0].presentation
         out["rewritten"] = print_word(child.relator, child.alphabet)
     return out
 
 
-def hierarchy_lines(node, indent=0):
-    pres = node.presentation
-    pad = "  " * indent
+def hierarchy_lines(doc, indent=0):
+    """The text form of a :func:`hierarchy_json` document."""
     extra = ""
-    if node.free_part:
-        extra += f" free_part={','.join(node.free_part)}"
-    if node.kind == "zero":
-        zd = node.step.zero
-        ranges = " ".join(
-            f"{pres.alphabet.names[g]}:[{lo},{hi}]"
-            for g, (lo, hi) in sorted(zd.ranges.items()))
-        extra += (f" stable={pres.alphabet.names[zd.stable]}"
-                  f" pivot={pres.alphabet.names[zd.pivot]} {ranges}")
-    lines = [f"{pad}{node.kind}: {print_presentation(pres)}{extra}"]
-    for child in node.children:
+    if "free_part" in doc:
+        extra += f" free_part={','.join(doc['free_part'])}"
+    if doc["case"] == "zero":
+        ranges = " ".join(f"{g}:[{lo},{hi}]"
+                          for g, (lo, hi) in doc["ranges"].items())
+        extra += f" stable={doc['stable']} pivot={doc['pivot']} {ranges}"
+    lines = [f"{'  ' * indent}{doc['case']}: {','.join(doc['alphabet'])}"
+             f" | {doc['relator']}{extra}"]
+    for child in doc["children"]:
         lines.extend(hierarchy_lines(child, indent + 1))
     return lines
 
@@ -188,8 +188,8 @@ def hierarchy_lines(node, indent=0):
 def cmd_hierarchy(args):
     pres = parse_presentation(args.presentation)
     solver = make_solver(args)
-    tree = solver.hierarchy_tree(pres)
-    emit(args, hierarchy_lines(tree), hierarchy_json(tree))
+    doc = hierarchy_json(solver.hierarchy_tree(pres))
+    emit(args, hierarchy_lines(doc), doc)
     return EXIT_OK
 
 

@@ -28,7 +28,8 @@ class ResourceExhausted(OneRelatorError):
     out of budget is reported honestly instead of guessing.  ``budget`` names
     the :class:`~onerelator.solver.SolverLimits` field that ran out
     (``"max_depth"``, ``"max_word_len"`` or ``"max_subscript_span"``),
-    ``limit`` its value and ``depth`` the hierarchy depth, where known.
+    ``limit`` its value and ``depth`` that of the innermost hierarchy node
+    it left (None outside the hierarchy).
     """
 
     def __init__(self, message, budget=None, limit=None, depth=None):

@@ -44,14 +44,7 @@ from enum import Enum
 from itertools import chain, groupby, islice
 
 from . import breakdown, words
-from .breakdown import (
-    base_word,
-    hnn_syllables,
-    sword_multiply,
-    sword_shift,
-    sword_subscript_span,
-    word_to_sword,
-)
+from .breakdown import _decode, _shift, _subscript_span, base_word
 from .errors import ResourceExhausted, UnknownGenerator
 from .presentations import (
     OneRelatorPresentation,
@@ -65,6 +58,7 @@ from .words import Alphabet
 
 #: the breakdown memo evicts its oldest entry beyond this many
 MEMO_ENTRIES = 1024
+
 
 
 @dataclass(frozen=True)
@@ -165,15 +159,8 @@ class Solver:
         h = min((g for g in values if g not in subset), default=None)
         if h is None:
             return None
-        value, inverse = values[h], words.invert(values[h])
-        out = []
-        for lt in w:
-            if words.letter_gen(lt) != h:
-                out.append(lt)
-            else:
-                out.extend(value if lt > 0 else inverse)
         self.stats["eliminations"] += 1
-        return self._reduce(out)
+        return words.substitute(w, {h: values[h]}, self.limits.max_word_len)
 
     # -- public API --------------------------------------------------------
 
@@ -201,42 +188,49 @@ class Solver:
     # -- word problem ------------------------------------------------------
 
     def _wp(self, rank, relator, w, depth):
-        self._bump(depth)
-        if not w:
-            return Verdict.TRIVIAL
-        if abelian_obstruction(rank, relator, w):
-            return Verdict.NONTRIVIAL
-        image = self._eliminate(relator, w)
-        if image is not None:
-            return Verdict.NONTRIVIAL if image else Verdict.TRIVIAL
-
-        active = words.support(relator)
-        if len(active) < rank:
-            relator, old_to_new = restrict_to_subalphabet(relator, active)
-            syls = self._fp_reduce(w, relator, old_to_new, depth)
-            return Verdict.TRIVIAL if not syls else Verdict.NONTRIVIAL
-
-        step = self._cached(breakdown.classify, rank, relator)
-        if step.kind == "base_single":
-            return (Verdict.TRIVIAL
-                    if words.exponent_sum(w, 0) % step.order == 0
-                    else Verdict.NONTRIVIAL)
-
-        if step.kind == "zero":
-            zd = step.zero
-            if words.exponent_sum(w, zd.stable) != 0:
-                return Verdict.NONTRIVIAL
-            items = self._britton(zd, w, depth)
-            if len(items) > 1:
-                return Verdict.NONTRIVIAL
-            if not items[0]:
+        try:
+            self._bump(depth)
+            if not w:
                 return Verdict.TRIVIAL
-            word, pairs = base_word(zd, items[0])
-            return self._wp(len(pairs), zd.base_relator, word, depth + 1)
+            if abelian_obstruction(rank, relator, w):
+                return Verdict.NONTRIVIAL
+            image = self._eliminate(relator, w)
+            if image is not None:
+                return Verdict.NONTRIVIAL if image else Verdict.TRIVIAL
 
-        emb = step.nonzero
-        return self._wp(rank, emb.image_relator,
-                        emb.translate(w, self.limits.max_word_len), depth)
+            active = words.support(relator)
+            if len(active) < rank:
+                relator, old_to_new = restrict_to_subalphabet(relator, active)
+                syls = self._fp_reduce(w, relator, old_to_new, depth)
+                return Verdict.TRIVIAL if not syls else Verdict.NONTRIVIAL
+
+            step = self._cached(breakdown.classify, rank, relator)
+            if step.kind == "base_single":
+                return (Verdict.TRIVIAL
+                        if words.exponent_sum(w, 0) % step.order == 0
+                        else Verdict.NONTRIVIAL)
+
+            if step.kind == "zero":
+                zd = step.zero
+                if words.exponent_sum(w, zd.stable) != 0:
+                    return Verdict.NONTRIVIAL
+                items = self._britton(zd, w, depth)
+                if len(items) > 1:
+                    return Verdict.NONTRIVIAL
+                if not items[0]:
+                    return Verdict.TRIVIAL
+                word, pairs = base_word(zd, items[0])
+                return self._wp(len(pairs), zd.base_relator, word, depth + 1)
+
+            emb = step.nonzero
+            return self._wp(rank, emb.image_relator,
+                            emb.translate(w, self.limits.max_word_len), depth)
+        except ResourceExhausted as exc:
+            # an overrun inside words has no depth: this is the innermost
+            # node it leaves
+            if exc.depth is None:
+                exc.depth = depth
+            raise
 
     def _fp_reduce(self, w, relator, old_to_new, depth):
         """Free-product normal form over <active | relator> * F(rest).
@@ -269,54 +263,54 @@ class Solver:
 
         ``w`` enters in the stable-letter syllable form of
         :func:`.breakdown.hnn_syllables` and the output stack alternates
-        swords and stable letters.  An incoming stable letter inverse to the
-        one on top closes a pinch ``t u t^-1`` around the top sword ``u``;
-        if ``u`` lies in the associated subgroup (every generator but the
-        pivot's top subscript for ``t u t^-1``, symmetrically for
-        ``t^-1 u t``), the sword below, the subscript-shift of ``u``'s
-        free-basis witness and the incoming sword fold into one sword.  A
-        sword below the top never changes again, so each incoming stable
-        letter costs at most one membership test, and the result has no
-        pinch left.  Only folded swords can grow a subscript span, so the
-        span budget is checked on each fold.
+        words over subscripted letters and stable letters.  An incoming
+        stable letter inverse to the one on top closes a pinch ``t u t^-1``
+        around the top word ``u``; if ``u`` lies in the associated subgroup
+        (every generator but the pivot's top subscript for ``t u t^-1``,
+        symmetrically for ``t^-1 u t``), the word below, the subscript-shift
+        of ``u``'s free-basis witness and the incoming word fold into one
+        word, under the word-length cap.  A word below the top never changes
+        again, so each incoming stable letter costs at most one membership
+        test, and the result has no pinch left.  Only folded words can grow
+        a subscript span, so the span budget is checked on each fold.
         """
-        lo, hi = zdata.pivot_range()
+        rank = zdata.rank
+        pivots = [a for a, (g, _) in zip(zdata.ids, zdata.pairs)
+                  if g == zdata.pivot]
         cap = self.limits.max_subscript_span
-        items = hnn_syllables(w, zdata.stable)
+        items = breakdown.hnn_syllables(w, zdata.stable)
         out = items[:1]
-        for sign, sw in zip(items[1::2], items[2::2]):
+        for sign, u in zip(items[1::2], items[2::2]):
             if len(out) > 1 and out[-2] == -sign:
-                up = out[-2] == 1
-                excluded = (zdata.pivot, hi if up else lo)
+                excluded = pivots[-1] if sign < 0 else pivots[0]
                 res = self._base_member(zdata, out[-1],
-                                        lambda p: p != excluded, depth)
+                                        lambda a: a != excluded, depth)
                 if res.member:
-                    shifted = sword_shift(res.witness, 1 if up else -1)
-                    out[-3:] = [sword_multiply(
-                        sword_multiply(out[-3], shifted), sw)]
-                    if sword_subscript_span(out[-1]) > cap:
+                    out[-3:] = [words.concat(
+                        (out[-3], _shift(rank, res.witness, -sign), u),
+                        self.limits.max_word_len)]
+                    if _subscript_span(rank, out[-1]) > cap:
                         raise ResourceExhausted(
                             f"subscript span exceeds {cap}",
-                            budget="max_subscript_span", limit=cap,
-                            depth=depth)
+                            budget="max_subscript_span", limit=cap)
                     continue
-            out += (sign, sw)
+            out += (sign, u)
         return out
 
     def _base_member(self, zdata, u, keep, depth):
-        """Membership of a residue sword in the zero node's base group.
+        """Membership of a residue word in the zero node's base group.
 
-        The subgroup is generated by the base generators whose
-        ``(gen, subscript)`` pair satisfies ``keep``; the witness comes back
-        as a sword over those pairs.
+        The subgroup is generated by the base generators whose letter id
+        satisfies ``keep``; the witness comes back over those letters.
         """
-        word, pairs = base_word(zdata, u)
-        subset = frozenset(k for k, p in enumerate(pairs) if keep(p))
-        res = self._member(len(pairs), zdata.base_relator, word, subset,
+        word, ids = base_word(zdata, u)
+        subset = frozenset(k for k, a in enumerate(ids) if keep(a))
+        res = self._member(len(ids), zdata.base_relator, word, subset,
                            depth + 1)
         if not res.member:
             return res
-        return MembershipVerdict(True, word_to_sword(res.witness, pairs))
+        return MembershipVerdict(True, tuple(
+            ids[lt - 1] if lt > 0 else -ids[-lt - 1] for lt in res.witness))
 
     def _tower(self, pieces, g, m):
         """Member verdict for ``prod g^i v g^-i`` over ``(i, v)`` in
@@ -333,41 +327,49 @@ class Solver:
     # -- Magnus subgroup membership ---------------------------------------
 
     def _member(self, rank, relator, w, subset, depth):
-        self._bump(depth)
-        if subset == set(range(rank)):
-            return MembershipVerdict(True, w)
-        if not w:
-            return MembershipVerdict(True, ())
-        image = self._eliminate(relator, w, subset)
-        if image is not None:
-            if words.support(image) <= subset:
-                return MembershipVerdict(True, image)
-            return MembershipVerdict(False)
-
-        active = words.support(relator)
-        if len(active) < rank:
-            return self._member_free_split(relator, w, subset, active, depth)
-
-        step = self._cached(breakdown.classify, rank, relator)
-        if step.kind == "base_single":
-            # subset is empty here (the full subset returned above)
-            if words.exponent_sum(w, 0) % step.order == 0:
+        try:
+            self._bump(depth)
+            if subset == set(range(rank)):
+                return MembershipVerdict(True, w)
+            if not w:
                 return MembershipVerdict(True, ())
-            return MembershipVerdict(False)
+            image = self._eliminate(relator, w, subset)
+            if image is not None:
+                if words.support(image) <= subset:
+                    return MembershipVerdict(True, image)
+                return MembershipVerdict(False)
 
-        if step.kind == "zero":
-            zd = step.zero
-            if zd.stable not in subset:
-                return self._member_zero_without_t(zd, w, subset, depth)
-            return self._member_zero_with_t(rank, relator, w, subset,
-                                            zd.stable, depth)
+            active = words.support(relator)
+            if len(active) < rank:
+                return self._member_free_split(relator, w, subset, active,
+                                               depth)
 
-        omitted = sorted(set(range(rank)) - subset)
-        if len(omitted) >= 2:
-            return self._member_nonzero_fixed(rank, relator, w, subset,
-                                              omitted, depth)
-        return self._member_nonzero_omit_one(rank, relator, w, subset,
-                                             omitted[0], depth)
+            step = self._cached(breakdown.classify, rank, relator)
+            if step.kind == "base_single":
+                # subset is empty here (the full subset returned above)
+                if words.exponent_sum(w, 0) % step.order == 0:
+                    return MembershipVerdict(True, ())
+                return MembershipVerdict(False)
+
+            if step.kind == "zero":
+                zd = step.zero
+                if zd.stable not in subset:
+                    return self._member_zero_without_t(zd, w, subset, depth)
+                return self._member_zero_with_t(rank, relator, w, subset,
+                                                zd.stable, depth)
+
+            omitted = sorted(set(range(rank)) - subset)
+            if len(omitted) >= 2:
+                return self._member_nonzero_fixed(rank, relator, w, subset,
+                                                  omitted, depth)
+            return self._member_nonzero_omit_one(rank, relator, w, subset,
+                                                 omitted[0], depth)
+        except ResourceExhausted as exc:
+            # an overrun inside words has no depth: this is the innermost
+            # node it leaves
+            if exc.depth is None:
+                exc.depth = depth
+            raise
 
     def _member_free_split(self, relator, w, subset, active, depth):
         relator, old_to_new = restrict_to_subalphabet(relator, active)
@@ -398,13 +400,9 @@ class Solver:
         items = self._britton(zdata, w, depth)
         if len(items) > 1:
             return MembershipVerdict(False)
-        res = self._base_member(zdata, items[0],
-                                lambda p: p[0] in subset and p[1] == 0,
-                                depth)
-        if not res.member:
-            return res
-        return MembershipVerdict(True,
-                                 tuple(s * (g + 1) for g, _, s in res.witness))
+        # the subscript-0 letters are the plain letters 1..rank
+        return self._base_member(zdata, items[0], lambda a: a - 1 in subset,
+                                 depth)
 
     def _member_zero_with_t(self, rank, relator, w, subset, t, depth):
         """Stable letter ``t`` inside the subset.
@@ -422,12 +420,15 @@ class Solver:
         if len(items) > 1:
             return MembershipVerdict(False)
         others = subset - {t}
-        res = self._base_member(zd, items[0], lambda p: p[0] in others,
-                                depth)
+        res = self._base_member(
+            zd, items[0], lambda a: _decode(rank, a)[0] in others, depth)
         if not res.member:
             return res
-        return self._tower([(i, (s * (g + 1),)) for g, i, s in res.witness],
-                           t, d)
+        pieces = []
+        for lt in res.witness:
+            g, i = _decode(rank, abs(lt))
+            pieces.append((i, (words.letter_sign(lt) * (g + 1),)))
+        return self._tower(pieces, t, d)
 
     def _member_nonzero_fixed(self, rank, relator, w, subset, omitted, depth):
         """Both substitution generators can be taken outside the subset, so
@@ -474,14 +475,20 @@ class Solver:
             items = self._britton(zd, k, depth)
             if len(items) > 1:
                 return MembershipVerdict(False)
-            res = self._base_member(
-                zd, items[0], lambda p: p[0] in back and p[1] % alpha == 0,
-                depth)
+
+            def keep(a):
+                g, i = _decode(rank, a)
+                return g in back and i % alpha == 0
+
+            res = self._base_member(zd, items[0], keep, depth)
             if not res.member:
                 return res
-            return self._tower(
-                [(i // alpha, (s * (back[g] + 1),))
-                 for g, i, s in res.witness], bprime, m)
+            pieces = []
+            for lt in res.witness:
+                g, i = _decode(rank, abs(lt))
+                pieces.append((i // alpha, (words.letter_sign(lt)
+                                            * (back[g] + 1),)))
+            return self._tower(pieces, bprime, m)
 
         # x vanished from the image relator: the image group is the free
         # product of <x> and the x-free image presentation.

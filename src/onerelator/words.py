@@ -1,9 +1,12 @@
 """Exact free-group word algebra.
 
 A word is a tuple of nonzero ints.  The letter ``+(g+1)`` is generator ``g``
-(0-based id into an :class:`Alphabet`), ``-(g+1)`` is its inverse.  Every
-word handed out by this module is freely reduced, so equality of group
-elements is tuple equality and the empty tuple is the identity.
+(0-based id into an :class:`Alphabet`), ``-(g+1)`` is its inverse.  Inside
+the hierarchy, ids above the alphabet are subscripted letters of a zero
+node's base group (see :mod:`.breakdown`); every function here treats them
+like any other generator.  Every word handed out by this module is freely
+reduced, so equality of group elements is tuple equality and the empty
+tuple is the identity.
 """
 
 from itertools import chain, repeat
@@ -91,6 +94,21 @@ def multiply(u, v, max_len=DEFAULT_MAX_WORD_LEN):
 def concat(words, max_len=DEFAULT_MAX_WORD_LEN):
     """Product of words, freely reduced in one pass over their letters."""
     return reduce(chain.from_iterable(words), max_len)
+
+
+def substitute(w, images, max_len=DEFAULT_MAX_WORD_LEN):
+    """Image of ``w`` under ``g -> images[g]``, freely reduced; generators
+    without an image stay as they are."""
+    letters = {}
+    for g, v in images.items():
+        letters[g + 1], letters[-g - 1] = v, invert(v)
+    out = []
+    for lt in w:
+        if lt in letters:
+            out.extend(letters[lt])
+        else:
+            out.append(lt)
+    return reduce(out, max_len)
 
 
 def invert(u):

@@ -2,32 +2,42 @@ import pytest
 
 from onerelator import words
 from onerelator.breakdown import (
+    _decode,
+    _encode,
+    _shift,
+    _subscript_span,
     base_word,
     classify,
     embed_nonzero_case,
     hnn_syllables,
     rewrite_zero_case,
-    substitute_back,
-    sword_multiply,
-    sword_reduce,
-    sword_shift,
-    sword_subscript_span,
 )
 from onerelator.errors import PreconditionViolated
 from onerelator.presentations import make_presentation
 from onerelator.solver import Solver, fresh_names
 from onerelator.words import Alphabet
+from subscripts import substitute_back
 
 AB = Alphabet(("a", "b"))
 
 
-def test_sword_algebra():
-    u = ((1, 0, 1), (1, 0, -1), (0, 2, 1))
-    assert sword_reduce(u) == ((0, 2, 1),)
-    assert sword_multiply(((0, 2, 1),), ((0, 2, -1),)) == ()
-    assert sword_shift(((0, 1, 1),), -3) == ((0, -2, 1),)
-    assert sword_subscript_span(((0, -2, 1), (1, 5, 1))) == 7
-    assert sword_subscript_span(()) == 0
+def test_subscripted_letter_ids():
+    for rank in range(1, 5):
+        pairs = [(g, i) for g in range(rank) for i in range(-50, 51)]
+        ids = [_encode(rank, g, i) for g, i in pairs]
+        assert [_decode(rank, a) for a in ids] == pairs
+        assert len(set(ids)) == len(ids) and min(ids) == 1
+        # g_0 is the plain letter of g
+        assert [_encode(rank, g, 0) for g in range(rank)] == list(
+            range(1, rank + 1))
+    # shifting crosses the 0/-1 boundary both ways and keeps signs
+    b = [_encode(3, 1, i) for i in (-2, -1, 0, 1)]
+    assert _shift(3, (b[1], -b[2]), 1) == (b[2], -b[3])
+    assert _shift(3, (b[2], -b[1]), -1) == (b[1], -b[0])
+    assert _shift(3, (), 5) == ()
+    assert _subscript_span(3, (_encode(3, 0, -2), -_encode(3, 2, 5))) == 7
+    assert _subscript_span(3, (b[1], b[1])) == 0
+    assert _subscript_span(3, ()) == 0
 
 
 def test_sub_alphabet_naming():
@@ -35,7 +45,7 @@ def test_sub_alphabet_naming():
     # numbered in the sorted order of the rewritten relator's pairs
     zd = classify(2, (1, 2, -1, -2, -2)).zero
     assert zd.pairs == ((1, 0), (1, 1))
-    assert zd.index[(1, 0)] == 0
+    assert zd.index[_encode(2, 1, 0)] == 0
     tree = Solver().hierarchy_tree(make_presentation(AB, (1, 2, -1, -2, -2)))
     assert tree.children[0].presentation.alphabet.names == ("b_0", "b_1")
 
@@ -57,17 +67,18 @@ def test_classify_picks_least_zero_generator():
 def test_rewrite_zero_case_bs12():
     # a b a^-1 b^-2 with t = a rewrites to b_1 b_0^-2
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
-    assert zd.rewritten_relator == ((1, 1, 1), (1, 0, -1), (1, 0, -1))
-    assert zd.ranges == {1: (0, 1)}
+    assert zd.pairs == ((1, 0), (1, 1))
+    assert zd.base_relator == (2, -1, -1)
+    assert zd.rank == 2
     assert zd.pivot == 1
-    assert zd.pivot_range() == (0, 1)
 
 
 def test_rewrite_zero_case_round_trip():
     p = make_presentation(AB, (1, 2, -1, -2, -2))
     zd = rewrite_zero_case(p.relator, 0)
-    back = substitute_back(zd.rewritten_relator, 0)
-    # the sword spells a conjugate of (a cyclic shift of) the relator
+    back = substitute_back(zd.base_relator, zd.pairs, 0)
+    # the rewritten relator spells a conjugate of (a cyclic shift of) the
+    # relator
     _, core = words.cyclic_reduce(back)
     assert words.cyclically_equal_up_to_inversion(core, p.relator)
 
@@ -80,19 +91,21 @@ def test_rewrite_zero_case_preconditions():
 
 
 def test_substitute_back_inverts_rewrite():
-    # swords of the syllable form sit at subscript 0, so substituting back
-    # and re-inserting the stable letters rebuilds the word
+    # the pieces of the syllable form sit at subscript 0, so substituting
+    # back and re-inserting the stable letters rebuilds the word
+    level0 = [(0, 0), (1, 0)]
     for w in [(2, 1, 2, -1), (1, 1, 2, -1, -1, -2), (2, 2, -1, 2, 1)]:
         items = hnn_syllables(w, 0)
-        parts = [substitute_back(sw, 0) if k % 2 == 0 else (sw,)
-                 for k, sw in enumerate(items)]
+        parts = [substitute_back(u, level0, 0) if k % 2 == 0 else (u,)
+                 for k, u in enumerate(items)]
         assert words.concat(parts) == words.reduce(w)
 
 
 def test_hnn_syllables():
     items = hnn_syllables((2, 1, 2, -1, -2), 0)
-    assert items == [((1, 0, 1),), 1, ((1, 0, 1),), -1, ((1, 0, -1),)]
-    assert hnn_syllables((2, 2), 0) == [((1, 0, 1), (1, 0, 1))]
+    assert items == [(2,), 1, (2,), -1, (-2,)]
+    assert hnn_syllables((2, 2), 0) == [(2, 2)]
+    assert hnn_syllables((1, 2, -1), 0) == [(), 1, (2,), -1, ()]
 
 
 def test_fresh_names_avoid_collisions():
@@ -127,15 +140,17 @@ def test_embed_nonzero_preconditions():
 def test_zero_case_presentation():
     # BS(1,2): the base group is <b_0, b_1 | b_1 b_0^-2>, built once
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
+    b = {i: _encode(2, 1, i) for i in (-1, 0, 1, 2)}
     assert zd.pairs == ((1, 0), (1, 1))
-    assert zd.index == {(1, 0): 0, (1, 1): 1}
+    assert zd.ids == (b[0], b[1])
+    assert zd.index == {b[0]: 0, b[1]: 1}
     assert zd.base_relator == (2, -1, -1)
-    assert base_word(zd, ()) == ((), ((1, 0), (1, 1)))
-    # window pairs keep their ids; the residue's pairs outside the window
-    # follow, in order of first occurrence, and the relator is untouched
-    word, pairs = base_word(zd, ((1, 2, -1), (1, 0, 1), (1, -1, 1),
-                                 (1, 2, 1), (1, 1, 1)))
-    assert pairs == ((1, 0), (1, 1), (1, 2), (1, -1))
+    assert base_word(zd, ()) == ((), (b[0], b[1]))
+    # window letters keep their ids; the residue's letters outside the
+    # window follow, in order of first occurrence, and the relator is
+    # untouched
+    word, ids = base_word(zd, (-b[2], b[0], b[-1], b[2], b[1]))
+    assert ids == (b[0], b[1], b[2], b[-1])
     assert word == (-3, 1, 4, 3, 2)
 
 
@@ -166,9 +181,9 @@ def test_zero_case_strict_descent_exhaustive():
         if step.kind != "zero":
             continue
         zd = step.zero
-        assert len(zd.rewritten_relator) < len(r)
-        assert len(zd.rewritten_relator) == len(r) - sum(
+        assert len(zd.base_relator) < len(r)
+        assert len(zd.base_relator) == len(r) - sum(
             1 for lt in r if words.letter_gen(lt) == zd.stable)
-        back = substitute_back(zd.rewritten_relator, zd.stable)
+        back = substitute_back(zd.base_relator, zd.pairs, zd.stable)
         _, core = words.cyclic_reduce(back)
         assert words.cyclically_equal_up_to_inversion(core, r)

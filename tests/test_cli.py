@@ -110,7 +110,7 @@ def test_hierarchy_json_schema(capsys):
     # the tree bottoms out in a base case
     while node["children"]:
         node = node["children"][0]
-    assert node["case"] in ("base_single", "base_free")
+    assert node["case"] == "base_single"
 
 
 def tree(case, alphabet, relator, children=(), **extra):
@@ -149,13 +149,26 @@ HIERARCHY_OUTPUT = [
     ("a,b,c | a^2",
      ["base_single: a | a^2 free_part=b,c"],
      tree("base_single", "a", "a^2", free_part=["b", "c"])),
+    ("a,b,c | ABCBc",
+     ["zero: a,b,c | ABCBc stable=c pivot=a a:[0,0] b:[-1,0]",
+      "  nonzero: a_0,b_-1,b_0 | A_0B_0B_-1",
+      "    nonzero: y,b_0 | YB_0 free_part=x",
+      "      base_single: z | Z free_part=x"],
+     tree("zero", "a,b,c", "ABCBc", [
+         tree("nonzero", "a_0,b_-1,b_0", "A_0B_0B_-1", [
+             tree("nonzero", "y,b_0", "YB_0", [
+                 tree("base_single", "z", "Z", free_part=["x"])],
+                 free_part=["x"])])],
+         stable="c", pivot="a", ranges={"a": [0, 0], "b": [-1, 0]},
+         rewritten="A_0B_0B_-1")),
 ]
 
 
 @pytest.mark.parametrize("text,lines,doc", HIERARCHY_OUTPUT)
 def test_hierarchy_output_pinned(capsys, text, lines, doc):
-    """Fresh embedding names, subscripted base names and free parts, as
-    printed in text and as a JSON document, byte for byte."""
+    """Fresh embedding names, subscripted base names (negative subscripts
+    too) and free parts, as printed in text and as a JSON document, byte
+    for byte."""
     assert main(["hierarchy", text]) == 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
     assert main(["--json", "hierarchy", text]) == 0

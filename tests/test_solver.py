@@ -108,8 +108,8 @@ def test_britton_reduce_pinch():
     # a b a^-1 pinches to b_1, whose witness over <b> is b^2
     res = solver.magnus_membership(BS12, (1, 2, -1), {1})
     assert res.member and res.witness == (2, 2)
-    # a b a^-1 b^-2 loses all stable letters; the residue is the relator
-    # sword itself, so triviality falls to the base group
+    # a b a^-1 b^-2 loses all stable letters; the residue is the
+    # rewritten relator itself, so triviality falls to the base group
     assert solver.word_problem(BS12, (1, 2, -1, -2, -2)) is Verdict.TRIVIAL
 
 
@@ -174,6 +174,44 @@ def test_word_length_budget_covers_the_embedding():
         Solver(SolverLimits(max_word_len=12)).word_problem(p, w)
     assert (info.value.budget, info.value.limit) == ("max_word_len", 12)
     assert Solver().word_problem(p, w) is Verdict.TRIVIAL
+
+
+def test_word_length_budget_covers_the_fold():
+    # in BS(1,2), a b a^-1 = b^2: the pinches of b a^5 b a^-5 b fold from
+    # the inside out, and the last fold is b_0 b_1^16 b_0, 18 letters over
+    # a 16-letter budget: exhaustion at the top node, not a verdict
+    w = parse_word("ba^5bA^5b", BS12.alphabet)
+    with pytest.raises(ResourceExhausted) as info:
+        Solver(SolverLimits(max_word_len=16)).word_problem(BS12, w)
+    assert (info.value.budget, info.value.limit) == ("max_word_len", 16)
+    assert info.value.depth == 0
+    assert Solver().word_problem(BS12, w) is Verdict.NONTRIVIAL
+
+
+def test_word_length_overrun_reports_its_depth():
+    # the fifth pinch test of a^5 b a^-5 asks whether b_1^8 lies in <b_0>
+    # in the base group <b_0, b_1 | b_1 b_0^-2>; eliminating b_1 by a
+    # Tietze move gives b_0^16, over a 12-letter budget, one level below
+    # the top
+    w = parse_word("a^5bA^5", BS12.alphabet)
+    with pytest.raises(ResourceExhausted) as info:
+        Solver(SolverLimits(max_word_len=12)).word_problem(BS12, w)
+    assert (info.value.budget, info.value.limit) == ("max_word_len", 12)
+    assert info.value.depth == 1
+
+
+def test_subscript_span_budget_is_named():
+    # the Britton pass one level below <a,b | a b a^2 b^-1 a> folds a word
+    # whose subscripts span 2: over a span budget of 1 that is exhaustion
+    # at depth 1, not a verdict
+    p = parse_presentation("a,b | aba^2Ba")
+    w = parse_word("BAbABA^2b", p.alphabet)
+    with pytest.raises(ResourceExhausted) as info:
+        Solver(SolverLimits(max_subscript_span=1)).word_problem(p, w)
+    assert (info.value.budget, info.value.limit) == ("max_subscript_span", 1)
+    assert info.value.depth == 1
+    assert Solver(SolverLimits(max_subscript_span=2)).word_problem(
+        p, w) is Verdict.NONTRIVIAL
 
 
 def test_tietze_values():
@@ -316,7 +354,7 @@ def test_hierarchy_tree_shapes():
     while leaf.children:
         leaf = leaf.children[0]
         depth += 1
-    assert leaf.kind in ("base_single", "base_free")
+    assert leaf.kind == "base_single"
     assert depth <= len(BS12.relator)
 
 
