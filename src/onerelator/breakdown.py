@@ -98,7 +98,6 @@ class BreakdownStep:
     kind: str                   # "base_single" | "zero" | "nonzero"
     order: int = 0              # |n| for a single-generator relator g^n
     zero: ZeroCaseData = None
-    nonzero: EmbeddingData = None
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +107,10 @@ def classify(rank, relator):
     """Deterministic hierarchy classification of a relator that uses every
     one of the ``rank`` generators.
 
-    Ties are broken by smallest generator id: the stable letter is the least
-    zero-exponent-sum generator, the embedding pair the two least ids.
+    The stable letter is the least zero-exponent-sum generator.  A
+    ``nonzero`` step carries no embedding: callers build it with
+    :func:`embed_nonzero_case` on the pair they need, the two least ids
+    ``(0, 1)`` unless a subset keeps one of them.
     """
     sup = words.support(relator)
     if sup != set(range(rank)):
@@ -122,9 +123,7 @@ def classify(rank, relator):
         if words.exponent_sum(relator, t) == 0:
             return BreakdownStep(kind="zero",
                                  zero=rewrite_zero_case(relator, t))
-    a, b = sorted(sup)[:2]
-    return BreakdownStep(kind="nonzero",
-                         nonzero=embed_nonzero_case(rank, relator, a, b))
+    return BreakdownStep(kind="nonzero")
 
 
 def tietze_values(relator):

@@ -1,7 +1,8 @@
 """Decision procedures for one-relator groups.
 
-The word problem and Magnus-subgroup membership are decided by recursion
-over the hierarchy produced in :mod:`.breakdown`:
+Magnus-subgroup membership is decided by one recursion over the hierarchy
+produced in :mod:`.breakdown`; the word problem is membership in the
+subgroup on no generators, with witness ``()``:
 
 * a generator ``h`` that occurs once in the relator is eliminated by a
   Tietze move (:func:`.breakdown.tietze_values`): the group is free on the
@@ -96,16 +97,16 @@ class HierarchyNode:
 class Solver:
     """Single-owner decision engine with one breakdown memo table.
 
-    The recursion works on ``(rank, relator)``: generator ids
-    ``0..rank-1`` and no names.  Names are made in one place only,
-    :meth:`_tree`, for the presentations that :meth:`hierarchy_tree`
-    returns.
+    Both queries run through one recursion, :meth:`_member`; the word
+    problem is membership on the empty subset.  It works on ``(rank,
+    relator)``: generator ids ``0..rank-1`` and no names.  Names are made
+    in one place only, :meth:`_tree`, for the presentations that
+    :meth:`hierarchy_tree` returns.
 
-    Every hierarchy node first tries the Tietze move: if a generator occurs
-    once in the relator (and, for membership, lies outside the subset), the
-    node is decided in the free group on the other generators and counted
-    in ``stats["eliminations"]``.  The elimination table is recomputed per
-    node, never memoized.
+    Every hierarchy node first tries the Tietze move: if a generator outside
+    the subset occurs once in the relator, the node is decided in the free
+    group on the other generators and counted in ``stats["eliminations"]``.
+    The elimination table is recomputed per node, never memoized.
 
     The memo holds the results of ``breakdown.classify``,
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
@@ -167,7 +168,9 @@ class Solver:
     def word_problem(self, pres, w):
         w = self._reduce(w)
         words.validate_word(pres.alphabet, w)
-        return self._wp(pres.alphabet.size, pres.relator, w, 0)
+        res = self._member(pres.alphabet.size, pres.relator, w, frozenset(),
+                           0)
+        return Verdict.TRIVIAL if res.member else Verdict.NONTRIVIAL
 
     def magnus_membership(self, pres, w, subset):
         w = self._reduce(w)
@@ -185,52 +188,7 @@ class Solver:
     def hierarchy_tree(self, pres):
         return self._tree(pres, 0)
 
-    # -- word problem ------------------------------------------------------
-
-    def _wp(self, rank, relator, w, depth):
-        try:
-            self._bump(depth)
-            if not w:
-                return Verdict.TRIVIAL
-            if abelian_obstruction(rank, relator, w):
-                return Verdict.NONTRIVIAL
-            image = self._eliminate(relator, w)
-            if image is not None:
-                return Verdict.NONTRIVIAL if image else Verdict.TRIVIAL
-
-            active = words.support(relator)
-            if len(active) < rank:
-                relator, old_to_new = restrict_to_subalphabet(relator, active)
-                syls = self._fp_reduce(w, relator, old_to_new, depth)
-                return Verdict.TRIVIAL if not syls else Verdict.NONTRIVIAL
-
-            step = self._cached(breakdown.classify, rank, relator)
-            if step.kind == "base_single":
-                return (Verdict.TRIVIAL
-                        if words.exponent_sum(w, 0) % step.order == 0
-                        else Verdict.NONTRIVIAL)
-
-            if step.kind == "zero":
-                zd = step.zero
-                if words.exponent_sum(w, zd.stable) != 0:
-                    return Verdict.NONTRIVIAL
-                items = self._britton(zd, w, depth)
-                if len(items) > 1:
-                    return Verdict.NONTRIVIAL
-                if not items[0]:
-                    return Verdict.TRIVIAL
-                word, pairs = base_word(zd, items[0])
-                return self._wp(len(pairs), zd.base_relator, word, depth + 1)
-
-            emb = step.nonzero
-            return self._wp(rank, emb.image_relator,
-                            emb.translate(w, self.limits.max_word_len), depth)
-        except ResourceExhausted as exc:
-            # an overrun inside words has no depth: this is the innermost
-            # node it leaves
-            if exc.depth is None:
-                exc.depth = depth
-            raise
+    # -- free products -----------------------------------------------------
 
     def _fp_reduce(self, w, relator, old_to_new, depth):
         """Free-product normal form over <active | relator> * F(rest).
@@ -250,9 +208,9 @@ class Solver:
             u = tuple(run)
             if syls and syls[-1][0] == is_act:
                 u = self._mul(syls.pop()[1], u)
-            if u and not (is_act and self._wp(
-                    rank, relator, map_word(u, old_to_new),
-                    depth) is Verdict.TRIVIAL):
+            if u and not (is_act and self._member(
+                    rank, relator, map_word(u, old_to_new), frozenset(),
+                    depth).member):
                 syls.append((is_act, u))
         return syls
 
@@ -303,6 +261,8 @@ class Solver:
         The subgroup is generated by the base generators whose letter id
         satisfies ``keep``; the witness comes back over those letters.
         """
+        if not u:
+            return MembershipVerdict(True, ())
         word, ids = base_word(zdata, u)
         subset = frozenset(k for k, a in enumerate(ids) if keep(a))
         res = self._member(len(ids), zdata.base_relator, word, subset,
@@ -324,18 +284,43 @@ class Solver:
         parts.append(words.power((g + 1,), m, cap))
         return MembershipVerdict(True, words.concat(parts, cap))
 
+    def _member_tower(self, zd, k, back, alpha, g, m, depth):
+        """Member verdict for ``k * g^m`` in a tower of ``g``-conjugates:
+        ``k`` (stable-letter exponent sum 0 in ``zd``) must Britton-reduce
+        to base letters ``h_i`` with ``h`` in ``back`` and ``alpha | i``,
+        and ``h_i`` pulls back to ``g^(i/alpha) back[h] g^-(i/alpha)``."""
+        items = self._britton(zd, k, depth)
+        if len(items) > 1:
+            return MembershipVerdict(False)
+
+        def keep(a):
+            h, i = _decode(zd.rank, a)
+            return h in back and i % alpha == 0
+
+        res = self._base_member(zd, items[0], keep, depth)
+        if not res.member:
+            return res
+        pieces = []
+        for lt in res.witness:
+            h, i = _decode(zd.rank, abs(lt))
+            pieces.append((i // alpha, (words.letter_sign(lt)
+                                        * (back[h] + 1),)))
+        return self._tower(pieces, g, m)
+
     # -- Magnus subgroup membership ---------------------------------------
 
     def _member(self, rank, relator, w, subset, depth):
         try:
             self._bump(depth)
-            if subset == set(range(rank)):
+            if len(subset) == rank:
                 return MembershipVerdict(True, w)
             if not w:
                 return MembershipVerdict(True, ())
+            if not subset and abelian_obstruction(rank, relator, w):
+                return MembershipVerdict(False)
             image = self._eliminate(relator, w, subset)
             if image is not None:
-                if words.support(image) <= subset:
+                if all(words.letter_gen(lt) in subset for lt in image):
                     return MembershipVerdict(True, image)
                 return MembershipVerdict(False)
 
@@ -381,6 +366,10 @@ class Solver:
         witness_parts = []
         for is_act, u in syls:
             if is_act:
+                # _fp_reduce kept u as nontrivial, so it lies in no
+                # subgroup on an empty subset
+                if not sub_active:
+                    return MembershipVerdict(False)
                 res = self._member(len(old_to_new), relator,
                                    map_word(u, old_to_new), sub_active,
                                    depth)
@@ -416,19 +405,8 @@ class Solver:
         zd = self._cached(breakdown.rewrite_zero_case, relator, t, pivot)
         d = words.exponent_sum(w, t)
         k = self._mul(w, words.power((t + 1,), -d, self.limits.max_word_len))
-        items = self._britton(zd, k, depth)
-        if len(items) > 1:
-            return MembershipVerdict(False)
-        others = subset - {t}
-        res = self._base_member(
-            zd, items[0], lambda a: _decode(rank, a)[0] in others, depth)
-        if not res.member:
-            return res
-        pieces = []
-        for lt in res.witness:
-            g, i = _decode(rank, abs(lt))
-            pieces.append((i, (words.letter_sign(lt) * (g + 1),)))
-        return self._tower(pieces, t, d)
+        return self._member_tower(zd, k, {g: g for g in subset - {t}}, 1, t,
+                                  d, depth)
 
     def _member_nonzero_fixed(self, rank, relator, w, subset, omitted, depth):
         """Both substitution generators can be taken outside the subset, so
@@ -472,23 +450,7 @@ class Solver:
         if emb.x_gen in words.support(image):
             zd = self._cached(breakdown.rewrite_zero_case, image, emb.x_gen,
                               emb.y_gen)
-            items = self._britton(zd, k, depth)
-            if len(items) > 1:
-                return MembershipVerdict(False)
-
-            def keep(a):
-                g, i = _decode(rank, a)
-                return g in back and i % alpha == 0
-
-            res = self._base_member(zd, items[0], keep, depth)
-            if not res.member:
-                return res
-            pieces = []
-            for lt in res.witness:
-                g, i = _decode(rank, abs(lt))
-                pieces.append((i // alpha, (words.letter_sign(lt)
-                                            * (back[g] + 1),)))
-            return self._tower(pieces, bprime, m)
+            return self._member_tower(zd, k, back, alpha, bprime, m, depth)
 
         # x vanished from the image relator: the image group is the free
         # product of <x> and the x-free image presentation.
@@ -532,7 +494,8 @@ class Solver:
             child_names = [f"{names[g]}_{i}" for g, i in step.zero.pairs]
             child_relator = step.zero.base_relator
         elif step.kind == "nonzero":
-            emb = step.nonzero
+            emb = self._cached(breakdown.embed_nonzero_case, len(names),
+                               relator, 0, 1)
             child_names = fresh_names(names, 2) + [
                 names[g] for g in sorted(emb.gen_map)]
             child_relator = emb.image_relator

@@ -211,10 +211,9 @@ def test_exit_code_2_on_bad_input(capsys):
 
 
 def test_exit_code_3_on_exhaustion(capsys):
-    # no level this query reaches can eliminate a generator, so deciding
-    # it needs depth 2
-    code = main(["--max-depth", "1", "solve", "a,b | aba^2b^2",
-                 "baba^2b^2B"])
+    # the query's pinch test cannot eliminate a generator at depth 1, so
+    # deciding it needs depth 2
+    code = main(["--max-depth", "1", "solve", "a,b | a^2baB", "Ba^2ba"])
     assert code == 3
     err = capsys.readouterr().err
     assert "resource exhausted" in err
@@ -222,8 +221,8 @@ def test_exit_code_3_on_exhaustion(capsys):
 
 
 def test_exhaustion_json(capsys):
-    code = main(["--max-depth", "1", "--json", "solve", "a,b | aba^2b^2",
-                 "baba^2b^2B"])
+    code = main(["--max-depth", "1", "--json", "solve", "a,b | a^2baB",
+                 "Ba^2ba"])
     assert code == 3
     out = capsys.readouterr()
     assert json.loads(out.out) == {"command": "solve", "exhausted": True,

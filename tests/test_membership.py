@@ -207,3 +207,31 @@ def test_random_witnesses_are_valid():
                 # sanity: words spelled inside the subset are always members
                 assert not words.support(w) <= subset
     assert members > 20  # the sweep actually exercises the member path
+
+
+def test_word_problem_is_membership_in_the_trivial_subgroup():
+    """On fresh solvers the word problem and membership in the subgroup on
+    no generators reach the same verdict through the same nodes."""
+    rng = random.Random(7)
+    pool = [BS12, ABCREL,
+            make_presentation(AB, (1, 1, 2, 2, 2)),             # nonzero
+            make_presentation(AB, (1, 2, 1, 1, 2, 2)),
+            make_presentation(ABC, (1, 2, -1, -2, -2))]         # free part
+    trivial = 0
+    for pres in pool:
+        size = pres.alphabet.size
+        for _ in range(40):
+            w = random_reduced_word(rng, size, rng.randint(0, 8))
+            if rng.random() < 0.5:
+                c = random_reduced_word(rng, size, rng.randint(0, 3))
+                w = words.multiply(w, words.concat(
+                    [c, pres.relator, words.invert(c), words.invert(w)]))
+            wp_solver, member_solver = Solver(), Solver()
+            verdict = wp_solver.word_problem(pres, w)
+            res = member_solver.magnus_membership(pres, w, set())
+            assert res.member == (verdict is Verdict.TRIVIAL), (pres, w)
+            assert not res.member or res.witness == ()
+            assert (wp_solver.stats["nodes"]
+                    == member_solver.stats["nodes"]), (pres, w)
+            trivial += res.member
+    assert trivial > 50

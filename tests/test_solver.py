@@ -143,18 +143,28 @@ def test_britton_tests_each_stable_letter_once(monkeypatch):
 
 def test_depth_budget_reported_honestly():
     solver = Solver(SolverLimits(max_depth=1))
-    # <a,b | a b a^2 b^2> has no generator occurring once, nor has the image
-    # of its Magnus embedding; the base group's once-occurring generator
-    # lies in the associated subgroup, so the query descends to depth 2,
-    # over the depth budget
-    p = make_presentation(AB, (1, 2, 1, 1, 2, 2))
-    w = words.concat([(2,), p.relator, (-2,)])
+    # the one pinch test of B a^2 b a in <a,b | a^2 b a B> asks whether a_0^2
+    # lies in <a_1> in the base group <a_0, a_1 | a_0^2 a_1>, whose
+    # once-occurring generator lies in that subgroup, so the test descends
+    # to depth 2, over the depth budget
+    p = parse_presentation("a,b | a^2baB")
+    w = parse_word("Ba^2ba", p.alphabet)
     with pytest.raises(ResourceExhausted) as info:
         solver.word_problem(p, w)
     assert info.value.budget == "max_depth"
     assert info.value.limit == 1 and info.value.depth == 2
     # the budget is not a verdict: a roomier solver still decides it
     assert Solver(SolverLimits(max_depth=2)).word_problem(
+        p, w) is Verdict.TRIVIAL
+
+
+def test_empty_pinch_needs_no_descent():
+    # a pinch test of baba^2b^2B in <a,b | aba^2b^2> asks at depth 1 about
+    # a power of its tower's stable letter, which leaves an empty residue;
+    # the empty word lies in every subgroup, so no test descends to depth 2
+    p = parse_presentation("a,b | aba^2b^2")
+    w = parse_word("baba^2b^2B", p.alphabet)
+    assert Solver(SolverLimits(max_depth=1)).word_problem(
         p, w) is Verdict.TRIVIAL
 
 
@@ -293,22 +303,15 @@ def test_memoization_hits():
 
 def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
     """Repeated membership queries on one solver compute each breakdown
-    step the solver asks for once per (function, arguments);
-    steps that ``classify`` computes internally are not counted."""
+    step once per (function, arguments)."""
     calls = collections.Counter()
-    nested = []
 
     def counting(name):
         fn = getattr(breakdown, name)
 
         def wrapper(*args):
-            if not nested:
-                calls[name, args] += 1
-            nested.append(name)
-            try:
-                return fn(*args)
-            finally:
-                nested.pop()
+            calls[name, args] += 1
+            return fn(*args)
 
         monkeypatch.setattr(breakdown, name, wrapper)
 
@@ -329,6 +332,27 @@ def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
     assert {key[0] for key in calls} == {
         "classify", "rewrite_zero_case", "embed_nonzero_case"}
     assert set(calls.values()) == {1}
+
+
+def test_word_problem_shares_the_embedding(monkeypatch):
+    """The word problem, membership in the trivial subgroup and the
+    hierarchy tree fetch the trefoil's Magnus embedding from one memo
+    entry."""
+    calls = []
+    embed = breakdown.embed_nonzero_case
+
+    def counting(*args):
+        calls.append(args)
+        return embed(*args)
+
+    monkeypatch.setattr(breakdown, "embed_nonzero_case", counting)
+    solver = Solver()
+    w = (1, 2, -1, -2)
+    assert solver.word_problem(TREFOIL, w) is Verdict.NONTRIVIAL
+    assert not solver.magnus_membership(TREFOIL, w, set()).member
+    assert solver.hierarchy_tree(TREFOIL).kind == "nonzero"
+    assert calls.count((2, TREFOIL.relator, 0, 1)) == 1
+    assert len(set(calls)) == len(calls)
 
 
 def test_is_root():
