@@ -77,10 +77,7 @@ class ZeroCaseData:
 
 @dataclass(frozen=True)
 class EmbeddingData:
-    src_a: int
-    src_b: int
-    alpha: int                  # exponent sum of src_a in the relator
-    beta: int                   # exponent sum of src_b in the relator
+    alpha: int                  # exponent sum of a in the relator
     image_relator: tuple        # over the same number of generators
     x_gen: int                  # id of x in the image
     y_gen: int                  # id of y in the image
@@ -252,7 +249,7 @@ def embed_nonzero_case(rank, relator, a, b):
     substitution[b] = tuple([x_gen + 1] * alpha if alpha > 0
                             else [-(x_gen + 1)] * (-alpha))
     _, core = words.cyclic_reduce(words.substitute(relator, substitution))
-    return EmbeddingData(src_a=a, src_b=b, alpha=alpha, beta=beta,
-                         image_relator=core, x_gen=x_gen, y_gen=y_gen,
-                         gen_map=gen_map, substitution=substitution)
+    return EmbeddingData(alpha=alpha, image_relator=core, x_gen=x_gen,
+                         y_gen=y_gen, gen_map=gen_map,
+                         substitution=substitution)
 

@@ -75,7 +75,9 @@ def build_parser():
     p = sub.add_parser("check", help="classical-theorem check suites")
     p.add_argument("suite", choices=["conjugacy", "commutator-roots",
                                      "freiheitssatz", "modular-group"])
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=int, default=None,
+                   help="word length bound, default 4 (freiheitssatz: "
+                        "relator length, at least 3, default 6)")
     p.add_argument("--relators", type=int, default=200,
                    help="freiheitssatz: number of random relators")
     p.add_argument("--words", type=int, default=50,
@@ -232,17 +234,23 @@ def cmd_oracle_ncl(args):
 
 
 def cmd_check(args):
+    # the freiheitssatz relators use all three of a, b, c
+    least = 3 if args.suite == "freiheitssatz" else 1
+    max_len = args.max_len
+    if max_len is None:
+        max_len = 6 if args.suite == "freiheitssatz" else 4
+    elif max_len < least:
+        raise ValueError(f"--max-len must be at least {least} for "
+                         f"{args.suite}, got {max_len}")
     solver = make_solver(args)
     if args.suite == "conjugacy":
-        report = oracles.check_conjugacy_theorem(args.max_len or 4,
-                                                 solver=solver)
+        report = oracles.check_conjugacy_theorem(max_len, solver=solver)
     elif args.suite == "commutator-roots":
-        report = oracles.check_commutator_roots(args.max_len or 4,
-                                                solver=solver)
+        report = oracles.check_commutator_roots(max_len, solver=solver)
     elif args.suite == "freiheitssatz":
         report = oracles.check_freiheitssatz(
             relators=args.relators, words_per_relator=args.words,
-            relator_len=args.max_len or 6, seed=args.seed, solver=solver)
+            relator_len=max_len, seed=args.seed, solver=solver)
     else:
         report = oracles.check_modular_group()
     emit(args, report.lines(),

@@ -151,19 +151,6 @@ class ProjectiveMatrix:
     def is_identity(self):
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
-    def mobius(self):
-        """Human-readable Mobius transformation string."""
-        def lin(p, q):
-            if p == 0:
-                return str(q)
-            s = {1: "z", -1: "-z"}.get(p, f"{p}z")
-            if q > 0:
-                s += f"+{q}"
-            elif q < 0:
-                s += str(q)
-            return s
-        return f"({lin(self.a, self.b)})/({lin(self.c, self.d)})"
-
 
 #: order-2 and order-3 generators of PSL2(Z); with these the commutator
 #: [a,b] evaluates to (2,1;1,1), the corrected beta_0 transformation

@@ -19,7 +19,8 @@ subgroup on no generators, with witness ``()``:
   rewriting ``u`` over the subgroup's free basis and shifting subscripts,
   in one left-to-right stack pass that tests each pinch once
   (:meth:`Solver._britton`),
-* otherwise an injective substitution creates such a generator.
+* otherwise an injective substitution creates such a generator and maps
+  the queried subset into a Magnus subgroup of the image.
 
 Membership queries return witnesses (words over the queried subset), which
 is what makes the pinch elimination effective: the associated subgroups are
@@ -29,11 +30,11 @@ and shifting its subscripts realizes the stable-letter conjugation.
 The recursion carries no generator names: a node is a rank and a relator
 over ids ``0..rank-1``.  A zero node's base group is built once, by
 :func:`.breakdown.rewrite_zero_case`, and every descent into it maps its
-residue with :func:`.breakdown.base_word`.  Every witness that comes back
-through a tower of conjugates (``t^i g t^-i`` times a power of ``t``) is
-assembled by :meth:`Solver._tower`.  Breakdown steps are memoized in one
-table per solver, keyed by function and arguments and bounded at
-:data:`MEMO_ENTRIES` entries.  Names are made only in
+residue with :func:`.breakdown.base_word`.  A subset holding the stable
+letter ``t`` is a tower of ``t``-conjugates (``t^i g t^-i`` times a power
+of ``t``), decided only by :meth:`Solver._member_zero_with_t`.  Breakdown
+steps are memoized in one table per solver, keyed by function and arguments
+and bounded at :data:`MEMO_ENTRIES` entries.  Names are made only in
 :meth:`Solver._tree`, for the tree that ``hierarchy_tree`` returns.
 
 All procedures run under explicit budgets and raise
@@ -112,8 +113,9 @@ class Solver:
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
     keyed by the function and its arguments (rank, relator, generator ids),
     so presentations that differ only in generator names share entries.  A
-    zero node's entry carries its base group, built once; residues are
-    mapped onto it by :func:`.breakdown.base_word`.  The memo never holds
+    zero node's ``classify`` entry carries its base group, built once; a
+    subset holding its pivot and stable letter needs another pivot, the
+    one case that calls ``rewrite_zero_case`` itself.  The memo never holds
     query answers.  It keeps at most :data:`MEMO_ENTRIES` entries, evicting
     the oldest first, so a stream of distinct presentations runs in bounded
     memory.  Distinct instances are independent and may run in parallel.
@@ -272,41 +274,6 @@ class Solver:
         return MembershipVerdict(True, tuple(
             ids[lt - 1] if lt > 0 else -ids[-lt - 1] for lt in res.witness))
 
-    def _tower(self, pieces, g, m):
-        """Member verdict for ``prod g^i v g^-i`` over ``(i, v)`` in
-        ``pieces``, times ``g^m``: a witness pulled back through a tower of
-        ``g``-conjugates."""
-        cap = self.limits.max_word_len
-        parts = []
-        for i, v in pieces:
-            conj = words.power((g + 1,), i, cap)
-            parts.append(words.concat([conj, v, words.invert(conj)], cap))
-        parts.append(words.power((g + 1,), m, cap))
-        return MembershipVerdict(True, words.concat(parts, cap))
-
-    def _member_tower(self, zd, k, back, alpha, g, m, depth):
-        """Member verdict for ``k * g^m`` in a tower of ``g``-conjugates:
-        ``k`` (stable-letter exponent sum 0 in ``zd``) must Britton-reduce
-        to base letters ``h_i`` with ``h`` in ``back`` and ``alpha | i``,
-        and ``h_i`` pulls back to ``g^(i/alpha) back[h] g^-(i/alpha)``."""
-        items = self._britton(zd, k, depth)
-        if len(items) > 1:
-            return MembershipVerdict(False)
-
-        def keep(a):
-            h, i = _decode(zd.rank, a)
-            return h in back and i % alpha == 0
-
-        res = self._base_member(zd, items[0], keep, depth)
-        if not res.member:
-            return res
-        pieces = []
-        for lt in res.witness:
-            h, i = _decode(zd.rank, abs(lt))
-            pieces.append((i // alpha, (words.letter_sign(lt)
-                                        * (back[h] + 1),)))
-        return self._tower(pieces, g, m)
-
     # -- Magnus subgroup membership ---------------------------------------
 
     def _member(self, rank, relator, w, subset, depth):
@@ -340,8 +307,8 @@ class Solver:
                 zd = step.zero
                 if zd.stable not in subset:
                     return self._member_zero_without_t(zd, w, subset, depth)
-                return self._member_zero_with_t(rank, relator, w, subset,
-                                                zd.stable, depth)
+                return self._member_zero_with_t(rank, relator, w, subset, zd,
+                                                depth)
 
             omitted = sorted(set(range(rank)) - subset)
             if len(omitted) >= 2:
@@ -393,20 +360,36 @@ class Solver:
         return self._base_member(zdata, items[0], lambda a: a - 1 in subset,
                                  depth)
 
-    def _member_zero_with_t(self, rank, relator, w, subset, t, depth):
-        """Stable letter ``t`` inside the subset.
+    def _member_zero_with_t(self, rank, relator, w, subset, zd, depth):
+        """Stable letter ``t = zd.stable`` inside the subset.
 
         ``<t, S'>`` splits as conjugate tower by ``t``: every element is
         (word in the ``t``-conjugates of ``S'``) * ``t^d`` with ``d`` the
-        ``t``-exponent sum.  The pivot is taken from the omitted generators
-        so the tower sits inside both associated subgroups.
+        ``t``-exponent sum, and a base letter ``h_i`` of the witness pulls
+        back to ``t^i h t^-i``.  The pivot is taken from the omitted
+        generators so the tower sits inside both associated subgroups.
         """
-        pivot = min(set(range(rank)) - subset)
-        zd = self._cached(breakdown.rewrite_zero_case, relator, t, pivot)
-        d = words.exponent_sum(w, t)
-        k = self._mul(w, words.power((t + 1,), -d, self.limits.max_word_len))
-        return self._member_tower(zd, k, {g: g for g in subset - {t}}, 1, t,
-                                  d, depth)
+        if zd.pivot in subset:
+            zd = self._cached(breakdown.rewrite_zero_case, relator, zd.stable,
+                              min(set(range(rank)) - subset))
+        t, cap = zd.stable + 1, self.limits.max_word_len
+        d = words.exponent_sum(w, zd.stable)
+        items = self._britton(zd, self._mul(w, words.power((t,), -d, cap)),
+                              depth)
+        if len(items) > 1:
+            return MembershipVerdict(False)
+        res = self._base_member(
+            zd, items[0], lambda a: _decode(zd.rank, a)[0] in subset, depth)
+        if not res.member:
+            return res
+        parts = []
+        for lt in res.witness:
+            h, i = _decode(zd.rank, abs(lt))
+            conj = words.power((t,), i, cap)
+            parts += (conj, (words.letter_sign(lt) * (h + 1),),
+                      words.invert(conj))
+        parts.append(words.power((t,), d, cap))
+        return MembershipVerdict(True, words.concat(parts, cap))
 
     def _member_nonzero_fixed(self, rank, relator, w, subset, omitted, depth):
         """Both substitution generators can be taken outside the subset, so
@@ -427,52 +410,49 @@ class Solver:
         """Exactly one generator is missing from the subset.
 
         Substituting ``gstar -> y x^-beta`` and ``b' -> x^alpha`` sends
-        ``<subset>`` to the tower generated by ``x^alpha`` and the fixed
-        generators; elements decompose as (word in ``x^(alpha j)``-conjugates)
-        * ``x^(alpha m)``, with the witness pulled back through
-        ``x^alpha = image of b'``.
+        ``<subset>`` onto ``<x^alpha, fixed generators>`` inside the Magnus
+        subgroup ``M`` of the image on every generator but ``y``.  ``y``
+        survives in the image relator, so ``M`` is free, and ``w`` lies in
+        ``<subset>`` iff its image lies in ``M`` with a witness whose
+        maximal ``x``-runs are powers of ``x^alpha``; ``x^(alpha j)`` pulls
+        back to ``b'^j``.  ``M`` is a zero case with ``t = x``, or a free
+        split off ``<x>`` when ``x`` vanished from the image relator.
         """
         bprime = min(subset)
         emb = self._cached(breakdown.embed_nonzero_case, rank, relator,
                            gstar, bprime)
-        alpha = emb.alpha
-        wprime = emb.translate(w, self.limits.max_word_len)
-        xlt = emb.x_gen + 1
-        d = words.exponent_sum(wprime, emb.x_gen)
-        if d % alpha != 0:
+        cap = self.limits.max_word_len
+        wprime = emb.translate(w, cap)
+        if words.exponent_sum(wprime, emb.x_gen) % emb.alpha != 0:
             return MembershipVerdict(False)
-        m = d // alpha
-        k = self._mul(wprime, words.power((xlt,), -alpha * m,
-                                          self.limits.max_word_len))
         image = emb.image_relator
-        back = {v: kk for kk, v in emb.gen_map.items()}
-
-        if emb.x_gen in words.support(image):
-            zd = self._cached(breakdown.rewrite_zero_case, image, emb.x_gen,
-                              emb.y_gen)
-            return self._member_tower(zd, k, back, alpha, bprime, m, depth)
-
-        # x vanished from the image relator: the image group is the free
-        # product of <x> and the x-free image presentation.
-        rest_ids = tuple(g for g in range(rank) if g != emb.x_gen)
-        rest, old_to_new = restrict_to_subalphabet(image, rest_ids)
-        # rest ids of the subset's images -> the subset's original ids
-        to_src = {old_to_new[g]: kk for g, kk in back.items()}
-        syls = self._fp_reduce(k, rest, old_to_new, depth + 1)
-        pieces = []
-        h = 0
-        for is_rest, v in syls:
-            if not is_rest:
-                h += words.exponent_sum(v, emb.x_gen)
+        magnus = frozenset(range(rank)) - {emb.y_gen}
+        active = words.support(image)
+        if emb.x_gen in active:
+            # x (id 0) has exponent sum 0, so classify's base group is the
+            # zero case with t = x and pivot y (id 1)
+            zd = self._cached(breakdown.classify, rank, image).zero
+            res = self._member_zero_with_t(rank, image, wprime, magnus, zd,
+                                           depth)
+        else:
+            res = self._member_free_split(image, wprime, magnus, active,
+                                          depth + 1)
+        if not res.member:
+            return res
+        back = {v: k for k, v in emb.gen_map.items()}
+        xlt = emb.x_gen + 1
+        parts = []
+        for is_x, run in groupby(res.witness, lambda lt: abs(lt) == xlt):
+            run = tuple(run)
+            if not is_x:
+                parts.append(map_word(run, back))
                 continue
-            if h % alpha != 0:
+            # the witness is reduced, so a run of x letters has one sign
+            e = words.letter_sign(run[0]) * len(run)
+            if e % emb.alpha != 0:
                 return MembershipVerdict(False)
-            res = self._member(len(rest_ids), rest, map_word(v, old_to_new),
-                               frozenset(to_src), depth + 1)
-            if not res.member:
-                return MembershipVerdict(False)
-            pieces.append((h // alpha, map_word(res.witness, to_src)))
-        return self._tower(pieces, bprime, m)
+            parts.append(words.power((bprime + 1,), e // emb.alpha, cap))
+        return MembershipVerdict(True, words.concat(parts, cap))
 
     # -- hierarchy tree ----------------------------------------------------
 

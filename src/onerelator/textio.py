@@ -6,15 +6,23 @@ uppercase letter is the inverse; ``g^k`` abbreviates ``|k|`` copies of
 Presentations read ``a,b,... | relator``.
 """
 
-from .errors import UnknownGenerator, WordSyntaxError
+from .errors import ResourceExhausted, UnknownGenerator, WordSyntaxError
 from .presentations import make_presentation
-from .words import Alphabet, letter_gen, letter_sign, reduce
+from .words import (
+    DEFAULT_MAX_WORD_LEN,
+    Alphabet,
+    letter_gen,
+    letter_sign,
+    reduce,
+)
 
 
 def parse_word(text, alphabet, offset=0):
     """Parse a word; raises WordSyntaxError/UnknownGenerator with the byte
     offset of the offending character.  ``offset`` shifts reported positions
-    when the word is embedded in a larger input."""
+    when the word is embedded in a larger input.  A power that would expand
+    the word past :data:`.words.DEFAULT_MAX_WORD_LEN` letters, before free
+    reduction, raises ResourceExhausted instead of being spelled out."""
     out = []
     i = 0
     n = len(text)
@@ -55,6 +63,11 @@ def parse_word(text, alphabet, offset=0):
                                       offset + start)
             sign *= 1 if k > 0 else -1
             count = abs(k)
+            if len(out) + count > DEFAULT_MAX_WORD_LEN:
+                raise ResourceExhausted(
+                    f"word length exceeds {DEFAULT_MAX_WORD_LEN} "
+                    f"(at offset {offset + start})",
+                    budget="max_word_len", limit=DEFAULT_MAX_WORD_LEN)
         out.extend([sign * (gen + 1)] * count)
     return reduce(out)
 

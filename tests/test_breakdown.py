@@ -116,7 +116,9 @@ def test_fresh_names_avoid_collisions():
 def test_embed_nonzero_case():
     r = (1, 1, 2, 2, 2)  # alpha=2, beta=3
     emb = embed_nonzero_case(2, r, 0, 1)
-    assert emb.alpha == 2 and emb.beta == 3
+    assert emb.alpha == 2
+    # a -> y x^-3 (beta = 3), b -> x^2
+    assert emb.substitution == {0: (2, -1, -1, -1), 1: (1, 1)}
     assert (emb.x_gen, emb.y_gen) == (0, 1)
     # sigma_x of the image relator must vanish
     assert words.exponent_sum(emb.image_relator, emb.x_gen) == 0

@@ -5,14 +5,18 @@ from pathlib import Path
 import pytest
 
 from onerelator.cli import main
-from onerelator.errors import UnknownGenerator, WordSyntaxError
+from onerelator.errors import (
+    ResourceExhausted,
+    UnknownGenerator,
+    WordSyntaxError,
+)
 from onerelator.textio import (
     parse_presentation,
     parse_word,
     print_presentation,
     print_word,
 )
-from onerelator.words import Alphabet
+from onerelator.words import DEFAULT_MAX_WORD_LEN, Alphabet
 
 AB = Alphabet(("a", "b"))
 
@@ -42,6 +46,15 @@ def test_parse_word_errors_carry_offsets():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("a+b", AB)
     assert err.value.offset == 1
+
+
+def test_parse_word_refuses_powers_past_the_word_cap():
+    assert len(parse_word(f"a^{DEFAULT_MAX_WORD_LEN}", AB)) \
+        == DEFAULT_MAX_WORD_LEN
+    with pytest.raises(ResourceExhausted) as err:
+        parse_word(f"ba^{DEFAULT_MAX_WORD_LEN}", AB)
+    assert err.value.budget == "max_word_len"
+    assert err.value.limit == DEFAULT_MAX_WORD_LEN
 
 
 def test_print_word():
@@ -200,6 +213,21 @@ def test_check_command(capsys):
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 
+@pytest.mark.parametrize("suite, max_len, least", [
+    ("conjugacy", "0", 1), ("commutator-roots", "-1", 1),
+    ("freiheitssatz", "2", 3)])
+def test_check_rejects_max_len_out_of_range(capsys, suite, max_len, least):
+    assert main(["check", suite, "--max-len", max_len]) == 2
+    err = capsys.readouterr().err
+    assert f"--max-len must be at least {least}" in err
+
+
+def test_check_freiheitssatz_least_max_len(capsys):
+    assert main(["check", "freiheitssatz", "--max-len", "3",
+                 "--relators", "2", "--words", "2"]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
 def test_exit_code_2_on_bad_input(capsys):
     assert main(["solve", "a,b | abx", "ab"]) == 2
     err = capsys.readouterr().err
@@ -229,6 +257,12 @@ def test_exhaustion_json(capsys):
                                    "budget": "max_depth", "limit": 1,
                                    "depth": 2}
     assert "resource exhausted" in out.err
+
+
+def test_exit_code_3_on_oversized_power(capsys):
+    # the power is refused before it is spelled out
+    assert main(["solve", "a,b | a^99999999999", "a"]) == 3
+    assert "budget max_word_len" in capsys.readouterr().err
 
 
 def test_readme_command_lines_run(capsys):

@@ -7,6 +7,7 @@ from onerelator.errors import UnknownGenerator
 from onerelator.oracles import psl2_eval, random_reduced_word
 from onerelator.presentations import make_presentation
 from onerelator.solver import Solver, Verdict, magnus_membership
+from onerelator.textio import parse_presentation, parse_word
 from onerelator.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -174,6 +175,27 @@ def test_membership_omit_one_x_present_non_member():
     assert psl2_eval(p.relator).is_identity()
     assert not psl2_eval((2, 1, -2, -1)).is_identity()
     assert not magnus_membership(p, (2, 1, -2), {0}).member
+
+
+@pytest.mark.parametrize("text, subset, w, witness", [
+    # <a,b,c | ababc>, subset {b,c}: a -> y x^-2, b -> x^2 drops x from the
+    # image relator, so the witness comes from the free split off <x>
+    ("a,b,c | ababc", {1, 2}, "baba", "bCB"),
+    ("a,b,c | ababc", {1, 2}, "b^2abaB", "b^2CB^2"),
+    # <a,b | a^2 b^-3>, subset {a}: b -> y x^-2, a -> x^-3 keeps x in the
+    # image relator, so the witness comes from the zero case with t = x
+    ("a,b | a^2B^3", {0}, "b^3", "a^2"),
+    ("a,b | a^2B^3", {0}, "B^3ab^3", "a"),
+    ("a,b | a^2B^3", {0}, "b^6a", "a^5"),
+])
+def test_membership_omit_one_pulls_back_x_runs(text, subset, w, witness):
+    """Each maximal x^(alpha j) run of the image's witness pulls back to
+    b'^j (alpha = 2 and alpha = -3 here), each fixed letter to itself."""
+    p = parse_presentation(text)
+    w = parse_word(w, p.alphabet)
+    res = magnus_membership(p, w, subset)
+    check_witness(p, w, subset, res)
+    assert res.witness == parse_word(witness, p.alphabet)
 
 
 def test_membership_torsion_quotient():

@@ -77,7 +77,6 @@ def test_commutator_is_corrected_beta0():
     beta0 = psl2_eval((1, 2, -1, -2))
     assert {beta0, beta0.inverse()} == {ProjectiveMatrix.of(2, 1, 1, 1),
                                         ProjectiveMatrix.of(1, -1, -1, 2)}
-    assert "2z+1" in ProjectiveMatrix.of(2, 1, 1, 1).mobius()
 
 
 def test_free_at_length():

@@ -355,6 +355,24 @@ def test_word_problem_shares_the_embedding(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_zero_node_base_group_built_once(monkeypatch):
+    """A membership query whose subset holds the stable letter, but not
+    the pivot, reuses the base group that classify built for the node."""
+    calls = []
+    rewrite = breakdown.rewrite_zero_case
+
+    def counting(*args):
+        calls.append(args)
+        return rewrite(*args)
+
+    monkeypatch.setattr(breakdown, "rewrite_zero_case", counting)
+    solver = Solver()
+    assert solver.word_problem(BS12, (1, 2, -1, -2, -2)) is Verdict.TRIVIAL
+    res = solver.magnus_membership(BS12, (1, 1, 1), {0})
+    assert res.member and res.witness == (1, 1, 1)
+    assert len(calls) == 1
+
+
 def test_is_root():
     solver = Solver()
     # (ab)^2 = abab

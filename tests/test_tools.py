@@ -1,0 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_answer_hash_prints_one_line_per_run_and_a_total():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "answer_hash.py"), str(ROOT),
+         "5"], capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:6]] == [
+        f"{w} seed {s}" for w in ("wp-warm", "member-warm", "wp-cold")
+        for s in (1, 2)]
+    assert all(" nodes " in line for line in lines[:6])
+    assert len(lines) == 7 and len(lines[6].split()[1]) == 64
