@@ -123,22 +123,24 @@ def classify(rank, relator):
     return BreakdownStep(kind="nonzero")
 
 
-def tietze_values(relator):
-    """Value of each generator that occurs exactly once in the relator.
+def tietze_value(relator, subset=frozenset()):
+    """Tietze move on the least generator outside ``subset`` that occurs
+    exactly once in the relator.
 
     From ``r = p h^e q`` the conjugate ``h^e q p`` is also trivial, so
-    ``h = ((q p)^-1)^e``: a Tietze move deletes ``h`` and the relator, and
-    the group is free on the other generators.  Returns ``{h: value}`` with
-    each value a reduced word over those generators.
+    ``h = ((q p)^-1)^e``: the move deletes ``h`` and the relator, and the
+    group is free on the other generators.  Returns ``(h, value)`` with the
+    value a reduced word over those generators, or None when no generator
+    outside ``subset`` occurs once.
     """
     seen = Counter(words.letter_gen(lt) for lt in relator)
-    out = {}
-    for k, lt in enumerate(relator):
-        g = words.letter_gen(lt)
-        if seen[g] == 1:
-            qp = words.reduce(relator[k + 1:] + relator[:k])
-            out[g] = qp if lt < 0 else words.invert(qp)
-    return out
+    h = min((g for g, n in seen.items() if n == 1 and g not in subset),
+            default=None)
+    if h is None:
+        return None
+    k = next(k for k, lt in enumerate(relator) if words.letter_gen(lt) == h)
+    qp = words.reduce(relator[k + 1:] + relator[:k])
+    return h, (qp if relator[k] < 0 else words.invert(qp))
 
 
 def rewrite_zero_case(relator, t, pivot=None):

@@ -100,9 +100,9 @@ def emit(args, text_lines, payload):
 
 
 def cmd_solve(args):
-    pres = parse_presentation(args.presentation)
-    w = parse_word(args.word, pres.alphabet)
     solver = make_solver(args)
+    pres = parse_presentation(args.presentation, args.max_word_len)
+    w = parse_word(args.word, pres.alphabet, max_len=args.max_word_len)
     t0 = time.perf_counter()
     verdict = solver.word_problem(pres, w)
     emit(args, [verdict.value],
@@ -116,8 +116,9 @@ def cmd_solve(args):
 
 
 def cmd_member(args):
-    pres = parse_presentation(args.presentation)
-    w = parse_word(args.word, pres.alphabet)
+    solver = make_solver(args)
+    pres = parse_presentation(args.presentation, args.max_word_len)
+    w = parse_word(args.word, pres.alphabet, max_len=args.max_word_len)
     subset_alphabet = parse_alphabet(args.subset)
     subset = set()
     for name in subset_alphabet.names:
@@ -128,7 +129,6 @@ def cmd_member(args):
                 offset=args.subset.index(name))
         subset.add(pres.alphabet.index(name))
     subset = frozenset(subset)
-    solver = make_solver(args)
     t0 = time.perf_counter()
     res = solver.magnus_membership(pres, w, subset)
     if res.member:
@@ -188,18 +188,18 @@ def hierarchy_lines(doc, indent=0):
 
 
 def cmd_hierarchy(args):
-    pres = parse_presentation(args.presentation)
     solver = make_solver(args)
+    pres = parse_presentation(args.presentation, args.max_word_len)
     doc = hierarchy_json(solver.hierarchy_tree(pres))
     emit(args, hierarchy_lines(doc), doc)
     return EXIT_OK
 
 
 def cmd_is_root(args):
-    alphabet = parse_alphabet(args.alphabet)
-    s = parse_word(args.s, alphabet)
-    r = parse_word(args.r, alphabet)
     solver = make_solver(args)
+    alphabet = parse_alphabet(args.alphabet)
+    s = parse_word(args.s, alphabet, max_len=args.max_word_len)
+    r = parse_word(args.r, alphabet, max_len=args.max_word_len)
     result = solver.is_root(s, r, alphabet)
     emit(args, ["root" if result else "not-root"],
          {"command": "is-root",
@@ -211,8 +211,9 @@ def cmd_is_root(args):
 
 
 def cmd_oracle_ncl(args):
-    pres = parse_presentation(args.presentation)
-    w = parse_word(args.word, pres.alphabet)
+    make_solver(args)  # rejects nonpositive limits, as every command does
+    pres = parse_presentation(args.presentation, args.max_word_len)
+    w = parse_word(args.word, pres.alphabet, max_len=args.max_word_len)
     cert = oracles.ncl_semidecide(pres, w, args.conj_len, args.factors)
     if cert is None:
         emit(args, ["no-certificate"],

@@ -5,7 +5,7 @@ produced in :mod:`.breakdown`; the word problem is membership in the
 subgroup on no generators, with witness ``()``:
 
 * a generator ``h`` that occurs once in the relator is eliminated by a
-  Tietze move (:func:`.breakdown.tietze_values`): the group is free on the
+  Tietze move (:func:`.breakdown.tietze_value`): the group is free on the
   other generators, so the query is decided by substituting for ``h`` and
   freely reducing (for membership ``h`` must lie outside the subset, and the
   reduced image is the witness),
@@ -18,7 +18,8 @@ subgroup on no generators, with witness ``()``:
   ``t u t^-1`` (``u`` in an associated Magnus subgroup) are eliminated by
   rewriting ``u`` over the subgroup's free basis and shifting subscripts,
   in one left-to-right stack pass that tests each pinch once
-  (:meth:`Solver._britton`),
+  (:meth:`Solver._britton`); a pinch test's answer depends only on the
+  base group, the residue and the subset, so it is memoized,
 * otherwise an injective substitution creates such a generator and maps
   the queried subset into a Magnus subgroup of the image.
 
@@ -33,9 +34,10 @@ over ids ``0..rank-1``.  A zero node's base group is built once, by
 residue with :func:`.breakdown.base_word`.  A subset holding the stable
 letter ``t`` is a tower of ``t``-conjugates (``t^i g t^-i`` times a power
 of ``t``), decided only by :meth:`Solver._member_zero_with_t`.  Breakdown
-steps are memoized in one table per solver, keyed by function and arguments
-and bounded at :data:`MEMO_ENTRIES` entries.  Names are made only in
-:meth:`Solver._tree`, for the tree that ``hierarchy_tree`` returns.
+steps and pinch answers are memoized in one table per solver, keyed by
+function and arguments and bounded at :data:`MEMO_ENTRIES` entries.  Names
+are made only in :meth:`Solver._tree`, for the tree that
+``hierarchy_tree`` returns.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
@@ -58,7 +60,7 @@ from .presentations import (
 from .words import Alphabet
 
 
-#: the breakdown memo evicts its oldest entry beyond this many
+#: the solver's memo evicts its oldest entry beyond this many
 MEMO_ENTRIES = 1024
 
 
@@ -96,7 +98,7 @@ class HierarchyNode:
 
 
 class Solver:
-    """Single-owner decision engine with one breakdown memo table.
+    """Single-owner decision engine with one memo table.
 
     Both queries run through one recursion, :meth:`_member`; the word
     problem is membership on the empty subset.  It works on ``(rank,
@@ -107,7 +109,8 @@ class Solver:
     Every hierarchy node first tries the Tietze move: if a generator outside
     the subset occurs once in the relator, the node is decided in the free
     group on the other generators and counted in ``stats["eliminations"]``.
-    The elimination table is recomputed per node, never memoized.
+    The move is computed per node and never memoized: a node it decides is
+    cheaper to redo than to look up.
 
     The memo holds the results of ``breakdown.classify``,
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
@@ -115,17 +118,24 @@ class Solver:
     so presentations that differ only in generator names share entries.  A
     zero node's ``classify`` entry carries its base group, built once; a
     subset holding its pivot and stable letter needs another pivot, the
-    one case that calls ``rewrite_zero_case`` itself.  The memo never holds
-    query answers.  It keeps at most :data:`MEMO_ENTRIES` entries, evicting
-    the oldest first, so a stream of distinct presentations runs in bounded
-    memory.  Distinct instances are independent and may run in parallel.
+    one case that calls ``rewrite_zero_case`` itself.  The memo also holds
+    the answer of each pinch test (:meth:`_base_member`), keyed by the base
+    group's rank and relator, the residue, the subset and the depth, and
+    counted in ``stats["pinch_tests"]`` whether it hits or not.  The depth
+    in the key means a hit stands for a computation under the same budgets,
+    and a test that raised stores nothing, so verdicts, witnesses and
+    :class:`~onerelator.errors.ResourceExhausted` do not depend on the
+    solver's history.  The memo keeps at most :data:`MEMO_ENTRIES` entries,
+    evicting the oldest first, so a stream of distinct presentations runs
+    in bounded memory.  Distinct instances are independent and may run in
+    parallel.
     """
 
     def __init__(self, limits=None):
         self.limits = limits or SolverLimits()
         self._memo = {}
         self.stats = {"memo_hits": 0, "nodes": 0, "max_depth": 0,
-                      "eliminations": 0}
+                      "eliminations": 0, "pinch_tests": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -144,7 +154,7 @@ class Solver:
         return words.multiply(u, v, self.limits.max_word_len)
 
     def _cached(self, fn, *args):
-        """``fn(*args)`` for a ``breakdown`` step function, memoized."""
+        """``fn(*args)``, memoized; a call that raises stores nothing."""
         key = (fn,) + args
         if key in self._memo:
             self.stats["memo_hits"] += 1
@@ -158,12 +168,12 @@ class Solver:
         """Tietze move on the least once-occurring generator outside
         ``subset``: the reduced image of ``w`` in the free group on the
         other generators, or None when no such generator exists."""
-        values = breakdown.tietze_values(relator)
-        h = min((g for g in values if g not in subset), default=None)
-        if h is None:
+        move = breakdown.tietze_value(relator, subset)
+        if move is None:
             return None
+        h, value = move
         self.stats["eliminations"] += 1
-        return words.substitute(w, {h: values[h]}, self.limits.max_word_len)
+        return words.substitute(w, {h: value}, self.limits.max_word_len)
 
     # -- public API --------------------------------------------------------
 
@@ -261,14 +271,16 @@ class Solver:
         """Membership of a residue word in the zero node's base group.
 
         The subgroup is generated by the base generators whose letter id
-        satisfies ``keep``; the witness comes back over those letters.
+        satisfies ``keep``; the witness comes back over those letters.  The
+        descent's answer is memoized under the depth it runs at.
         """
         if not u:
             return MembershipVerdict(True, ())
+        self.stats["pinch_tests"] += 1
         word, ids = base_word(zdata, u)
         subset = frozenset(k for k, a in enumerate(ids) if keep(a))
-        res = self._member(len(ids), zdata.base_relator, word, subset,
-                           depth + 1)
+        res = self._cached(self._member, len(ids), zdata.base_relator, word,
+                           subset, depth + 1)
         if not res.member:
             return res
         return MembershipVerdict(True, tuple(

@@ -17,12 +17,12 @@ from .words import (
 )
 
 
-def parse_word(text, alphabet, offset=0):
+def parse_word(text, alphabet, offset=0, max_len=DEFAULT_MAX_WORD_LEN):
     """Parse a word; raises WordSyntaxError/UnknownGenerator with the byte
     offset of the offending character.  ``offset`` shifts reported positions
     when the word is embedded in a larger input.  A power that would expand
-    the word past :data:`.words.DEFAULT_MAX_WORD_LEN` letters, before free
-    reduction, raises ResourceExhausted instead of being spelled out."""
+    the word past ``max_len`` letters, before free reduction, raises
+    ResourceExhausted instead of being spelled out."""
     out = []
     i = 0
     n = len(text)
@@ -63,13 +63,13 @@ def parse_word(text, alphabet, offset=0):
                                       offset + start)
             sign *= 1 if k > 0 else -1
             count = abs(k)
-            if len(out) + count > DEFAULT_MAX_WORD_LEN:
+            if len(out) + count > max_len:
                 raise ResourceExhausted(
-                    f"word length exceeds {DEFAULT_MAX_WORD_LEN} "
+                    f"word length exceeds {max_len} "
                     f"(at offset {offset + start})",
-                    budget="max_word_len", limit=DEFAULT_MAX_WORD_LEN)
+                    budget="max_word_len", limit=max_len)
         out.extend([sign * (gen + 1)] * count)
-    return reduce(out)
+    return reduce(out, max_len)
 
 
 def print_word(w, alphabet):
@@ -105,15 +105,17 @@ def parse_alphabet(text, offset=0):
         raise WordSyntaxError("duplicate generator name", offset) from None
 
 
-def parse_presentation(text):
-    """Parse ``a,b,... | relator`` into a normalized presentation."""
+def parse_presentation(text, max_len=DEFAULT_MAX_WORD_LEN):
+    """Parse ``a,b,... | relator`` into a normalized presentation; the
+    relator is read under the word-length cap ``max_len``."""
     if text.count("|") != 1:
         raise WordSyntaxError("expected exactly one '|'",
                               0 if "|" not in text else text.rindex("|"))
     left, right = text.split("|")
     alphabet = parse_alphabet(left)
     # relator error offsets are relative to the whole input
-    relator = parse_word(right, alphabet, offset=len(left) + 1)
+    relator = parse_word(right, alphabet, offset=len(left) + 1,
+                         max_len=max_len)
     return make_presentation(alphabet, relator)
 
 

@@ -55,6 +55,11 @@ def test_parse_word_refuses_powers_past_the_word_cap():
         parse_word(f"ba^{DEFAULT_MAX_WORD_LEN}", AB)
     assert err.value.budget == "max_word_len"
     assert err.value.limit == DEFAULT_MAX_WORD_LEN
+    # the cap is the caller's
+    assert parse_word("a^4", AB, max_len=4) == (1, 1, 1, 1)
+    with pytest.raises(ResourceExhausted) as err:
+        parse_word("ba^4", AB, max_len=4)
+    assert err.value.limit == 4
 
 
 def test_print_word():
@@ -263,6 +268,15 @@ def test_exit_code_3_on_oversized_power(capsys):
     # the power is refused before it is spelled out
     assert main(["solve", "a,b | a^99999999999", "a"]) == 3
     assert "budget max_word_len" in capsys.readouterr().err
+
+
+def test_max_word_len_caps_the_parser(capsys):
+    # a raised cap admits a power past the default, which reduces away
+    assert main(["--max-word-len", "4000000", "solve", "a,b | abAB",
+                 "a^2000000A^2000000"]) == 0
+    assert capsys.readouterr().out == "trivial\n"
+    assert main(["solve", "a,b | abAB", "a^2000000A^2000000"]) == 3
+    assert "limit 1048576" in capsys.readouterr().err
 
 
 def test_readme_command_lines_run(capsys):

@@ -1,4 +1,5 @@
 import collections
+import random
 
 import pytest
 
@@ -224,13 +225,15 @@ def test_subscript_span_budget_is_named():
         p, w) is Verdict.NONTRIVIAL
 
 
-def test_tietze_values():
-    # a b a c: b = (a c a)^-1 and c = (a b a)^-1
-    assert breakdown.tietze_values((1, 2, 1, 3)) == {
-        1: (-1, -3, -1), 2: (-1, -2, -1)}
+def test_tietze_value():
+    # a b a c: b = (a c a)^-1 is the least move, c = (a b a)^-1 the one
+    # outside a subset holding b
+    assert breakdown.tietze_value((1, 2, 1, 3)) == (1, (-1, -3, -1))
+    assert breakdown.tietze_value((1, 2, 1, 3), {1}) == (2, (-1, -2, -1))
+    assert breakdown.tietze_value((1, 2, 1, 3), {1, 2}) is None
     # a b a b^-1 c^-1: c = a b a b^-1, from a negative occurrence
-    assert breakdown.tietze_values((1, 2, 1, -2, -3)) == {2: (1, 2, 1, -2)}
-    assert breakdown.tietze_values(BS12.relator) == {}
+    assert breakdown.tietze_value((1, 2, 1, -2, -3)) == (2, (1, 2, 1, -2))
+    assert breakdown.tietze_value(BS12.relator) is None
 
 
 def test_wp_tietze_positive_occurrence():
@@ -240,6 +243,8 @@ def test_wp_tietze_positive_occurrence():
     assert solver.word_problem(p, (2, 1, 3, 1)) is Verdict.TRIVIAL
     assert solver.word_problem(p, (2, 3, -2, -3)) is Verdict.NONTRIVIAL
     assert solver.stats["eliminations"] == solver.stats["nodes"] == 2
+    # the Tietze move is not memoized
+    assert not solver._memo
 
 
 def test_wp_tietze_negative_occurrence():
@@ -274,6 +279,62 @@ def test_memo_is_bounded():
     assert len(solver._memo) <= solver_mod.MEMO_ENTRIES == 1024
     assert (breakdown.classify, 2, pres[0].relator) not in solver._memo
     assert answers(pres[0]) == first
+
+
+def test_pinch_answers_are_memoized():
+    """A pinch test asked again, within a query or by a later one, is
+    answered from the memo: the relator of <a,b | a^39 b^-1 a^30 b> asks
+    over a thousand pinch tests but only a few dozen distinct ones, and
+    asking it again descends no further than its top node."""
+    p = parse_presentation("a,b | a^39Ba^30b")
+    solver = Solver()
+    assert solver.word_problem(p, p.relator) is Verdict.TRIVIAL
+    assert solver.stats["nodes"] <= 100
+    assert solver.stats["pinch_tests"] > 1000
+    nodes, tests = solver.stats["nodes"], solver.stats["pinch_tests"]
+    assert solver.word_problem(p, p.relator) is Verdict.TRIVIAL
+    assert solver.stats["nodes"] == nodes + 1
+    assert solver.stats["pinch_tests"] > tests
+
+
+def test_exhausted_pinch_test_is_not_memoized():
+    """A call that raises stores nothing, so a query that ran out of budget
+    runs out again, at the same depth, on the same solver."""
+    solver = Solver()
+
+    def exhausted():
+        raise ResourceExhausted("out", budget="max_depth", limit=0)
+
+    with pytest.raises(ResourceExhausted):
+        solver._cached(exhausted)
+    assert not solver._memo
+    # the case of test_subscript_span_budget_is_named
+    p = parse_presentation("a,b | aba^2Ba")
+    w = parse_word("BAbABA^2b", p.alphabet)
+    solver = Solver(SolverLimits(max_subscript_span=1))
+    seen = []
+    for _ in range(2):
+        with pytest.raises(ResourceExhausted) as info:
+            solver.word_problem(p, w)
+        seen.append((info.value.budget, info.value.limit, info.value.depth,
+                     len(solver._memo)))
+    assert seen[0] == seen[1]
+    assert seen[0][:3] == ("max_subscript_span", 1, 1)
+
+
+def test_answers_do_not_depend_on_the_solvers_history():
+    """One solver answering a stream of queries gives the verdicts and
+    witnesses a fresh solver per query gives."""
+    from test_acceptance import SEED, fuzz_queries
+
+    shared = Solver()
+    for pres, w, subset, _ in fuzz_queries(random.Random(SEED), 100, 4):
+        if subset is None:
+            assert shared.word_problem(pres, w) is \
+                Solver().word_problem(pres, w), (pres, w)
+        else:
+            assert shared.magnus_membership(pres, w, subset) == \
+                Solver().magnus_membership(pres, w, subset), (pres, w)
 
 
 def test_memo_is_name_free():

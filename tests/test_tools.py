@@ -15,3 +15,14 @@ def test_answer_hash_prints_one_line_per_run_and_a_total():
         for s in (1, 2)]
     assert all(" nodes " in line for line in lines[:6])
     assert len(lines) == 7 and len(lines[6].split()[1]) == 64
+
+
+def test_answer_hash_is_pinned():
+    # every verdict and witness of the first 200 queries of each run, as
+    # the parse-and-solve path gives them; a change that moves this total
+    # changed an answer
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "answer_hash.py"), str(ROOT),
+         "200"], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == ("total fdc270311c491706ae98ad5ebeb32862"
+                                    "301fc81e36ba8908fe9ce5e2b46ea7cd")
