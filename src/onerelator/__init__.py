@@ -20,10 +20,6 @@ from .solver import (
     Solver,
     SolverLimits,
     Verdict,
-    hierarchy_tree,
-    is_root,
-    magnus_membership,
-    word_problem,
 )
 from .textio import parse_presentation, parse_word, print_presentation, print_word
 from .words import Alphabet
@@ -47,13 +43,9 @@ __all__ = [
     "WordSyntaxError",
     "ZeroCaseData",
     "classify",
-    "hierarchy_tree",
-    "is_root",
-    "magnus_membership",
     "make_presentation",
     "parse_presentation",
     "parse_word",
     "print_presentation",
     "print_word",
-    "word_problem",
 ]

@@ -84,11 +84,6 @@ class EmbeddingData:
     gen_map: dict               # other old gen id -> image gen id
     substitution: dict = field(repr=False)  # old gen id -> image word
 
-    def translate(self, w, max_len=words.DEFAULT_MAX_WORD_LEN):
-        """Image of a query word under the embedding, freely reduced;
-        raises ResourceExhausted past ``max_len`` letters."""
-        return words.substitute(w, self.substitution, max_len)
-
 
 @dataclass(frozen=True)
 class BreakdownStep:

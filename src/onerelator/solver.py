@@ -14,14 +14,16 @@ subgroup on no generators, with witness ``()``:
   (:meth:`Solver._fp_reduce`),
 * a zero-exponent-sum generator gives an HNN extension whose base is a
   one-relator group on subscripted generators with a strictly shorter
-  relator; queries are put in stable-letter syllable form and pinches
-  ``t u t^-1`` (``u`` in an associated Magnus subgroup) are eliminated by
-  rewriting ``u`` over the subgroup's free basis and shifting subscripts,
-  in one left-to-right stack pass that tests each pinch once
-  (:meth:`Solver._britton`); a pinch test's answer depends only on the
-  base group, the residue and the subset, so it is memoized,
+  relator (:meth:`Solver._member_zero`); queries are put in stable-letter
+  syllable form and pinches ``t u t^-1`` (``u`` in an associated Magnus
+  subgroup) are eliminated by rewriting ``u`` over the subgroup's free
+  basis and shifting subscripts, in one left-to-right stack pass that
+  tests each pinch once (:meth:`Solver._britton`); a pinch test's answer
+  depends only on the base group, the residue and the subset, so it is
+  memoized,
 * otherwise an injective substitution creates such a generator and maps
-  the queried subset into a Magnus subgroup of the image.
+  the queried subset into a Magnus subgroup of the image, which the same
+  recursion decides at the same depth (:meth:`Solver._member_nonzero`).
 
 Membership queries return witnesses (words over the queried subset), which
 is what makes the pinch elimination effective: the associated subgroups are
@@ -31,13 +33,13 @@ and shifting its subscripts realizes the stable-letter conjugation.
 The recursion carries no generator names: a node is a rank and a relator
 over ids ``0..rank-1``.  A zero node's base group is built once, by
 :func:`.breakdown.rewrite_zero_case`, and every descent into it maps its
-residue with :func:`.breakdown.base_word`.  A subset holding the stable
-letter ``t`` is a tower of ``t``-conjugates (``t^i g t^-i`` times a power
-of ``t``), decided only by :meth:`Solver._member_zero_with_t`.  Breakdown
-steps and pinch answers are memoized in one table per solver, keyed by
-function and arguments and bounded at :data:`MEMO_ENTRIES` entries.  Names
-are made only in :meth:`Solver._tree`, for the tree that
-``hierarchy_tree`` returns.
+residue with :func:`.breakdown.base_word`.  Each node shape has one path,
+wherever the subset lies; a subset holding a zero node's stable letter
+``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
+t^-i`` times a power of ``t``).  Breakdown steps and pinch answers are
+memoized in one table per solver, keyed by function and arguments and
+bounded at :data:`MEMO_ENTRIES` entries.  Names are made only in
+:meth:`Solver._tree`, for the tree that ``hierarchy_tree`` returns.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
@@ -115,27 +117,29 @@ class Solver:
     The memo holds the results of ``breakdown.classify``,
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
     keyed by the function and its arguments (rank, relator, generator ids),
-    so presentations that differ only in generator names share entries.  A
-    zero node's ``classify`` entry carries its base group, built once; a
-    subset holding its pivot and stable letter needs another pivot, the
-    one case that calls ``rewrite_zero_case`` itself.  The memo also holds
-    the answer of each pinch test (:meth:`_base_member`), keyed by the base
-    group's rank and relator, the residue, the subset and the depth, and
-    counted in ``stats["pinch_tests"]`` whether it hits or not.  The depth
-    in the key means a hit stands for a computation under the same budgets,
-    and a test that raised stores nothing, so verdicts, witnesses and
-    :class:`~onerelator.errors.ResourceExhausted` do not depend on the
-    solver's history.  The memo keeps at most :data:`MEMO_ENTRIES` entries,
-    evicting the oldest first, so a stream of distinct presentations runs
-    in bounded memory.  Distinct instances are independent and may run in
-    parallel.
+    so presentations that differ only in generator names share entries;
+    a hit is counted in ``stats["memo_hits"]``.  A zero node's
+    ``classify`` entry carries its base group, built once; a subset holding
+    its pivot and stable letter needs another pivot, the one case in which
+    :meth:`_member_zero` calls ``rewrite_zero_case`` itself.  The memo
+    also holds the answer of each pinch test (:meth:`_base_member`), keyed
+    by the base group's rank and relator, the residue, the subset and the
+    depth; every test is counted in ``stats["pinch_tests"]`` and a hit also
+    in ``stats["pinch_hits"]``.
+    The depth in the key means a hit stands for a computation under the
+    same budgets, and a test that raised stores nothing, so verdicts,
+    witnesses and :class:`~onerelator.errors.ResourceExhausted` do not
+    depend on the solver's history.  The memo keeps at most
+    :data:`MEMO_ENTRIES` entries, evicting the oldest first, so a stream of
+    distinct presentations runs in bounded memory.  Distinct instances are
+    independent and may run in parallel.
     """
 
     def __init__(self, limits=None):
         self.limits = limits or SolverLimits()
         self._memo = {}
-        self.stats = {"memo_hits": 0, "nodes": 0, "max_depth": 0,
-                      "eliminations": 0, "pinch_tests": 0}
+        self.stats = {"memo_hits": 0, "pinch_hits": 0, "nodes": 0,
+                      "max_depth": 0, "eliminations": 0, "pinch_tests": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -153,11 +157,12 @@ class Solver:
     def _mul(self, u, v):
         return words.multiply(u, v, self.limits.max_word_len)
 
-    def _cached(self, fn, *args):
-        """``fn(*args)``, memoized; a call that raises stores nothing."""
+    def _cached(self, hits, fn, *args):
+        """``fn(*args)``, memoized; a hit bumps ``stats[hits]``, and a call
+        that raises stores nothing."""
         key = (fn,) + args
         if key in self._memo:
-            self.stats["memo_hits"] += 1
+            self.stats[hits] += 1
             return self._memo[key]
         out = self._memo[key] = fn(*args)
         if len(self._memo) > MEMO_ENTRIES:
@@ -279,8 +284,8 @@ class Solver:
         self.stats["pinch_tests"] += 1
         word, ids = base_word(zdata, u)
         subset = frozenset(k for k, a in enumerate(ids) if keep(a))
-        res = self._cached(self._member, len(ids), zdata.base_relator, word,
-                           subset, depth + 1)
+        res = self._cached("pinch_hits", self._member, len(ids),
+                           zdata.base_relator, word, subset, depth + 1)
         if not res.member:
             return res
         return MembershipVerdict(True, tuple(
@@ -308,7 +313,8 @@ class Solver:
                 return self._member_free_split(relator, w, subset, active,
                                                depth)
 
-            step = self._cached(breakdown.classify, rank, relator)
+            step = self._cached("memo_hits", breakdown.classify, rank,
+                                relator)
             if step.kind == "base_single":
                 # subset is empty here (the full subset returned above)
                 if words.exponent_sum(w, 0) % step.order == 0:
@@ -316,18 +322,9 @@ class Solver:
                 return MembershipVerdict(False)
 
             if step.kind == "zero":
-                zd = step.zero
-                if zd.stable not in subset:
-                    return self._member_zero_without_t(zd, w, subset, depth)
-                return self._member_zero_with_t(rank, relator, w, subset, zd,
-                                                depth)
-
-            omitted = sorted(set(range(rank)) - subset)
-            if len(omitted) >= 2:
-                return self._member_nonzero_fixed(rank, relator, w, subset,
-                                                  omitted, depth)
-            return self._member_nonzero_omit_one(rank, relator, w, subset,
-                                                 omitted[0], depth)
+                return self._member_zero(rank, relator, w, subset, step.zero,
+                                         depth)
+            return self._member_nonzero(rank, relator, w, subset, depth)
         except ResourceExhausted as exc:
             # an overrun inside words has no depth: this is the innermost
             # node it leaves
@@ -362,93 +359,70 @@ class Solver:
         return MembershipVerdict(
             True, words.concat(witness_parts, self.limits.max_word_len))
 
-    def _member_zero_without_t(self, zdata, w, subset, depth):
-        if words.exponent_sum(w, zdata.stable) != 0:
-            return MembershipVerdict(False)
-        items = self._britton(zdata, w, depth)
-        if len(items) > 1:
-            return MembershipVerdict(False)
-        # the subscript-0 letters are the plain letters 1..rank
-        return self._base_member(zdata, items[0], lambda a: a - 1 in subset,
-                                 depth)
+    def _member_zero(self, rank, relator, w, subset, zd, depth):
+        """Zero node with stable letter ``t``: Britton-reduce ``w`` times
+        ``t^-d``, ``d`` its ``t``-exponent sum, and ask its base word.
 
-    def _member_zero_with_t(self, rank, relator, w, subset, zd, depth):
-        """Stable letter ``t = zd.stable`` inside the subset.
-
-        ``<t, S'>`` splits as conjugate tower by ``t``: every element is
-        (word in the ``t``-conjugates of ``S'``) * ``t^d`` with ``d`` the
-        ``t``-exponent sum, and a base letter ``h_i`` of the witness pulls
-        back to ``t^i h t^-i``.  The pivot is taken from the omitted
-        generators so the tower sits inside both associated subgroups.
+        Without ``t`` the subset keeps its subscript-0 letters and ``d``
+        must be 0.  With ``t``, ``<t, S'>`` is a tower of ``t``-conjugates
+        of ``S'`` times ``t^d``: the base keeps every subscript of ``S'``,
+        a witness letter ``h_i`` pulls back to ``t^i h t^-i``, and the
+        pivot is an omitted generator so the tower sits inside both
+        associated subgroups.
         """
-        if zd.pivot in subset:
-            zd = self._cached(breakdown.rewrite_zero_case, relator, zd.stable,
-                              min(set(range(rank)) - subset))
-        t, cap = zd.stable + 1, self.limits.max_word_len
-        d = words.exponent_sum(w, zd.stable)
-        items = self._britton(zd, self._mul(w, words.power((t,), -d, cap)),
-                              depth)
+        t, cap = zd.stable, self.limits.max_word_len
+        d = words.exponent_sum(w, t)
+        if t in subset:
+            if zd.pivot in subset:
+                zd = self._cached("memo_hits", breakdown.rewrite_zero_case,
+                                  relator, t, min(set(range(rank)) - subset))
+            keep = lambda a: _decode(zd.rank, a)[0] in subset
+        elif d:
+            return MembershipVerdict(False)
+        else:
+            # the subscript-0 letters are the plain letters 1..rank
+            keep = lambda a: a - 1 in subset
+        if d:
+            w = self._mul(w, words.power((t + 1,), -d, cap))
+        items = self._britton(zd, w, depth)
         if len(items) > 1:
             return MembershipVerdict(False)
-        res = self._base_member(
-            zd, items[0], lambda a: _decode(zd.rank, a)[0] in subset, depth)
-        if not res.member:
+        res = self._base_member(zd, items[0], keep, depth)
+        if not res.member or t not in subset:
             return res
         parts = []
         for lt in res.witness:
             h, i = _decode(zd.rank, abs(lt))
-            conj = words.power((t,), i, cap)
+            conj = words.power((t + 1,), i, cap)
             parts += (conj, (words.letter_sign(lt) * (h + 1),),
                       words.invert(conj))
-        parts.append(words.power((t,), d, cap))
+        parts.append(words.power((t + 1,), d, cap))
         return MembershipVerdict(True, words.concat(parts, cap))
 
-    def _member_nonzero_fixed(self, rank, relator, w, subset, omitted, depth):
-        """Both substitution generators can be taken outside the subset, so
-        the embedding fixes the subset pointwise."""
-        a, b = omitted[0], omitted[1]
-        emb = self._cached(breakdown.embed_nonzero_case, rank, relator, a, b)
-        image_subset = frozenset(emb.gen_map[s] for s in subset)
-        res = self._member(rank, emb.image_relator,
-                           emb.translate(w, self.limits.max_word_len),
-                           image_subset, depth)
-        if not res.member:
-            return res
-        back = {v: k for k, v in emb.gen_map.items()}
-        return MembershipVerdict(True, map_word(res.witness, back))
+    def _member_nonzero(self, rank, relator, w, subset, depth):
+        """Nonzero node: ``a -> y x^-beta, b -> x^alpha`` with ``a`` the
+        least omitted generator and ``b`` the next, or the least subset
+        generator when only ``a`` is omitted.
 
-    def _member_nonzero_omit_one(self, rank, relator, w, subset, gstar,
-                                 depth):
-        """Exactly one generator is missing from the subset.
-
-        Substituting ``gstar -> y x^-beta`` and ``b' -> x^alpha`` sends
-        ``<subset>`` onto ``<x^alpha, fixed generators>`` inside the Magnus
-        subgroup ``M`` of the image on every generator but ``y``.  ``y``
-        survives in the image relator, so ``M`` is free, and ``w`` lies in
-        ``<subset>`` iff its image lies in ``M`` with a witness whose
-        maximal ``x``-runs are powers of ``x^alpha``; ``x^(alpha j)`` pulls
-        back to ``b'^j``.  ``M`` is a zero case with ``t = x``, or a free
-        split off ``<x>`` when ``x`` vanished from the image relator.
+        ``<subset>`` maps into the image's Magnus subgroup ``M`` on the
+        images of the subset (``x`` for ``b``).  ``y`` survives in the
+        image relator, so ``M`` is free, and ``w`` lies in ``<subset>`` iff
+        its image has a witness in ``M`` whose maximal ``x``-runs are
+        powers of ``x^alpha``; ``x^(alpha j)`` pulls back to ``b^j``.  A
+        member has ``a``-exponent sum divisible by ``alpha``, hence its
+        image an ``x``-exponent sum divisible by ``alpha``.
         """
-        bprime = min(subset)
-        emb = self._cached(breakdown.embed_nonzero_case, rank, relator,
-                           gstar, bprime)
+        omitted = sorted(set(range(rank)) - subset)
+        a = omitted[0]
+        b = omitted[1] if len(omitted) > 1 else min(subset)
+        emb = self._cached("memo_hits", breakdown.embed_nonzero_case, rank,
+                           relator, a, b)
         cap = self.limits.max_word_len
-        wprime = emb.translate(w, cap)
+        wprime = words.substitute(w, emb.substitution, cap)
         if words.exponent_sum(wprime, emb.x_gen) % emb.alpha != 0:
             return MembershipVerdict(False)
-        image = emb.image_relator
-        magnus = frozenset(range(rank)) - {emb.y_gen}
-        active = words.support(image)
-        if emb.x_gen in active:
-            # x (id 0) has exponent sum 0, so classify's base group is the
-            # zero case with t = x and pivot y (id 1)
-            zd = self._cached(breakdown.classify, rank, image).zero
-            res = self._member_zero_with_t(rank, image, wprime, magnus, zd,
-                                           depth)
-        else:
-            res = self._member_free_split(image, wprime, magnus, active,
-                                          depth + 1)
+        magnus = frozenset(emb.gen_map.get(s, emb.x_gen) for s in subset)
+        res = self._member(rank, emb.image_relator, wprime, magnus, depth)
         if not res.member:
             return res
         back = {v: k for k, v in emb.gen_map.items()}
@@ -463,7 +437,7 @@ class Solver:
             e = words.letter_sign(run[0]) * len(run)
             if e % emb.alpha != 0:
                 return MembershipVerdict(False)
-            parts.append(words.power((bprime + 1,), e // emb.alpha, cap))
+            parts.append(words.power((b + 1,), e // emb.alpha, cap))
         return MembershipVerdict(True, words.concat(parts, cap))
 
     # -- hierarchy tree ----------------------------------------------------
@@ -479,15 +453,16 @@ class Solver:
             relator, _ = restrict_to_subalphabet(relator, active)
             names = tuple(n for g, n in enumerate(names) if g in active)
             pres = OneRelatorPresentation(Alphabet(names), relator)
-        step = self._cached(breakdown.classify, len(names), relator)
+        step = self._cached("memo_hits", breakdown.classify, len(names),
+                            relator)
         node = HierarchyNode(presentation=pres, kind=step.kind, step=step,
                              free_part=free_part)
         if step.kind == "zero":
             child_names = [f"{names[g]}_{i}" for g, i in step.zero.pairs]
             child_relator = step.zero.base_relator
         elif step.kind == "nonzero":
-            emb = self._cached(breakdown.embed_nonzero_case, len(names),
-                               relator, 0, 1)
+            emb = self._cached("memo_hits", breakdown.embed_nonzero_case,
+                               len(names), relator, 0, 1)
             child_names = fresh_names(names, 2) + [
                 names[g] for g in sorted(emb.gen_map)]
             child_relator = emb.image_relator
@@ -505,20 +480,3 @@ def fresh_names(names, count):
                  (f"x{k}" for k in range(len(names) + count)))
     return list(islice((n for n in pool if n not in names), count))
 
-
-# -- module-level conveniences ---------------------------------------------
-
-def word_problem(pres, w, limits=None):
-    return Solver(limits).word_problem(pres, w)
-
-
-def magnus_membership(pres, w, subset, limits=None):
-    return Solver(limits).magnus_membership(pres, w, subset)
-
-
-def is_root(s, r, alphabet, limits=None):
-    return Solver(limits).is_root(s, r, alphabet)
-
-
-def hierarchy_tree(pres, limits=None):
-    return Solver(limits).hierarchy_tree(pres)

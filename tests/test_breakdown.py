@@ -123,7 +123,7 @@ def test_embed_nonzero_case():
     # sigma_x of the image relator must vanish
     assert words.exponent_sum(emb.image_relator, emb.x_gen) == 0
     # translating the relator itself gives a trivial image
-    _, core = words.cyclic_reduce(emb.translate(r))
+    _, core = words.cyclic_reduce(words.substitute(r, emb.substitution))
     assert words.cyclically_equal_up_to_inversion(core, emb.image_relator) \
         or core == ()
 
@@ -131,7 +131,7 @@ def test_embed_nonzero_case():
 def test_embed_nonzero_preserves_other_generators():
     emb = embed_nonzero_case(3, (1, 2, 3), 0, 1)
     assert emb.gen_map == {2: 2}
-    assert emb.translate((3,)) == (3,)
+    assert words.substitute((3,), emb.substitution) == (3,)
 
 
 def test_embed_nonzero_preconditions():

@@ -6,7 +6,7 @@ from onerelator import words
 from onerelator.errors import UnknownGenerator
 from onerelator.oracles import psl2_eval, random_reduced_word
 from onerelator.presentations import make_presentation
-from onerelator.solver import Solver, Verdict, magnus_membership
+from onerelator.solver import Solver, SolverLimits, Verdict
 from onerelator.textio import parse_presentation, parse_word
 from onerelator.words import Alphabet
 
@@ -30,23 +30,23 @@ def check_witness(pres, w, subset, res, solver=None):
 
 def test_full_subset_is_identity_map():
     w = (1, 2, -1)
-    res = magnus_membership(Z2, w, {0, 1})
+    res = Solver().magnus_membership(Z2, w, {0, 1})
     assert res.member and res.witness == w
 
 
 def test_empty_word_always_member():
-    res = magnus_membership(Z2, (), {0})
+    res = Solver().magnus_membership(Z2, (), {0})
     assert res.member and res.witness == ()
 
 
 def test_subset_validation():
     with pytest.raises(UnknownGenerator):
-        magnus_membership(Z2, (1,), {0, 5})
+        Solver().magnus_membership(Z2, (1,), {0, 5})
 
 
 def test_abc_relator_eliminates_c():
     # in <a,b,c | abc>: c equals b^-1 a^-1, a member of <a,b>
-    res = magnus_membership(ABCREL, (3,), {0, 1})
+    res = Solver().magnus_membership(ABCREL, (3,), {0, 1})
     check_witness(ABCREL, (3,), {0, 1}, res)
     assert res.witness == (-2, -1)
 
@@ -89,53 +89,53 @@ def test_magnus_subgroup_is_free_basis():
     # the subgroup <a,b> of <a,b,c | abc> is free: a b a^-1 b^-1 is a
     # member (itself) but stays nontrivial
     w = (1, 2, -1, -2)
-    res = magnus_membership(ABCREL, w, {0, 1})
+    res = Solver().magnus_membership(ABCREL, w, {0, 1})
     check_witness(ABCREL, w, {0, 1}, res)
     assert Solver().word_problem(ABCREL, w) is Verdict.NONTRIVIAL
 
 
 def test_z2_membership():
     # in Z^2, b is not in <a>
-    assert not magnus_membership(Z2, (2,), {0}).member
+    assert not Solver().magnus_membership(Z2, (2,), {0}).member
     # but a b a^-1 is b, and b is in <b>
-    res = magnus_membership(Z2, (1, 2, -1), {1})
+    res = Solver().magnus_membership(Z2, (1, 2, -1), {1})
     check_witness(Z2, (1, 2, -1), {1}, res)
     assert res.witness == (2,)
 
 
 def test_bs12_membership_powers_of_b():
     # a b a^-1 = b^2 lies in <b>
-    res = magnus_membership(BS12, (1, 2, -1), {1})
+    res = Solver().magnus_membership(BS12, (1, 2, -1), {1})
     check_witness(BS12, (1, 2, -1), {1}, res)
     assert res.witness == (2, 2)
     # a^-1 b a is a square root of b, so it is not itself a b-power
-    assert not magnus_membership(BS12, (-1, 2, 1), {1}).member
+    assert not Solver().magnus_membership(BS12, (-1, 2, 1), {1}).member
 
 
 def test_bs12_membership_with_stable_letter():
     # <a> contains a^3 but not b
-    res = magnus_membership(BS12, (1, 1, 1), {0})
+    res = Solver().magnus_membership(BS12, (1, 1, 1), {0})
     check_witness(BS12, (1, 1, 1), {0}, res)
-    assert not magnus_membership(BS12, (2,), {0}).member
+    assert not Solver().magnus_membership(BS12, (2,), {0}).member
 
 
 def test_membership_with_free_factor():
     # <a,b,c | a^2>: is c b c^-1 in <b,c>? plainly, as itself
     p = make_presentation(ABC, (1, 1))
     w = (3, 2, -3)
-    res = magnus_membership(p, w, {1, 2})
+    res = Solver().magnus_membership(p, w, {1, 2})
     check_witness(p, w, {1, 2}, res)
     # a^2 is trivial hence a member of anything, with empty witness
-    res = magnus_membership(p, (1, 1), {1})
+    res = Solver().magnus_membership(p, (1, 1), {1})
     check_witness(p, (1, 1), {1}, res)
     # a alone is not in <b,c>
-    assert not magnus_membership(p, (1,), {1, 2}).member
+    assert not Solver().magnus_membership(p, (1,), {1, 2}).member
 
 
 def test_membership_nonzero_two_omitted():
     # <a,b,c | abc>, subset {a}: b is not in <a>, but a trivially is
-    assert not magnus_membership(ABCREL, (2,), {0}).member
-    res = magnus_membership(ABCREL, (1,), {0})
+    assert not Solver().magnus_membership(ABCREL, (2,), {0}).member
+    res = Solver().magnus_membership(ABCREL, (1,), {0})
     check_witness(ABCREL, (1,), {0}, res)
 
 
@@ -143,16 +143,16 @@ def test_membership_nonzero_two_omitted_without_elimination():
     # <a,b,c | a^2 b^2 c^2>: no generator occurs once, so subset {c} takes
     # the embedding that fixes c; a^2 b^2 = c^-2
     p = make_presentation(ABC, (1, 1, 2, 2, 3, 3))
-    res = magnus_membership(p, (1, 1, 2, 2, 3), {2})
+    res = Solver().magnus_membership(p, (1, 1, 2, 2, 3), {2})
     check_witness(p, (1, 1, 2, 2, 3), {2}, res)
     assert res.witness == (-3,)
-    assert not magnus_membership(p, (1,), {2}).member
+    assert not Solver().magnus_membership(p, (1,), {2}).member
     # <a,b,c | a^2 b^2>, subset {a,c}: the active syllable b is not in <a>,
     # and for subset {a} the free syllable c is not in it either
     p = make_presentation(ABC, (1, 1, 2, 2))
-    assert not magnus_membership(p, (2, 3), {0, 2}).member
-    assert not magnus_membership(p, (1, 3), {0}).member
-    res = magnus_membership(p, (2, 2, 3), {0, 2})
+    assert not Solver().magnus_membership(p, (2, 3), {0, 2}).member
+    assert not Solver().magnus_membership(p, (1, 3), {0}).member
+    res = Solver().magnus_membership(p, (2, 2, 3), {0, 2})
     check_witness(p, (2, 2, 3), {0, 2}, res)
     assert res.witness == (-1, -1, 3)
 
@@ -163,7 +163,7 @@ def test_membership_omit_one_x_vanishes_non_member():
     # a-exponent sum divisible by 2, and a has 1
     p = make_presentation(ABC, (1, 2, 1, 2, 3))
     assert words.exponent_sum(p.relator, 0) == 2
-    assert not magnus_membership(p, (1,), {1, 2}).member
+    assert not Solver().magnus_membership(p, (1,), {1, 2}).member
 
 
 def test_membership_omit_one_x_present_non_member():
@@ -174,7 +174,7 @@ def test_membership_omit_one_x_present_non_member():
     p = make_presentation(AB, (1, 1, -2, -2, -2))
     assert psl2_eval(p.relator).is_identity()
     assert not psl2_eval((2, 1, -2, -1)).is_identity()
-    assert not magnus_membership(p, (2, 1, -2), {0}).member
+    assert not Solver().magnus_membership(p, (2, 1, -2), {0}).member
 
 
 @pytest.mark.parametrize("text, subset, w, witness", [
@@ -187,21 +187,34 @@ def test_membership_omit_one_x_present_non_member():
     ("a,b | a^2B^3", {0}, "b^3", "a^2"),
     ("a,b | a^2B^3", {0}, "B^3ab^3", "a"),
     ("a,b | a^2B^3", {0}, "b^6a", "a^5"),
+    # <a,b,c | a^2 b^2 c^2>, subset {c}: a and b are both omitted, so the
+    # embedding fixes c and the image's witness has no x letters
+    ("a,b,c | a^2b^2c^2", {2}, "a^2b^2", "C^2"),
 ])
-def test_membership_omit_one_pulls_back_x_runs(text, subset, w, witness):
+def test_membership_nonzero_pulls_back_witness(text, subset, w, witness):
     """Each maximal x^(alpha j) run of the image's witness pulls back to
-    b'^j (alpha = 2 and alpha = -3 here), each fixed letter to itself."""
+    b^j (alpha = 2 and alpha = -3 here), each fixed letter to itself."""
     p = parse_presentation(text)
     w = parse_word(w, p.alphabet)
-    res = magnus_membership(p, w, subset)
+    res = Solver().magnus_membership(p, w, subset)
     check_witness(p, w, subset, res)
     assert res.witness == parse_word(witness, p.alphabet)
+
+
+def test_nonzero_image_runs_at_the_nodes_depth():
+    """A nonzero node asks its image at its own depth, whether x survives
+    in the image relator or vanishes from it (then the image splits off
+    <x> as a free factor)."""
+    p = parse_presentation("a,b,c | ababc")
+    w = parse_word("baba", p.alphabet)
+    res = Solver(SolverLimits(max_depth=1)).magnus_membership(p, w, {1, 2})
+    assert res.witness == parse_word("bCB", p.alphabet)
 
 
 def test_membership_torsion_quotient():
     # <a,b | (ab)^2>, subset {a}: b a b is a^-1 modulo the relator
     p = make_presentation(AB, (1, 2, 1, 2))
-    res = magnus_membership(p, (2, 1, 2), {0})
+    res = Solver().magnus_membership(p, (2, 1, 2), {0})
     check_witness(p, (2, 1, 2), {0}, res)
     assert res.witness == (-1,)
 

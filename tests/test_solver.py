@@ -7,12 +7,7 @@ from onerelator import breakdown, words
 from onerelator import solver as solver_mod
 from onerelator.errors import ResourceExhausted, UnknownGenerator
 from onerelator.presentations import make_presentation
-from onerelator.solver import (
-    Solver,
-    SolverLimits,
-    Verdict,
-    word_problem,
-)
+from onerelator.solver import Solver, SolverLimits, Verdict
 from onerelator.textio import parse_presentation, parse_word
 from onerelator.words import Alphabet
 
@@ -33,75 +28,77 @@ def test_limits_validation():
 
 
 def test_wp_empty_word_trivial():
-    assert word_problem(Z2, ()) is Verdict.TRIVIAL
+    assert Solver().word_problem(Z2, ()) is Verdict.TRIVIAL
 
 
 def test_wp_rejects_foreign_letters():
     with pytest.raises(UnknownGenerator):
-        word_problem(Z2, (3,))
+        Solver().word_problem(Z2, (3,))
 
 
 def test_wp_z2():
-    assert word_problem(Z2, (1, 2, -1, -2)) is Verdict.TRIVIAL
-    assert word_problem(Z2, (2, 1, -2, -1)) is Verdict.TRIVIAL
-    assert word_problem(Z2, (1, 2)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(Z2, (1, 2, -1, -2)) is Verdict.TRIVIAL
+    assert Solver().word_problem(Z2, (2, 1, -2, -1)) is Verdict.TRIVIAL
+    assert Solver().word_problem(Z2, (1, 2)) is Verdict.NONTRIVIAL
     # commutator of squares is also trivial in Z^2
     w = words.concat([words.power((1,), 2), words.power((2,), 2),
                       words.power((1,), -2), words.power((2,), -2)])
-    assert word_problem(Z2, w) is Verdict.TRIVIAL
+    assert Solver().word_problem(Z2, w) is Verdict.TRIVIAL
 
 
 def test_wp_bs12():
     # a b a^-1 = b^2 holds, so a b a^-1 b^-2 and its conjugates die
-    assert word_problem(BS12, (1, 2, -1, -2, -2)) is Verdict.TRIVIAL
-    assert word_problem(BS12, (2, 1, 2, -1, -2, -2, -2)) is Verdict.TRIVIAL
+    assert Solver().word_problem(BS12, (1, 2, -1, -2, -2)) is Verdict.TRIVIAL
+    assert Solver().word_problem(BS12, (2, 1, 2, -1, -2, -2, -2)) is \
+        Verdict.TRIVIAL
     # b a b a^-1 b^-2 equals b, hence nontrivial
-    assert word_problem(BS12, (2, 1, 2, -1, -2, -2)) is Verdict.NONTRIVIAL
-    assert word_problem(BS12, (1, -2)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(BS12, (2, 1, 2, -1, -2, -2)) is \
+        Verdict.NONTRIVIAL
+    assert Solver().word_problem(BS12, (1, -2)) is Verdict.NONTRIVIAL
     # a b^2 a^-1 = b^4
     w = words.concat([(1,), (2, 2), (-1,), words.power((2,), -4)])
-    assert word_problem(BS12, w) is Verdict.TRIVIAL
+    assert Solver().word_problem(BS12, w) is Verdict.TRIVIAL
 
 
 def test_wp_klein_bottle():
     # b a^2 b^-1 a^2 dies in <a,b | abab^-1>
-    assert word_problem(KLEIN, (2, 1, 1, -2, 1, 1)) is Verdict.TRIVIAL
-    assert word_problem(KLEIN, (1, 2, -1, -2)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(KLEIN, (2, 1, 1, -2, 1, 1)) is Verdict.TRIVIAL
+    assert Solver().word_problem(KLEIN, (1, 2, -1, -2)) is Verdict.NONTRIVIAL
 
 
 def test_wp_trefoil():
-    assert word_problem(TREFOIL, TREFOIL.relator) is Verdict.TRIVIAL
-    assert word_problem(TREFOIL, words.power(TREFOIL.relator, 2)) is \
+    assert Solver().word_problem(TREFOIL, TREFOIL.relator) is Verdict.TRIVIAL
+    assert Solver().word_problem(TREFOIL, words.power(TREFOIL.relator, 2)) is \
         Verdict.TRIVIAL
-    assert word_problem(TREFOIL, (1, 2)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(TREFOIL, (1, 2)) is Verdict.NONTRIVIAL
     # a^2 = b^3 is central but not trivial
-    assert word_problem(TREFOIL, (1, 1)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(TREFOIL, (1, 1)) is Verdict.NONTRIVIAL
 
 
 def test_wp_torsion_base_case():
     p = make_presentation(Alphabet(("a",)), (1, 1, 1))
-    assert word_problem(p, (1, 1, 1)) is Verdict.TRIVIAL
-    assert word_problem(p, (1, 1)) is Verdict.NONTRIVIAL
-    assert word_problem(p, words.power((1,), -6)) is Verdict.TRIVIAL
+    assert Solver().word_problem(p, (1, 1, 1)) is Verdict.TRIVIAL
+    assert Solver().word_problem(p, (1, 1)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(p, words.power((1,), -6)) is Verdict.TRIVIAL
 
 
 def test_wp_free_factor_split():
     # <a,b,c | a^2>: c is a genuine free letter
     p = make_presentation(ABC, (1, 1))
-    assert word_problem(p, (3,)) is Verdict.NONTRIVIAL
-    assert word_problem(p, (3, 1, 1, -3)) is Verdict.TRIVIAL
-    assert word_problem(p, (3, 1, -3, 3, 1, -3)) is Verdict.TRIVIAL
-    assert word_problem(p, (1, 3)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(p, (3,)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(p, (3, 1, 1, -3)) is Verdict.TRIVIAL
+    assert Solver().word_problem(p, (3, 1, -3, 3, 1, -3)) is Verdict.TRIVIAL
+    assert Solver().word_problem(p, (1, 3)) is Verdict.NONTRIVIAL
 
 
 def test_wp_surface_relator():
     # genus-2 surface group: the relator and a random conjugate die
     p = make_presentation(Alphabet(("a", "b", "c", "d")),
                           (1, 2, -1, -2, 3, 4, -3, -4))
-    assert word_problem(p, p.relator) is Verdict.TRIVIAL
+    assert Solver().word_problem(p, p.relator) is Verdict.TRIVIAL
     w = words.concat([(2, 3), p.relator, (-3, -2)])
-    assert word_problem(p, w) is Verdict.TRIVIAL
-    assert word_problem(p, (1, 2, -1, -2)) is Verdict.NONTRIVIAL
+    assert Solver().word_problem(p, w) is Verdict.TRIVIAL
+    assert Solver().word_problem(p, (1, 2, -1, -2)) is Verdict.NONTRIVIAL
 
 
 def test_britton_reduce_pinch():
@@ -297,6 +294,20 @@ def test_pinch_answers_are_memoized():
     assert solver.stats["pinch_tests"] > tests
 
 
+def test_pinch_hits_are_counted_apart_from_memo_hits():
+    """A repeated pinch test is a hit in stats["pinch_hits"];
+    stats["memo_hits"] counts only breakdown-step hits."""
+    solver = Solver()
+    zd = breakdown.classify(2, BS12.relator).zero
+    # the residue b_0^2 in the base subgroup on b_0
+    for hits in (0, 1):
+        res = solver._base_member(zd, (2, 2), lambda a: a == 2, 0)
+        assert res.witness == (2, 2)
+        assert solver.stats["pinch_hits"] == hits
+    assert solver.stats["pinch_tests"] == 2
+    assert solver.stats["memo_hits"] == 0
+
+
 def test_exhausted_pinch_test_is_not_memoized():
     """A call that raises stores nothing, so a query that ran out of budget
     runs out again, at the same depth, on the same solver."""
@@ -306,7 +317,7 @@ def test_exhausted_pinch_test_is_not_memoized():
         raise ResourceExhausted("out", budget="max_depth", limit=0)
 
     with pytest.raises(ResourceExhausted):
-        solver._cached(exhausted)
+        solver._cached("memo_hits", exhausted)
     assert not solver._memo
     # the case of test_subscript_span_budget_is_named
     p = parse_presentation("a,b | aba^2Ba")
