@@ -18,17 +18,18 @@ subgroup on no generators, with witness ``()``:
   syllable form and pinches ``t u t^-1`` (``u`` in an associated Magnus
   subgroup) are eliminated by rewriting ``u`` over the subgroup's free
   basis and shifting subscripts, in one left-to-right stack pass that
-  tests each pinch once (:meth:`Solver._britton`); a pinch test's answer
-  depends only on the base group, the residue and the subset, so it is
-  memoized,
+  tests each pinch once (:meth:`Solver._britton`); a residue over the
+  subgroup's letters is its own witness, and any other test's answer
+  depends only on the base group, the residue and the subset (memoized),
 * otherwise an injective substitution creates such a generator and maps
   the queried subset into a Magnus subgroup of the image, which the same
   recursion decides at the same depth (:meth:`Solver._member_nonzero`).
 
 Membership queries return witnesses (words over the queried subset), which
-is what makes the pinch elimination effective: the associated subgroups are
-free on their generator subsets, so the witness is the unique normal form
-and shifting its subscripts realizes the stable-letter conjugation.
+is what makes the pinch elimination effective: a subset that misses a letter
+of a cyclically reduced relator is free on itself (Freiheitssatz), so the
+witness is the unique normal form, a word already over the subset is its own
+witness without a descent, and shifting subscripts realizes the conjugation.
 
 The recursion carries no generator names: a node is a rank and a relator
 over ids ``0..rank-1``.  A zero node's base group is built once, by
@@ -38,7 +39,7 @@ wherever the subset lies; a subset holding a zero node's stable letter
 ``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
 t^-i`` times a power of ``t``).  Breakdown steps and pinch answers are
 memoized in one table per solver, keyed by function and arguments and
-bounded at :data:`MEMO_ENTRIES` entries.  Names are made only in
+bounded at :data:`MEMO_ENTRIES` entries (LRU).  Names are made only in
 :meth:`Solver._tree`, for the tree that ``hierarchy_tree`` returns.
 
 All procedures run under explicit budgets and raise
@@ -62,7 +63,7 @@ from .presentations import (
 from .words import Alphabet
 
 
-#: the solver's memo evicts its oldest entry beyond this many
+#: the solver's memo evicts its least recently used entry beyond this many
 MEMO_ENTRIES = 1024
 
 
@@ -121,18 +122,18 @@ class Solver:
     a hit is counted in ``stats["memo_hits"]``.  A zero node's
     ``classify`` entry carries its base group, built once; a subset holding
     its pivot and stable letter needs another pivot, the one case in which
-    :meth:`_member_zero` calls ``rewrite_zero_case`` itself.  The memo
-    also holds the answer of each pinch test (:meth:`_base_member`), keyed
-    by the base group's rank and relator, the residue, the subset and the
-    depth; every test is counted in ``stats["pinch_tests"]`` and a hit also
-    in ``stats["pinch_hits"]``.
+    :meth:`_member_zero` calls ``rewrite_zero_case`` itself.  A pinch test
+    (:meth:`_base_member`) on a residue over the kept letters is its own
+    witness; any other reaches the memo, keyed by the base group's rank and
+    relator, the residue, the subset and the depth, and counts in
+    ``stats["pinch_tests"]``, a hit also in ``stats["pinch_hits"]``.
     The depth in the key means a hit stands for a computation under the
     same budgets, and a test that raised stores nothing, so verdicts,
     witnesses and :class:`~onerelator.errors.ResourceExhausted` do not
     depend on the solver's history.  The memo keeps at most
-    :data:`MEMO_ENTRIES` entries, evicting the oldest first, so a stream of
-    distinct presentations runs in bounded memory.  Distinct instances are
-    independent and may run in parallel.
+    :data:`MEMO_ENTRIES` entries, evicting the least recently used first,
+    so a stream of distinct presentations runs in bounded memory.
+    Distinct instances are independent and may run in parallel.
     """
 
     def __init__(self, limits=None):
@@ -163,7 +164,8 @@ class Solver:
         key = (fn,) + args
         if key in self._memo:
             self.stats[hits] += 1
-            return self._memo[key]
+            out = self._memo[key] = self._memo.pop(key)
+            return out
         out = self._memo[key] = fn(*args)
         if len(self._memo) > MEMO_ENTRIES:
             del self._memo[next(iter(self._memo))]
@@ -279,8 +281,10 @@ class Solver:
         satisfies ``keep``; the witness comes back over those letters.  The
         descent's answer is memoized under the depth it runs at.
         """
-        if not u:
-            return MembershipVerdict(True, ())
+        # every subgroup asked here misses a letter of the base relator, so
+        # it is free and a residue over its letters is its own witness
+        if all(keep(abs(lt)) for lt in u):
+            return MembershipVerdict(True, u)
         self.stats["pinch_tests"] += 1
         word, ids = base_word(zdata, u)
         subset = frozenset(k for k, a in enumerate(ids) if keep(a))
@@ -296,10 +300,11 @@ class Solver:
     def _member(self, rank, relator, w, subset, depth):
         try:
             self._bump(depth)
-            if len(subset) == rank:
+            # w over all generators, or over a free subset, is its own witness
+            if len(subset) == rank or (
+                    all(words.letter_gen(lt) in subset for lt in w)
+                    and not words.support(relator) <= subset):
                 return MembershipVerdict(True, w)
-            if not w:
-                return MembershipVerdict(True, ())
             if not subset and abelian_obstruction(rank, relator, w):
                 return MembershipVerdict(False)
             image = self._eliminate(relator, w, subset)

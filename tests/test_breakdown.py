@@ -1,3 +1,8 @@
+import importlib.util
+import random
+from itertools import islice
+from pathlib import Path
+
 import pytest
 
 from onerelator import words
@@ -13,10 +18,14 @@ from onerelator.breakdown import (
     rewrite_zero_case,
 )
 from onerelator.errors import PreconditionViolated
-from onerelator.presentations import make_presentation
+from onerelator.presentations import make_presentation, restrict_to_subalphabet
 from onerelator.solver import Solver, fresh_names
+from onerelator.textio import parse_presentation
 from onerelator.words import Alphabet
 from subscripts import substitute_back
+from test_acceptance import SEED, fuzz_queries
+
+ROOT = Path(__file__).resolve().parents[1]
 
 AB = Alphabet(("a", "b"))
 
@@ -189,3 +198,70 @@ def test_zero_case_strict_descent_exhaustive():
         back = substitute_back(zd.base_relator, zd.pairs, zd.stable)
         _, core = words.cyclic_reduce(back)
         assert words.cyclically_equal_up_to_inversion(core, r)
+
+
+def benchmark_relators():
+    """``(rank, relator)`` of the wp-warm, member-warm and oracle-ncl
+    catalogues of ``perfbench/gen.py`` and of the first 500 wp-cold
+    queries at seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    texts = [e.text for e in gen.WP_CATALOGUE + gen.NCL_CATALOGUE]
+    texts += [e.text for e, _ in gen.MEMBER_CATALOGUE]
+    texts += [q[1] for q, _ in islice(gen.stream("wp-cold", 1), 500)]
+    return [(p.alphabet.size, p.relator) for p in map(parse_presentation,
+                                                      texts)]
+
+
+def cyclically_reduced(r):
+    return bool(r) and all(a != -b for a, b in zip(r, r[1:] + r[:1]))
+
+
+def test_reachable_nodes_are_free_on_what_they_keep():
+    """The solver answers a word over a kept subset as its own witness,
+    without descending.  That needs, at every node, a cyclically reduced
+    relator and a kept set that misses one of its letters (Freiheitssatz).
+    Walk every node below the fuzz draw of test_acceptance and the
+    benchmark catalogues: the base group of every pivot a zero node can
+    take, and the image of every pair (a, b) a nonzero node can embed by
+    (a < b, or b the least other generator).  Check the relators and the
+    widest kept sets:
+
+    * a pinch keeps every base letter but the pivot's least or greatest
+      subscript, and both occur in the base relator (so, with the stable
+      letter t in the subset, which then misses the pivot, so does a
+      pivot letter);
+    * with t outside the subset only subscript-0 letters are kept, and the
+      base relator has a letter of another subscript.
+    """
+    todo = {(p.alphabet.size, p.relator) for p, *_ in fuzz_queries(
+        random.Random(SEED), 1000, 4)}
+    todo.update(benchmark_relators())
+    seen = set()
+    while todo:
+        rank, relator = todo.pop()
+        assert cyclically_reduced(relator), (rank, relator)
+        active = words.support(relator)
+        relator, _ = restrict_to_subalphabet(relator, active)
+        rank = len(active)
+        if rank == 1 or (rank, relator) in seen:
+            continue
+        seen.add((rank, relator))
+        step = classify(rank, relator)
+        if step.kind == "nonzero":
+            pairs = [(a, b) for a in range(rank) for b in range(rank)
+                     if a < b or b == min(set(range(rank)) - {a})]
+            todo.update((rank, embed_nonzero_case(rank, relator, *ab)
+                         .image_relator) for ab in pairs)
+            continue
+        t = step.zero.stable
+        for pivot in sorted(active - {t}):
+            zd = rewrite_zero_case(relator, t, pivot)
+            letters = {zd.pairs[abs(lt) - 1] for lt in zd.base_relator}
+            subs = [i for g, i in zd.pairs if g == pivot]
+            assert {(pivot, min(subs)), (pivot, max(subs))} <= letters
+            assert any(i != 0 for _, i in letters), (relator, pivot)
+            todo.add((len(zd.pairs), zd.base_relator))
+    assert len(seen) > 10000

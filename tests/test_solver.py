@@ -280,16 +280,19 @@ def test_memo_is_bounded():
 
 def test_pinch_answers_are_memoized():
     """A pinch test asked again, within a query or by a later one, is
-    answered from the memo: the relator of <a,b | a^39 b^-1 a^30 b> asks
-    over a thousand pinch tests but only a few dozen distinct ones, and
-    asking it again descends no further than its top node."""
+    answered from the memo: the 1001st power of B a^30 b a^39, a rotation
+    of the relator of <a,b | a^39 b^-1 a^30 b>, closes a thousand pinches
+    B a^30 b whose residue a_0^30 holds the excluded letter a_0, so each
+    reaches the memo, but only a few distinct ones, and asking it again
+    descends no further than its top node."""
     p = parse_presentation("a,b | a^39Ba^30b")
+    w = parse_word("Ba^30ba^39", p.alphabet) * 1001
     solver = Solver()
-    assert solver.word_problem(p, p.relator) is Verdict.TRIVIAL
+    assert solver.word_problem(p, w) is Verdict.TRIVIAL
     assert solver.stats["nodes"] <= 100
     assert solver.stats["pinch_tests"] > 1000
     nodes, tests = solver.stats["nodes"], solver.stats["pinch_tests"]
-    assert solver.word_problem(p, p.relator) is Verdict.TRIVIAL
+    assert solver.word_problem(p, w) is Verdict.TRIVIAL
     assert solver.stats["nodes"] == nodes + 1
     assert solver.stats["pinch_tests"] > tests
 
@@ -299,13 +302,60 @@ def test_pinch_hits_are_counted_apart_from_memo_hits():
     stats["memo_hits"] counts only breakdown-step hits."""
     solver = Solver()
     zd = breakdown.classify(2, BS12.relator).zero
-    # the residue b_0^2 in the base subgroup on b_0
+    # the residue b_1 (letter id 6) in the base subgroup on b_0, where
+    # b_1 = b_0^2
     for hits in (0, 1):
-        res = solver._base_member(zd, (2, 2), lambda a: a == 2, 0)
+        res = solver._base_member(zd, (6,), lambda a: a == 2, 0)
         assert res.witness == (2, 2)
         assert solver.stats["pinch_hits"] == hits
     assert solver.stats["pinch_tests"] == 2
     assert solver.stats["memo_hits"] == 0
+
+
+def test_residue_over_the_kept_letters_is_its_own_witness():
+    """A pinch subgroup misses a letter of the base relator, so it is free
+    on its letters (Freiheitssatz) and a residue written in them is its own
+    witness: no test reaches the memo and nothing descends."""
+    solver = Solver()
+    zd = breakdown.classify(2, BS12.relator).zero
+    # b_0^2 b_2 b_0^-1 in the subgroup on every letter but b_1 (id 6), as
+    # in a pinch a u a^-1; b_2 (id 10) lies outside the base's window
+    for u in ((2, 2, 10, -2), ()):
+        res = solver._base_member(zd, u, lambda a: a != 6, 0)
+        assert res.member and res.witness == u
+    assert solver.stats["pinch_tests"] == solver.stats["nodes"] == 0
+    assert not solver._memo
+    # a subset word of a node whose relator has a letter outside the subset
+    res = solver.magnus_membership(BS12, (2, 2, 2), {1})
+    assert res.member and res.witness == (2, 2, 2)
+    assert solver.stats["nodes"] == 1 and not solver._memo
+
+
+def test_relator_of_a39_b_a30_b_needs_two_pinch_tests():
+    """The relator of <a,b | a^39 b^-1 a^30 b> asked as a word: the one
+    pinch at the top holds the excluded letter, and every residue below it
+    is over the kept letters, so at most 2 pinch tests and 4 nodes."""
+    p = parse_presentation("a,b | a^39Ba^30b")
+    solver = Solver()
+    assert solver.word_problem(p, p.relator) is Verdict.TRIVIAL
+    assert solver.stats["pinch_tests"] <= 2
+    assert solver.stats["nodes"] <= 4
+
+
+def test_memo_keeps_what_it_reuses():
+    """The memo evicts the least recently used entry: an entry hit between
+    inserts outlives MEMO_ENTRIES further inserts, which evict an entry
+    that was never hit."""
+    solver = Solver()
+    hot, cold = (divmod, 7, 1), (divmod, 7, 2)
+    assert solver._cached("memo_hits", *hot) == (7, 0)
+    assert solver._cached("memo_hits", *cold) == (3, 1)
+    for k in range(solver_mod.MEMO_ENTRIES):
+        solver._cached("memo_hits", divmod, k, 3)
+        assert solver._cached("memo_hits", *hot) == (7, 0)
+    assert solver.stats["memo_hits"] == solver_mod.MEMO_ENTRIES
+    assert len(solver._memo) == solver_mod.MEMO_ENTRIES
+    assert hot in solver._memo and cold not in solver._memo
 
 
 def test_exhausted_pinch_test_is_not_memoized():
