@@ -54,11 +54,6 @@ def _shift(rank, w, delta):
     return tuple(out)
 
 
-def _subscript_span(rank, w):
-    subs = [_decode(rank, abs(lt))[1] for lt in w]
-    return max(subs) - min(subs) if subs else 0
-
-
 # ---------------------------------------------------------------------------
 # breakdown step data
 

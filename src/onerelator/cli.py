@@ -43,7 +43,6 @@ def build_parser():
                         help="seed for randomized check suites")
     parser.add_argument("--max-depth", type=int, default=32)
     parser.add_argument("--max-word-len", type=int, default=2**20)
-    parser.add_argument("--max-subscript-span", type=int, default=4096)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="decide the word problem")
@@ -87,8 +86,7 @@ def build_parser():
 
 def make_solver(args):
     return Solver(SolverLimits(max_depth=args.max_depth,
-                               max_word_len=args.max_word_len,
-                               max_subscript_span=args.max_subscript_span))
+                               max_word_len=args.max_word_len))
 
 
 def emit(args, text_lines, payload):

@@ -22,14 +22,13 @@ class PreconditionViolated(OneRelatorError):
 
 
 class ResourceExhausted(OneRelatorError):
-    """A configured budget (depth, word length, subscript span) was hit.
+    """A configured budget (depth, word length) was hit.
 
     This is never a verdict: the procedure is total in theory, so running
     out of budget is reported honestly instead of guessing.  ``budget`` names
     the :class:`~onerelator.solver.SolverLimits` field that ran out
-    (``"max_depth"``, ``"max_word_len"`` or ``"max_subscript_span"``),
-    ``limit`` its value and ``depth`` that of the innermost hierarchy node
-    it left (None outside the hierarchy).
+    (``"max_depth"`` or ``"max_word_len"``), ``limit`` its value and
+    ``depth`` that of the innermost node it left (None outside the hierarchy).
     """
 
     def __init__(self, message, budget=None, limit=None, depth=None):

@@ -51,7 +51,7 @@ from enum import Enum
 from itertools import chain, groupby, islice
 
 from . import breakdown, words
-from .breakdown import _decode, _shift, _subscript_span, base_word
+from .breakdown import _decode, _shift, base_word
 from .errors import ResourceExhausted, UnknownGenerator
 from .presentations import (
     OneRelatorPresentation,
@@ -72,11 +72,9 @@ MEMO_ENTRIES = 1024
 class SolverLimits:
     max_depth: int = 32
     max_word_len: int = 2**20
-    max_subscript_span: int = 4096
 
     def __post_init__(self):
-        if min(self.max_depth, self.max_word_len,
-               self.max_subscript_span) <= 0:
+        if min(self.max_depth, self.max_word_len) <= 0:
             raise ValueError("limits must be positive")
 
 
@@ -244,34 +242,29 @@ class Solver:
         stable letter inverse to the one on top closes a pinch ``t u t^-1``
         around the top word ``u``; if ``u`` lies in the associated subgroup
         (every generator but the pivot's top subscript for ``t u t^-1``,
-        symmetrically for ``t^-1 u t``), the word below, the subscript-shift
-        of ``u``'s free-basis witness and the incoming word fold into one
-        word, under the word-length cap.  A word below the top never changes
-        again, so each incoming stable letter costs at most one membership
-        test, and the result has no pinch left.  Only folded words can grow
-        a subscript span, so the span budget is checked on each fold.
+        symmetrically for ``t^-1 u t``), the subscript-shift of ``u``'s
+        free-basis witness and the incoming word are pushed onto the word
+        below, under the word-length cap.  The stack's words are lists and a
+        word below the top changes only at its seam with a fold, so a fold
+        costs the letters it pushes, each incoming stable letter costs at
+        most one membership test, and the result has no pinch left.
         """
         rank = zdata.rank
         pivots = [a for a, (g, _) in zip(zdata.ids, zdata.pairs)
                   if g == zdata.pivot]
-        cap = self.limits.max_subscript_span
         items = breakdown.hnn_syllables(w, zdata.stable)
-        out = items[:1]
+        out = [list(items[0])]
         for sign, u in zip(items[1::2], items[2::2]):
             if len(out) > 1 and out[-2] == -sign:
                 excluded = pivots[-1] if sign < 0 else pivots[0]
                 res = self._base_member(zdata, out[-1],
                                         lambda a: a != excluded, depth)
                 if res.member:
-                    out[-3:] = [words.concat(
-                        (out[-3], _shift(rank, res.witness, -sign), u),
-                        self.limits.max_word_len)]
-                    if _subscript_span(rank, out[-1]) > cap:
-                        raise ResourceExhausted(
-                            f"subscript span exceeds {cap}",
-                            budget="max_subscript_span", limit=cap)
+                    del out[-2:]
+                    words.push(out[-1], _shift(rank, res.witness, -sign) + u,
+                               self.limits.max_word_len)
                     continue
-            out += (sign, u)
+            out += (sign, list(u))
         return out
 
     def _base_member(self, zdata, u, keep, depth):
@@ -284,7 +277,7 @@ class Solver:
         # every subgroup asked here misses a letter of the base relator, so
         # it is free and a residue over its letters is its own witness
         if all(keep(abs(lt)) for lt in u):
-            return MembershipVerdict(True, u)
+            return MembershipVerdict(True, tuple(u))
         self.stats["pinch_tests"] += 1
         word, ids = base_word(zdata, u)
         subset = frozenset(k for k, a in enumerate(ids) if keep(a))
@@ -371,7 +364,8 @@ class Solver:
         Without ``t`` the subset keeps its subscript-0 letters and ``d``
         must be 0.  With ``t``, ``<t, S'>`` is a tower of ``t``-conjugates
         of ``S'`` times ``t^d``: the base keeps every subscript of ``S'``,
-        a witness letter ``h_i`` pulls back to ``t^i h t^-i``, and the
+        a witness letter ``h_i`` pulls back to ``t^i h t^-i``, emitted as
+        the steps ``t^(i - height) h`` between consecutive heights, and the
         pivot is an omitted generator so the tower sits inside both
         associated subgroups.
         """
@@ -395,14 +389,14 @@ class Solver:
         res = self._base_member(zd, items[0], keep, depth)
         if not res.member or t not in subset:
             return res
-        parts = []
+        out, height = [], 0
         for lt in res.witness:
             h, i = _decode(zd.rank, abs(lt))
-            conj = words.power((t + 1,), i, cap)
-            parts += (conj, (words.letter_sign(lt) * (h + 1),),
-                      words.invert(conj))
-        parts.append(words.power((t + 1,), d, cap))
-        return MembershipVerdict(True, words.concat(parts, cap))
+            out += [t + 1 if i > height else -t - 1] * abs(i - height)
+            out.append(h + 1 if lt > 0 else -h - 1)
+            height = i
+        out += [t + 1 if d > height else -t - 1] * abs(d - height)
+        return MembershipVerdict(True, self._reduce(out))
 
     def _member_nonzero(self, rank, relator, w, subset, depth):
         """Nonzero node: ``a -> y x^-beta, b -> x^alpha`` with ``a`` the

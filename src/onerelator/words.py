@@ -91,6 +91,19 @@ def multiply(u, v, max_len=DEFAULT_MAX_WORD_LEN):
     return tuple(out)
 
 
+def push(out, letters, max_len=DEFAULT_MAX_WORD_LEN):
+    """Multiply the reduced list ``out`` by ``letters`` in place, cancelling
+    at the seam."""
+    for lt in letters:
+        if out and out[-1] == -lt:
+            out.pop()
+        else:
+            out.append(lt)
+            if len(out) > max_len:
+                raise ResourceExhausted(f"word length exceeds {max_len}",
+                                        budget="max_word_len", limit=max_len)
+
+
 def concat(words, max_len=DEFAULT_MAX_WORD_LEN):
     """Product of words, freely reduced in one pass over their letters."""
     return reduce(chain.from_iterable(words), max_len)

@@ -340,3 +340,22 @@ def test_differential_fuzz():
     assert elapsed < 60
     print(f"differential fuzz: {trivial} trivial, {members} members, "
           f"{elapsed:.2f}s PASS")
+
+
+def test_long_britton_fold_chains():
+    """BS(1,2) words whose Britton pass folds thousands of pinches into one
+    growing word: (abAb)^4000 is nontrivial and (abAB^2)^3000 trivial, as
+    the exact affine representation says.  Each fold costs only the letters
+    it pushes.  Budget: 2 s of CPU time per word."""
+    pres = parse_presentation("a,b | abAB^2")
+    for text, k, expect in (("abAb", 4000, Verdict.NONTRIVIAL),
+                            ("abAB^2", 3000, Verdict.TRIVIAL)):
+        w = parse_word(text, pres.alphabet) * k
+        t0 = time.process_time()
+        verdict = Solver().word_problem(pres, w)
+        elapsed = time.process_time() - t0
+        assert verdict is expect, (text, k)
+        assert affine_eval_bs1n(w, 2).is_identity() == (
+            expect is Verdict.TRIVIAL)
+        assert elapsed < 2, (text, k, elapsed)
+        print(f"long folds: ({text})^{k} {verdict.value}, {elapsed:.2f}s PASS")

@@ -10,7 +10,6 @@ from onerelator.breakdown import (
     _decode,
     _encode,
     _shift,
-    _subscript_span,
     base_word,
     classify,
     embed_nonzero_case,
@@ -44,9 +43,6 @@ def test_subscripted_letter_ids():
     assert _shift(3, (b[1], -b[2]), 1) == (b[2], -b[3])
     assert _shift(3, (b[2], -b[1]), -1) == (b[1], -b[0])
     assert _shift(3, (), 5) == ()
-    assert _subscript_span(3, (_encode(3, 0, -2), -_encode(3, 2, 5))) == 7
-    assert _subscript_span(3, (b[1], b[1])) == 0
-    assert _subscript_span(3, ()) == 0
 
 
 def test_sub_alphabet_naming():

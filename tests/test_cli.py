@@ -1,10 +1,11 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from onerelator.cli import main
+from onerelator.cli import build_parser, main
 from onerelator.errors import (
     ResourceExhausted,
     UnknownGenerator,
@@ -295,6 +296,17 @@ def test_readme_command_lines_run(capsys):
         out = capsys.readouterr().out.strip()
         if comment.strip().startswith("->"):
             assert out == comment.strip()[2:].strip(), line
+
+
+def test_readme_names_every_budget_flag():
+    # the README's "Global flags" sentence lists exactly the --max-* options
+    # the parser defines, so adding or removing a budget updates the README
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Global flags", 1)[1].split(".", 1)[0]
+    named = set(re.findall(r"--max-[a-z-]+", sentence))
+    defined = {opt for action in build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--max-")}
+    assert defined and named == defined
 
 
 def test_global_flags_reach_solver(capsys):

@@ -208,20 +208,6 @@ def test_word_length_overrun_reports_its_depth():
     assert info.value.depth == 1
 
 
-def test_subscript_span_budget_is_named():
-    # the Britton pass one level below <a,b | a b a^2 b^-1 a> folds a word
-    # whose subscripts span 2: over a span budget of 1 that is exhaustion
-    # at depth 1, not a verdict
-    p = parse_presentation("a,b | aba^2Ba")
-    w = parse_word("BAbABA^2b", p.alphabet)
-    with pytest.raises(ResourceExhausted) as info:
-        Solver(SolverLimits(max_subscript_span=1)).word_problem(p, w)
-    assert (info.value.budget, info.value.limit) == ("max_subscript_span", 1)
-    assert info.value.depth == 1
-    assert Solver(SolverLimits(max_subscript_span=2)).word_problem(
-        p, w) is Verdict.NONTRIVIAL
-
-
 def test_tietze_value():
     # a b a c: b = (a c a)^-1 is the least move, c = (a b a)^-1 the one
     # outside a subset holding b
@@ -369,18 +355,17 @@ def test_exhausted_pinch_test_is_not_memoized():
     with pytest.raises(ResourceExhausted):
         solver._cached("memo_hits", exhausted)
     assert not solver._memo
-    # the case of test_subscript_span_budget_is_named
-    p = parse_presentation("a,b | aba^2Ba")
-    w = parse_word("BAbABA^2b", p.alphabet)
-    solver = Solver(SolverLimits(max_subscript_span=1))
+    # the case of test_word_length_overrun_reports_its_depth
+    w = parse_word("a^5bA^5", BS12.alphabet)
+    solver = Solver(SolverLimits(max_word_len=12))
     seen = []
     for _ in range(2):
         with pytest.raises(ResourceExhausted) as info:
-            solver.word_problem(p, w)
+            solver.word_problem(BS12, w)
         seen.append((info.value.budget, info.value.limit, info.value.depth,
                      len(solver._memo)))
     assert seen[0] == seen[1]
-    assert seen[0][:3] == ("max_subscript_span", 1, 1)
+    assert seen[0][:3] == ("max_word_len", 12, 1)
 
 
 def test_answers_do_not_depend_on_the_solvers_history():

@@ -49,6 +49,13 @@ def test_multiply_and_concat():
     assert words.multiply((1, 2), (-2, -1)) == ()
     assert words.multiply((1, 2), (3,)) == (1, 2, 3)
     assert words.concat([(1,), (2,), (-2, -1)]) == ()
+    # push multiplies a list in place, cancelling through the whole seam
+    out = [1, 2]
+    words.push(out, (-2, -1, 3))
+    assert out == [3]
+    with pytest.raises(ResourceExhausted) as info:
+        words.push(out, (3, 3), max_len=2)
+    assert info.value.budget == "max_word_len"
 
 
 def test_invert_and_power():
