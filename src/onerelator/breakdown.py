@@ -75,7 +75,6 @@ class EmbeddingData:
     alpha: int                  # exponent sum of a in the relator
     image_relator: tuple        # over the same number of generators
     x_gen: int                  # id of x in the image
-    y_gen: int                  # id of y in the image
     gen_map: dict               # other old gen id -> image gen id
     substitution: dict = field(repr=False)  # old gen id -> image word
 
@@ -83,7 +82,6 @@ class EmbeddingData:
 @dataclass(frozen=True)
 class BreakdownStep:
     kind: str                   # "base_single" | "zero" | "nonzero"
-    order: int = 0              # |n| for a single-generator relator g^n
     zero: ZeroCaseData = None
 
 
@@ -105,7 +103,7 @@ def classify(rank, relator):
             "relator must use every generator; split off the free part "
             "first (restrict_to_subalphabet)")
     if len(sup) == 1:
-        return BreakdownStep(kind="base_single", order=len(relator))
+        return BreakdownStep(kind="base_single")
     for t in sorted(sup):
         if words.exponent_sum(relator, t) == 0:
             return BreakdownStep(kind="zero",
@@ -242,6 +240,5 @@ def embed_nonzero_case(rank, relator, a, b):
                             else [-(x_gen + 1)] * (-alpha))
     _, core = words.cyclic_reduce(words.substitute(relator, substitution))
     return EmbeddingData(alpha=alpha, image_relator=core, x_gen=x_gen,
-                         y_gen=y_gen, gen_map=gen_map,
-                         substitution=substitution)
+                         gen_map=gen_map, substitution=substitution)
 

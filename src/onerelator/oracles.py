@@ -454,7 +454,11 @@ def random_reduced_word(rng, num_gens, length):
 
 def random_cyclically_reduced_word(rng, num_gens, length,
                                    require_full_support=False):
-    """Rejection-sampled cyclically reduced word; optionally full support."""
+    """Rejection-sampled cyclically reduced word; optionally full support,
+    which needs ``length >= num_gens`` (``ValueError`` otherwise)."""
+    if require_full_support and length < num_gens:
+        raise ValueError(f"a word of length {length} cannot use all "
+                         f"{num_gens} generators")
     while True:
         w = random_reduced_word(rng, num_gens, length)
         if not words.is_cyclically_reduced(w):

@@ -1,5 +1,5 @@
-"""One-relator presentations: normalization, the abelian obstruction and
-sub-alphabet restriction."""
+"""One-relator presentations: normalization, the abelian obstruction to
+Magnus-subgroup membership and sub-alphabet restriction."""
 
 from dataclasses import dataclass
 
@@ -33,26 +33,24 @@ def make_presentation(alphabet, relator_input):
     return OneRelatorPresentation(alphabet, core)
 
 
-def abelian_obstruction(rank, relator, w):
-    """Fast negative certificate for the word problem in
-    ``<rank generators | relator>``.
+def abelian_obstruction(rank, relator, w, subset=frozenset()):
+    """Fast negative certificate for membership of ``w`` in the Magnus
+    subgroup on ``subset`` of ``<rank generators | relator>``.
 
-    A word can lie in the normal closure of the relator only if its exponent
-    vector is an integer multiple of the relator's.  Returns True when that
-    necessary condition FAILS (so ``w`` is certainly nontrivial).
+    Outside ``subset`` a member's exponent sums are one integer multiple of
+    the relator's.  Returns True when that necessary condition FAILS (so
+    ``w`` is certainly no member; for the empty subset, nontrivial).
     """
-    rvec = words.exponent_vector(relator, rank)
-    wvec = words.exponent_vector(w, rank)
-    if all(x == 0 for x in rvec):
-        return any(x != 0 for x in wvec)
-    # find the multiplier from the first nonzero relator entry
-    for r, x in zip(rvec, wvec):
-        if r != 0:
-            if x % r != 0:
-                return True
+    k = None
+    for g in range(rank):
+        if g in subset:
+            continue
+        r, x = words.exponent_sum(relator, g), words.exponent_sum(w, g)
+        if r and k is None:
             k = x // r
-            break
-    return any(x != k * r for r, x in zip(rvec, wvec))
+        if x != (k * r if r else 0):
+            return True
+    return False
 
 
 def restrict_to_subalphabet(relator, gens):

@@ -9,6 +9,9 @@ subgroup on no generators, with witness ``()``:
   other generators, so the query is decided by substituting for ``h`` and
   freely reducing (for membership ``h`` must lie outside the subset, and the
   reduced image is the witness),
+* a word whose exponent sums outside the subset are not one multiple of
+  the relator's is refused (:func:`.presentations.abelian_obstruction`,
+  the recursion's one exponent-sum test),
 * free-factor generators split off as a free product; a query's
   free-product normal form comes from one stack pass over its maximal runs
   (:meth:`Solver._fp_reduce`),
@@ -111,7 +114,8 @@ class Solver:
     the subset occurs once in the relator, the node is decided in the free
     group on the other generators and counted in ``stats["eliminations"]``.
     The move is computed per node and never memoized: a node it decides is
-    cheaper to redo than to look up.
+    cheaper to redo than to look up.  Any other node then makes the abelian
+    test on the subset, before it splits or descends.
 
     The memo holds the results of ``breakdown.classify``,
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
@@ -298,12 +302,12 @@ class Solver:
                     all(words.letter_gen(lt) in subset for lt in w)
                     and not words.support(relator) <= subset):
                 return MembershipVerdict(True, w)
-            if not subset and abelian_obstruction(rank, relator, w):
-                return MembershipVerdict(False)
             image = self._eliminate(relator, w, subset)
             if image is not None:
                 if all(words.letter_gen(lt) in subset for lt in image):
                     return MembershipVerdict(True, image)
+                return MembershipVerdict(False)
+            if abelian_obstruction(rank, relator, w, subset):
                 return MembershipVerdict(False)
 
             active = words.support(relator)
@@ -314,10 +318,9 @@ class Solver:
             step = self._cached("memo_hits", breakdown.classify, rank,
                                 relator)
             if step.kind == "base_single":
-                # subset is empty here (the full subset returned above)
-                if words.exponent_sum(w, 0) % step.order == 0:
-                    return MembershipVerdict(True, ())
-                return MembershipVerdict(False)
+                # the subset is empty (the full subset returned above), so
+                # the abelian test made w a power of the relator
+                return MembershipVerdict(True, ())
 
             if step.kind == "zero":
                 return self._member_zero(rank, relator, w, subset, step.zero,
@@ -361,13 +364,13 @@ class Solver:
         """Zero node with stable letter ``t``: Britton-reduce ``w`` times
         ``t^-d``, ``d`` its ``t``-exponent sum, and ask its base word.
 
-        Without ``t`` the subset keeps its subscript-0 letters and ``d``
-        must be 0.  With ``t``, ``<t, S'>`` is a tower of ``t``-conjugates
-        of ``S'`` times ``t^d``: the base keeps every subscript of ``S'``,
-        a witness letter ``h_i`` pulls back to ``t^i h t^-i``, emitted as
-        the steps ``t^(i - height) h`` between consecutive heights, and the
-        pivot is an omitted generator so the tower sits inside both
-        associated subgroups.
+        Without ``t`` the subset keeps its subscript-0 letters, and the
+        abelian test made ``d`` 0.  With ``t``, ``<t, S'>`` is a tower of
+        ``t``-conjugates of ``S'`` times ``t^d``: the base keeps every
+        subscript of ``S'``, a witness letter ``h_i`` pulls back to ``t^i h
+        t^-i``, emitted as the steps ``t^(i - height) h`` between
+        consecutive heights, and the pivot is an omitted generator so the
+        tower sits inside both associated subgroups.
         """
         t, cap = zd.stable, self.limits.max_word_len
         d = words.exponent_sum(w, t)
@@ -376,8 +379,6 @@ class Solver:
                 zd = self._cached("memo_hits", breakdown.rewrite_zero_case,
                                   relator, t, min(set(range(rank)) - subset))
             keep = lambda a: _decode(zd.rank, a)[0] in subset
-        elif d:
-            return MembershipVerdict(False)
         else:
             # the subscript-0 letters are the plain letters 1..rank
             keep = lambda a: a - 1 in subset
@@ -407,9 +408,7 @@ class Solver:
         images of the subset (``x`` for ``b``).  ``y`` survives in the
         image relator, so ``M`` is free, and ``w`` lies in ``<subset>`` iff
         its image has a witness in ``M`` whose maximal ``x``-runs are
-        powers of ``x^alpha``; ``x^(alpha j)`` pulls back to ``b^j``.  A
-        member has ``a``-exponent sum divisible by ``alpha``, hence its
-        image an ``x``-exponent sum divisible by ``alpha``.
+        powers of ``x^alpha``; ``x^(alpha j)`` pulls back to ``b^j``.
         """
         omitted = sorted(set(range(rank)) - subset)
         a = omitted[0]
@@ -418,8 +417,6 @@ class Solver:
                            relator, a, b)
         cap = self.limits.max_word_len
         wprime = words.substitute(w, emb.substitution, cap)
-        if words.exponent_sum(wprime, emb.x_gen) % emb.alpha != 0:
-            return MembershipVerdict(False)
         magnus = frozenset(emb.gen_map.get(s, emb.x_gen) for s in subset)
         res = self._member(rank, emb.image_relator, wprime, magnus, depth)
         if not res.member:

@@ -13,8 +13,6 @@ from itertools import chain, repeat
 
 from .errors import ResourceExhausted, UnknownGenerator
 
-Word = tuple
-
 #: default cap on word length; blowing past it raises ResourceExhausted.
 DEFAULT_MAX_WORD_LEN = 2**20
 

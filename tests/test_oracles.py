@@ -18,6 +18,7 @@ from onerelator.oracles import (
     is_primitive_rank2,
     ncl_semidecide,
     psl2_eval,
+    random_cyclically_reduced_word,
     random_reduced_word,
     smith_invariants,
 )
@@ -182,6 +183,16 @@ def test_random_reduced_word_is_reduced():
     for _ in range(100):
         w = random_reduced_word(rng, 3, rng.randint(0, 10))
         assert words.reduce(w) == w
+
+
+def test_random_cyclically_reduced_word_full_support():
+    rng = random.Random(0)
+    w = random_cyclically_reduced_word(rng, 3, 3, require_full_support=True)
+    assert words.is_cyclically_reduced(w) and words.support(w) == {0, 1, 2}
+    # two letters cannot use three generators: refused, not sampled forever
+    with pytest.raises(ValueError):
+        random_cyclically_reduced_word(rng, 3, 2, require_full_support=True)
+    assert len(random_cyclically_reduced_word(rng, 3, 2)) == 2
 
 
 def test_check_suites_pass_at_small_scale():

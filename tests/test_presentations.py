@@ -38,6 +38,13 @@ def test_abelian_obstruction():
     # (2, 1) is the relator vector itself: no obstruction
     assert not abelian_obstruction(2, q, (1, 1, 2))
     assert abelian_obstruction(2, q, (1,))
+    # outside the subset only: Z^2 mod <a> keeps the b-sum
+    assert abelian_obstruction(2, z2, (2,), {0})
+    assert not abelian_obstruction(2, z2, (1, 1, 1), {0})
+    # ababc mod <b, c>: the a-sum must be a multiple of 2
+    ababc = (1, 2, 1, 2, 3)
+    assert abelian_obstruction(3, ababc, (1,), {1, 2})
+    assert not abelian_obstruction(3, ababc, (2, 3), {1, 2})
 
 
 def test_restrict_to_subalphabet():

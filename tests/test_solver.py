@@ -317,6 +317,23 @@ def test_residue_over_the_kept_letters_is_its_own_witness():
     assert solver.stats["nodes"] == 1 and not solver._memo
 
 
+@pytest.mark.parametrize("text, subset, w", [
+    # the relator's b-sum is 0 and BA^2cB has b-sum -2
+    ("a,b,c | abAcBC", "ac", "BA^2cB"),
+    # the relator's a-sum is 2 and bCAC has a-sum -1
+    ("a,b,c | ababc", "bc", "bCAC"),
+])
+def test_abelian_cut_decides_a_nonmember_at_its_node(text, subset, w):
+    """Outside the subset a member's exponent sums are one multiple of the
+    relator's; a word that breaks this is refused without a descent."""
+    p = parse_presentation(text)
+    solver = Solver()
+    res = solver.magnus_membership(p, parse_word(w, p.alphabet),
+                                   {p.alphabet.index(x) for x in subset})
+    assert not res.member
+    assert solver.stats["nodes"] == 1
+
+
 def test_relator_of_a39_b_a30_b_needs_two_pinch_tests():
     """The relator of <a,b | a^39 b^-1 a^30 b> asked as a word: the one
     pinch at the top holds the excluded letter, and every residue below it
