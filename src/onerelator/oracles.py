@@ -6,7 +6,6 @@ Baumslag-Solitar groups by exact affine maps, the modular group by integer
 matrices, and primitivity by Whitehead moves.  All arithmetic is exact.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -61,11 +60,19 @@ def _all_reduced_words(num_gens, max_len):
 def ncl_semidecide(pres, w, conj_len, max_factors):
     """Search for ``w`` as a product of <= max_factors conjugates of r.
 
-    Breadth-first over partial products, pruning states too long to still
-    reach the target.  A hit returns a certificate (always re-verified by
-    the caller via :meth:`NclCertificate.expand`); a miss returns None,
-    which only means "not found within budget".
+    The conjugates are ``g r^+-1 g^-1`` with ``|g| <= conj_len``.  The search
+    meets in the middle: it enumerates products of at most
+    ``ceil(max_factors/2)`` conjugates breadth-first, pruning products too
+    long to still reach the target, and looks for a split ``w = p q`` with
+    both halves among them.  It is exhaustive within its budget, and a hit
+    returns a certificate with the fewest factors any product of conjugates
+    within budget has (always re-verified by the caller via
+    :meth:`NclCertificate.expand`); a miss returns None, which only means
+    "not found within budget".  A negative budget raises ``ValueError``.
     """
+    if conj_len < 0 or max_factors < 0:
+        raise ValueError(f"search budgets must be nonnegative: conj_len "
+                         f"{conj_len}, max_factors {max_factors}")
     w = reduce(w)
     if not w:
         return NclCertificate(())
@@ -79,31 +86,32 @@ def ncl_semidecide(pres, w, conj_len, max_factors):
                 seen.add(c)
                 conjugates.append((c, (g, eps)))
     step_len = max(len(c) for c, _ in conjugates) if conjugates else 0
-    start = ()
-    parent = {start: None}
-    layer = deque([start])
-    for used in range(max_factors):
+    half = (max_factors + 1) // 2
+    # product -> its factor tags, fewest factors first.  The length bound
+    # holds for a prefix and a suffix of a product equal to w alike, so
+    # one enumeration serves both halves of the split below
+    tags = {(): ()}
+    layer = [()]
+    for used in range(half):
         remaining = max_factors - used - 1
-        nxt = deque()
-        while layer:
-            cur = layer.popleft()
+        nxt = []
+        for cur in layer:
             for c, tag in conjugates:
                 new = multiply(cur, c)
-                if new in parent:
+                if new in tags or len(new) > len(w) + remaining * step_len:
                     continue
-                if len(new) > len(w) + remaining * step_len:
-                    continue
-                parent[new] = (cur, tag)
-                if new == w:
-                    factors = []
-                    node = new
-                    while parent[node] is not None:
-                        prev, t = parent[node]
-                        factors.append(t)
-                        node = prev
-                    return NclCertificate(tuple(reversed(factors)))
+                tags[new] = tags[cur] + (tag,)
                 nxt.append(new)
         layer = nxt
+    # w = p q with q fewest factors first: a fewest-factor product of k
+    # conjugates splits into its first min(k, half) and the rest, and p
+    # never has more than half, so the first split found has k factors
+    for q, q_tags in tags.items():
+        if len(q_tags) > max_factors - half:
+            break
+        p_tags = tags.get(multiply(w, invert(q)))
+        if p_tags is not None:
+            return NclCertificate(p_tags + q_tags)
     return None
 
 

@@ -359,3 +359,32 @@ def test_long_britton_fold_chains():
             expect is Verdict.TRIVIAL)
         assert elapsed < 2, (text, k, elapsed)
         print(f"long folds: ({text})^{k} {verdict.value}, {elapsed:.2f}s PASS")
+
+
+def test_ncl_exhaustive_miss_and_deep_hit():
+    """In <a,b,c | abcABC>, at conjugator length 2 and 4 factors, the miss
+    abcABCbcBCAcbCa and a product of 4 conjugates are each settled by a
+    meet-in-the-middle search over products of at most 2 conjugates.  The
+    word's b-exponent sum is 1 and the relator's exponent sums are 0, so
+    the word is nontrivial in the abelianization and the miss is real.
+    Budget: 2 s of CPU time per search."""
+    pres = parse_presentation("a,b,c | abcABC")
+    r, r_inv = pres.relator, words.invert(pres.relator)
+    miss = parse_word("abcABCbcBCAcbCa", pres.alphabet)
+    assert words.exponent_vector(r, 3) == (0, 0, 0)
+    assert words.exponent_sum(miss, 1) == 1
+    hit = ()
+    for text, rel in (("a", r), ("Bc", r_inv), ("ca", r), ("bA", r_inv)):
+        g = parse_word(text, pres.alphabet)
+        hit = words.concat([hit, g, rel, words.invert(g)])
+    for w, found in ((miss, False), (hit, True)):
+        t0 = time.process_time()
+        cert = ncl_semidecide(pres, w, conj_len=2, max_factors=4)
+        elapsed = time.process_time() - t0
+        assert (cert is not None) is found
+        if found:
+            assert len(cert.factors) == 4
+            assert cert.expand(r) == w
+        assert elapsed < 2, (print_word(w, pres.alphabet), elapsed)
+        print(f"ncl: {print_word(w, pres.alphabet)} "
+              f"{'found' if found else 'none'}, {elapsed:.2f}s PASS")

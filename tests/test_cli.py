@@ -210,6 +210,10 @@ def test_oracle_ncl_command(capsys):
     assert main(["oracle", "ncl", "a,b | abAB", "a",
                  "--conj-len", "1", "--factors", "2"]) == 0
     assert capsys.readouterr().out.strip() == "no-certificate"
+    for flag in ("--conj-len", "--factors"):
+        assert main(["oracle", "ncl", "a,b | abAB", "abAB", flag, "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be nonnegative" in out.err
 
 
 def test_check_command(capsys):

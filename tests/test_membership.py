@@ -159,11 +159,16 @@ def test_membership_nonzero_two_omitted_without_elimination():
 
 def test_membership_omit_one_x_vanishes_non_member():
     # <a,b,c | ababc>, subset {b,c}: a -> y x^-2, b -> x^2 drops x from the
-    # image relator.  a is not in <b,c>: b, c and the relator all have
-    # a-exponent sum divisible by 2, and a has 1
+    # image relator.  a^2 has a-exponent sum 2, once the relator's, so the
+    # abelian test at the top node passes it and the query reaches the
+    # x-vanished image.  a^2 is not in <b,c>: the relator gives c = BABA,
+    # so in F(a,b) the subgroup is <b, abab>, whose Stallings fold does not
+    # read a^2
     p = make_presentation(ABC, (1, 2, 1, 2, 3))
     assert words.exponent_sum(p.relator, 0) == 2
-    assert not Solver().magnus_membership(p, (1,), {1, 2}).member
+    solver = Solver()
+    assert not solver.magnus_membership(p, (1, 1), {1, 2}).member
+    assert solver.stats["nodes"] > 1
 
 
 def test_membership_omit_one_x_present_non_member():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from onerelator.words import Alphabet
 
 AB = Alphabet(("a", "b"))
 Z2 = make_presentation(AB, (1, 2, -1, -2))
+BS12 = make_presentation(AB, (1, 2, -1, -2, -2))
 
 
 # -- normal closure ---------------------------------------------------------
@@ -56,6 +58,50 @@ def test_ncl_product_of_two_conjugates():
 
 def test_ncl_miss_is_silent():
     assert ncl_semidecide(Z2, (1,), conj_len=2, max_factors=3) is None
+
+
+def test_ncl_refuses_negative_budgets():
+    for conj_len, max_factors in ((-1, 2), (1, -1)):
+        with pytest.raises(ValueError):
+            ncl_semidecide(Z2, Z2.relator, conj_len, max_factors)
+
+
+def _reduced_words(num_gens, max_len):
+    letters = [s * (g + 1) for g in range(num_gens) for s in (1, -1)]
+    return [w for n in range(max_len + 1)
+            for w in itertools.product(letters, repeat=n)
+            if words.reduce(w) == w]
+
+
+def _ncl_reference(pres, conj_len, max_factors):
+    """Fewest factors of each product of <= max_factors conjugates
+    g r^+-1 g^-1 with |g| <= conj_len, every product listed: no pruning and
+    no dedup."""
+    conjugates = [words.concat([g, r, words.invert(g)])
+                  for g in _reduced_words(pres.alphabet.size, conj_len)
+                  for r in (pres.relator, words.invert(pres.relator))]
+    fewest = {}
+    for k in range(max_factors + 1):
+        for combo in itertools.product(conjugates, repeat=k):
+            fewest.setdefault(words.concat(combo), k)
+    return fewest
+
+
+@pytest.mark.parametrize("pres", [Z2, BS12], ids=["Z2", "BS12"])
+def test_ncl_matches_brute_force_reference(pres):
+    # budgets (conj_len, max_factors) with both odd and even max_factors
+    for conj_len, max_factors in ((0, 1), (1, 1), (1, 2), (1, 3), (0, 4)):
+        fewest = _ncl_reference(pres, conj_len, max_factors)
+        for w in _reduced_words(2, 6):
+            if w not in fewest:
+                assert ncl_semidecide(pres, w, conj_len, max_factors) is None
+        # every product, not only the short ones, so that hits of 3 and 4
+        # factors count
+        for w, k in fewest.items():
+            cert = ncl_semidecide(pres, w, conj_len, max_factors)
+            assert cert is not None and len(cert.factors) == k, (
+                w, conj_len, max_factors)
+            assert cert.expand(pres.relator) == w
 
 
 # -- modular group ----------------------------------------------------------
