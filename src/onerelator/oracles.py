@@ -8,6 +8,7 @@ matrices, and primitivity by Whitehead moves.  All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import words
@@ -57,18 +58,57 @@ def _all_reduced_words(num_gens, max_len):
     return out
 
 
+#: ``_products`` keeps this many half-product tables, evicting the least
+#: recently used first
+PRODUCT_TABLES = 32
+
+
+@lru_cache(maxsize=PRODUCT_TABLES)
+def _products(size, relator, conj_len, factors):
+    """Every product of at most ``factors`` conjugates ``g r^+-1 g^-1``
+    (``|g| <= conj_len``) of ``relator`` over ``size`` generators, mapped to
+    the factor tags of a fewest-factor product, fewest factors first.
+
+    The dict is shared by every caller with the same arguments: read it,
+    never mutate it.
+    """
+    conjugates = []
+    seen = set()
+    for g in _all_reduced_words(size, conj_len):
+        for eps in (1, -1):
+            r = relator if eps == 1 else invert(relator)
+            c = multiply(g, multiply(r, invert(g)))
+            if c not in seen:
+                seen.add(c)
+                conjugates.append((c, (g, eps)))
+    tags = {(): ()}
+    layer = [()]
+    for _ in range(factors):
+        nxt = []
+        for cur in layer:
+            for c, tag in conjugates:
+                new = multiply(cur, c)
+                if new not in tags:
+                    tags[new] = tags[cur] + (tag,)
+                    nxt.append(new)
+        layer = nxt
+    return tags
+
+
 def ncl_semidecide(pres, w, conj_len, max_factors):
     """Search for ``w`` as a product of <= max_factors conjugates of r.
 
     The conjugates are ``g r^+-1 g^-1`` with ``|g| <= conj_len``.  The search
-    meets in the middle: it enumerates products of at most
-    ``ceil(max_factors/2)`` conjugates breadth-first, pruning products too
-    long to still reach the target, and looks for a split ``w = p q`` with
-    both halves among them.  It is exhaustive within its budget, and a hit
-    returns a certificate with the fewest factors any product of conjugates
-    within budget has (always re-verified by the caller via
-    :meth:`NclCertificate.expand`); a miss returns None, which only means
-    "not found within budget".  A negative budget raises ``ValueError``.
+    meets in the middle: it looks for a split ``w = p q`` with both halves
+    among the products of at most ``ceil(max_factors/2)`` conjugates.  That
+    table does not depend on ``w``; it is built once per (rank, relator,
+    conj_len, half) and kept in a bounded LRU cache of
+    :data:`PRODUCT_TABLES` tables.  The search is exhaustive within its
+    budget, and a hit returns a certificate with the fewest factors any
+    product of conjugates within budget has (always re-verified by the
+    caller via :meth:`NclCertificate.expand`); a miss returns None, which
+    only means "not found within budget".  A negative budget raises
+    ``ValueError``.
     """
     if conj_len < 0 or max_factors < 0:
         raise ValueError(f"search budgets must be nonnegative: conj_len "
@@ -76,33 +116,8 @@ def ncl_semidecide(pres, w, conj_len, max_factors):
     w = reduce(w)
     if not w:
         return NclCertificate(())
-    conjugates = []
-    seen = set()
-    for g in _all_reduced_words(pres.alphabet.size, conj_len):
-        for eps in (1, -1):
-            r = pres.relator if eps == 1 else invert(pres.relator)
-            c = multiply(g, multiply(r, invert(g)))
-            if c not in seen:
-                seen.add(c)
-                conjugates.append((c, (g, eps)))
-    step_len = max(len(c) for c, _ in conjugates) if conjugates else 0
     half = (max_factors + 1) // 2
-    # product -> its factor tags, fewest factors first.  The length bound
-    # holds for a prefix and a suffix of a product equal to w alike, so
-    # one enumeration serves both halves of the split below
-    tags = {(): ()}
-    layer = [()]
-    for used in range(half):
-        remaining = max_factors - used - 1
-        nxt = []
-        for cur in layer:
-            for c, tag in conjugates:
-                new = multiply(cur, c)
-                if new in tags or len(new) > len(w) + remaining * step_len:
-                    continue
-                tags[new] = tags[cur] + (tag,)
-                nxt.append(new)
-        layer = nxt
+    tags = _products(pres.alphabet.size, pres.relator, conj_len, half)
     # w = p q with q fewest factors first: a fewest-factor product of k
     # conjugates splits into its first min(k, half) and the rest, and p
     # never has more than half, so the first split found has k factors

@@ -42,10 +42,10 @@ def abelian_obstruction(rank, relator, w, subset=frozenset()):
     ``w`` is certainly no member; for the empty subset, nontrivial).
     """
     k = None
-    for g in range(rank):
+    for g, (r, x) in enumerate(zip(words.exponent_vector(relator, rank),
+                                   words.exponent_vector(w, rank))):
         if g in subset:
             continue
-        r, x = words.exponent_sum(relator, g), words.exponent_sum(w, g)
         if r and k is None:
             k = x // r
         if x != (k * r if r else 0):

@@ -24,6 +24,7 @@ from onerelator.oracles import (
     smith_invariants,
 )
 from onerelator.presentations import make_presentation
+from onerelator.textio import parse_presentation
 from onerelator.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -87,6 +88,15 @@ def _ncl_reference(pres, conj_len, max_factors):
     return fewest
 
 
+def _ncl_cold_and_warm(pres, w, conj_len, max_factors):
+    """The search's answer, which must not change once its product table
+    is cached."""
+    oracles._products.cache_clear()
+    cold = ncl_semidecide(pres, w, conj_len, max_factors)
+    assert ncl_semidecide(pres, w, conj_len, max_factors) == cold
+    return cold
+
+
 @pytest.mark.parametrize("pres", [Z2, BS12], ids=["Z2", "BS12"])
 def test_ncl_matches_brute_force_reference(pres):
     # budgets (conj_len, max_factors) with both odd and even max_factors
@@ -94,14 +104,35 @@ def test_ncl_matches_brute_force_reference(pres):
         fewest = _ncl_reference(pres, conj_len, max_factors)
         for w in _reduced_words(2, 6):
             if w not in fewest:
-                assert ncl_semidecide(pres, w, conj_len, max_factors) is None
+                assert _ncl_cold_and_warm(pres, w, conj_len,
+                                          max_factors) is None
         # every product, not only the short ones, so that hits of 3 and 4
         # factors count
         for w, k in fewest.items():
-            cert = ncl_semidecide(pres, w, conj_len, max_factors)
+            cert = _ncl_cold_and_warm(pres, w, conj_len, max_factors)
             assert cert is not None and len(cert.factors) == k, (
                 w, conj_len, max_factors)
             assert cert.expand(pres.relator) == w
+
+
+def test_ncl_table_shared_across_names():
+    # x,y | xyXY and a,b | abAB have the same rank and relator ids
+    xy = parse_presentation("x,y | xyXY")
+    oracles._products.cache_clear()
+    w = words.reduce((1, 1, 2, 2, -1, -1, -2, -2))
+    first = ncl_semidecide(xy, w, conj_len=2, max_factors=4)
+    hits = oracles._products.cache_info().hits
+    second = ncl_semidecide(Z2, w, conj_len=2, max_factors=4)
+    assert oracles._products.cache_info().hits == hits + 1
+    assert first is not None and first.factors == second.factors
+
+
+def test_ncl_table_cache_is_bounded():
+    oracles._products.cache_clear()
+    # half = k: one distinct cheap table per k
+    for k in range(oracles.PRODUCT_TABLES + 1):
+        assert ncl_semidecide(Z2, (1,), conj_len=0, max_factors=2 * k) is None
+    assert oracles._products.cache_info().currsize <= oracles.PRODUCT_TABLES
 
 
 # -- modular group ----------------------------------------------------------
