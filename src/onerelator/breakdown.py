@@ -112,18 +112,18 @@ def classify(rank, relator):
 
 
 def tietze_value(relator, subset=frozenset()):
-    """Tietze move on the least generator outside ``subset`` that occurs
-    exactly once in the relator.
+    """Tietze move on the least generator that occurs exactly once in the
+    relator, preferring one outside ``subset``.
 
     From ``r = p h^e q`` the conjugate ``h^e q p`` is also trivial, so
     ``h = ((q p)^-1)^e``: the move deletes ``h`` and the relator, and the
     group is free on the other generators.  Returns ``(h, value)`` with the
     value a reduced word over those generators, or None when no generator
-    outside ``subset`` occurs once.
+    occurs once.
     """
     seen = Counter(words.letter_gen(lt) for lt in relator)
-    h = min((g for g, n in seen.items() if n == 1 and g not in subset),
-            default=None)
+    h = min((g for g, n in seen.items() if n == 1),
+            key=lambda g: (g in subset, g), default=None)
     if h is None:
         return None
     k = next(k for k, lt in enumerate(relator) if words.letter_gen(lt) == h)

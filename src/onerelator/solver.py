@@ -4,17 +4,18 @@ Magnus-subgroup membership is decided by one recursion over the hierarchy
 produced in :mod:`.breakdown`; the word problem is membership in the
 subgroup on no generators, with witness ``()``:
 
-* a generator ``h`` that occurs once in the relator is eliminated by a
-  Tietze move (:func:`.breakdown.tietze_value`): the group is free on the
-  other generators, so the query is decided by substituting for ``h`` and
-  freely reducing (for membership ``h`` must lie outside the subset, and the
-  reduced image is the witness),
 * a word whose exponent sums outside the subset are not one multiple of
-  the relator's is refused (:func:`.presentations.abelian_obstruction`,
+  the relator's is refused first (:func:`.presentations.abelian_obstruction`,
   the recursion's one exponent-sum test),
-* free-factor generators split off as a free product; a query's
-  free-product normal form comes from one stack pass over its maximal runs
-  (:meth:`Solver._fp_reduce`),
+* a generator ``h`` that occurs once in the relator is eliminated by a
+  Tietze move (:func:`.breakdown.tietze_value`, preferring an ``h`` outside
+  the subset): the group is free on the other generators, so substituting
+  for ``h`` and freely reducing decides the query when ``h`` lies outside
+  the subset (the reduced image is the witness); with ``h`` in the subset
+  only an empty image decides it, as a trivial word with witness ``()``,
+* free-factor generators split off as a free product, decided in one
+  stack pass over the query's maximal runs that asks each active syllable
+  once (:meth:`Solver._member_free_split`),
 * a zero-exponent-sum generator gives an HNN extension whose base is a
   one-relator group on subscripted generators with a strictly shorter
   relator (:meth:`Solver._member_zero`); queries are put in stable-letter
@@ -110,12 +111,13 @@ class Solver:
     in one place only, :meth:`_tree`, for the presentations that
     :meth:`hierarchy_tree` returns.
 
-    Every hierarchy node first tries the Tietze move: if a generator outside
-    the subset occurs once in the relator, the node is decided in the free
-    group on the other generators and counted in ``stats["eliminations"]``.
-    The move is computed per node and never memoized: a node it decides is
-    cheaper to redo than to look up.  Any other node then makes the abelian
-    test on the subset, before it splits or descends.
+    Every hierarchy node that is not its own witness first makes the
+    abelian test on the subset, then one Tietze move on a once-occurring
+    generator ``h``: the node is decided in the free group on the other
+    generators if ``h`` lies outside the subset or the image is empty.
+    ``stats["eliminations"]`` counts the nodes a move decides.  The move is
+    computed per node and never memoized: a node it decides is cheaper to
+    redo than to look up.  Any other node splits or descends.
 
     The memo holds the results of ``breakdown.classify``,
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
@@ -173,17 +175,6 @@ class Solver:
             del self._memo[next(iter(self._memo))]
         return out
 
-    def _eliminate(self, relator, w, subset=frozenset()):
-        """Tietze move on the least once-occurring generator outside
-        ``subset``: the reduced image of ``w`` in the free group on the
-        other generators, or None when no such generator exists."""
-        move = breakdown.tietze_value(relator, subset)
-        if move is None:
-            return None
-        h, value = move
-        self.stats["eliminations"] += 1
-        return words.substitute(w, {h: value}, self.limits.max_word_len)
-
     # -- public API --------------------------------------------------------
 
     def word_problem(self, pres, w):
@@ -208,32 +199,6 @@ class Solver:
 
     def hierarchy_tree(self, pres):
         return self._tree(pres, 0)
-
-    # -- free products -----------------------------------------------------
-
-    def _fp_reduce(self, w, relator, old_to_new, depth):
-        """Free-product normal form over <active | relator> * F(rest).
-
-        ``old_to_new`` maps the active generators onto the ids of
-        ``relator``.  One stack pass over the maximal runs of ``w``: a run
-        merges into a top syllable of its own factor, and the result is
-        kept only if it is nonempty and, in the active factor, nontrivial.
-        Returns the surviving syllables as ``(is_active, word)``; the word
-        is trivial iff none survive.  Free-part syllables are reduced
-        nonempty words in a free group, hence nontrivial as they stand.
-        """
-        rank = len(old_to_new)
-        syls = []
-        for is_act, run in groupby(
-                w, lambda lt: words.letter_gen(lt) in old_to_new):
-            u = tuple(run)
-            if syls and syls[-1][0] == is_act:
-                u = self._mul(syls.pop()[1], u)
-            if u and not (is_act and self._member(
-                    rank, relator, map_word(u, old_to_new), frozenset(),
-                    depth).member):
-                syls.append((is_act, u))
-        return syls
 
     # -- Britton reduction -------------------------------------------------
 
@@ -302,13 +267,26 @@ class Solver:
                     all(words.letter_gen(lt) in subset for lt in w)
                     and not words.support(relator) <= subset):
                 return MembershipVerdict(True, w)
-            image = self._eliminate(relator, w, subset)
-            if image is not None:
-                if all(words.letter_gen(lt) in subset for lt in image):
-                    return MembershipVerdict(True, image)
-                return MembershipVerdict(False)
             if abelian_obstruction(rank, relator, w, subset):
                 return MembershipVerdict(False)
+            move = breakdown.tietze_value(relator, subset)
+            if move is not None:
+                # the group is free on the generators other than h, so the
+                # image decides the node; with h in the subset, only an
+                # empty image does (w is trivial)
+                h, value = move
+                try:
+                    image = words.substitute(w, {h: value},
+                                             self.limits.max_word_len)
+                except ResourceExhausted:
+                    if h not in subset:
+                        raise
+                    image = None
+                if h not in subset or image == ():
+                    self.stats["eliminations"] += 1
+                    if all(words.letter_gen(lt) in subset for lt in image):
+                        return MembershipVerdict(True, image)
+                    return MembershipVerdict(False)
 
             active = words.support(relator)
             if len(active) < rank:
@@ -334,31 +312,50 @@ class Solver:
             raise
 
     def _member_free_split(self, relator, w, subset, active, depth):
+        """Membership in ``<active | relator> * F(rest)``, in one stack pass
+        over the maximal runs of ``w``: a run merges into a top syllable of
+        its own factor.
+
+        An active syllable is asked once, for membership in the subset's
+        active part, and an empty witness drops it as trivial.  A part
+        holding every active generator is not free, so there the word
+        problem is asked and a nontrivial syllable is its own witness.  A
+        syllable without a witness leaves the stack only after all above
+        it, so above one only the word problem is asked.  ``w`` is a member
+        iff every syllable left has a witness.
+        """
         relator, old_to_new = restrict_to_subalphabet(relator, active)
         new_to_old = {v: k for k, v in old_to_new.items()}
-        syls = self._fp_reduce(w, relator, old_to_new, depth)
+        rank = len(old_to_new)
         sub_active = frozenset(old_to_new[g] for g in subset
                                if g in old_to_new)
-        sub_free = subset - old_to_new.keys()
-        witness_parts = []
-        for is_act, u in syls:
-            if is_act:
-                # _fp_reduce kept u as nontrivial, so it lies in no
-                # subgroup on an empty subset
-                if not sub_active:
-                    return MembershipVerdict(False)
-                res = self._member(len(old_to_new), relator,
-                                   map_word(u, old_to_new), sub_active,
-                                   depth)
-                if not res.member:
-                    return MembershipVerdict(False)
-                witness_parts.append(map_word(res.witness, new_to_old))
+        full = len(sub_active) == rank
+        # (is_active, word, witness), the witness None from the first
+        # syllable that lacks one upwards
+        syls = []
+        for is_act, run in groupby(
+                w, lambda lt: words.letter_gen(lt) in old_to_new):
+            u = tuple(run)
+            if syls and syls[-1][0] == is_act:
+                u = self._mul(syls.pop()[1], u)
+            if not u:
+                continue
+            hope = not syls or syls[-1][2] is not None
+            if not is_act:
+                witness = u if words.support(u) <= subset else None
             else:
-                if not words.support(u) <= sub_free:
-                    return MembershipVerdict(False)
-                witness_parts.append(u)
-        return MembershipVerdict(
-            True, words.concat(witness_parts, self.limits.max_word_len))
+                res = self._member(
+                    rank, relator, map_word(u, old_to_new),
+                    sub_active if hope and not full else frozenset(), depth)
+                if res.member and not res.witness:
+                    continue
+                witness = u if full else (
+                    res.witness and map_word(res.witness, new_to_old))
+            syls.append((is_act, u, witness if hope else None))
+        if syls and syls[-1][2] is None:
+            return MembershipVerdict(False)
+        return MembershipVerdict(True, words.concat(
+            (witness for _, _, witness in syls), self.limits.max_word_len))
 
     def _member_zero(self, rank, relator, w, subset, zd, depth):
         """Zero node with stable letter ``t``: Britton-reduce ``w`` times

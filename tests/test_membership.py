@@ -67,22 +67,41 @@ def test_tietze_member_and_non_member():
     res = solver.magnus_membership(p, w, {0, 1})
     check_witness(p, w, {0, 1}, res)
     assert res.witness == (1, 2, 1, 1)
-    # the image a b a^2 of c b a uses b, so it is not in <a>
+    # c b a has b-sum 1 and the relator 0, so the abelian test refuses it
+    # before any substitution
     assert not solver.magnus_membership(p, w, {0}).member
-    assert solver.stats["eliminations"] == 2
+    assert solver.stats["eliminations"] == 1
 
 
 def test_tietze_subset_holding_the_once_occurring_generator():
-    # c is the only once-occurring generator and lies in the subset, so
-    # the query falls through to the hierarchy: a b a b^-1 = c
+    # c is the only once-occurring generator and lies in the subset: the
+    # group is still free on a, b, but only an empty image decides the node
     p = make_presentation(ABC, (1, 2, 1, -2, -3))
     solver = Solver()
+    # a b a b^-1 is its own image, so the query falls through to the
+    # hierarchy: a b a b^-1 = c
     w = (1, 2, 1, -2)
     res = solver.magnus_membership(p, w, {2})
     check_witness(p, w, {2}, res)
     assert res.witness == (3,)
     assert solver.stats["nodes"] > 1
     assert not solver.magnus_membership(p, (1,), {2}).member
+    # the relator's image is empty: it is trivial, decided at the top node;
+    # so is b a^3 b a^-2 in <a,b | a b^2>, by a = b^-2
+    for pres, subset, w in ((p, {2}, p.relator),
+                            (parse_presentation("a,b | ab^2"), {0},
+                             parse_word("ba^3bA^2", AB))):
+        solver = Solver()
+        res = solver.magnus_membership(pres, w, subset)
+        assert res.member and res.witness == ()
+        assert solver.stats["eliminations"] == solver.stats["nodes"] == 1
+    # b occurs once in AcaBaC^2 and lies in the subset; the image of
+    # AB^2CBc overruns 12 letters, which decides nothing, and the hierarchy
+    # refuses the word within the budget
+    p = parse_presentation("a,b,c | AcaBaC^2")
+    solver = Solver(SolverLimits(max_word_len=12))
+    res = solver.magnus_membership(p, parse_word("AB^2CBc", ABC), {1, 2})
+    assert not res.member
 
 
 def test_magnus_subgroup_is_free_basis():
@@ -130,6 +149,32 @@ def test_membership_with_free_factor():
     check_witness(p, (1, 1), {1}, res)
     # a alone is not in <b,c>
     assert not Solver().magnus_membership(p, (1,), {1, 2}).member
+    # <a,b,c | abAB> is Z^2 * <c>; each active syllable of a^2 c b a b^-1
+    # is asked once, and b a b^-1 = a
+    p = parse_presentation("a,b,c | abAB")
+    solver = Solver()
+    res = solver.magnus_membership(p, parse_word("a^2cbaB", p.alphabet),
+                                   {0, 2})
+    assert res.witness == parse_word("a^2ca", p.alphabet)
+    assert solver.stats["nodes"] == 4
+    # b is no member of <a>, but the syllables between b and b^-1 vanish
+    # and so does the whole word
+    w = parse_word("bcabABCB", p.alphabet)
+    res = Solver().magnus_membership(p, w, {0})
+    assert res.member and res.witness == ()
+    # in <a,b,c,d | abAB> the subset <a,b,c> holds the whole active factor,
+    # which is not free: the syllable a b a^-1 b^-1 is asked the word
+    # problem, found trivial and dropped, so c and c^-1 cancel
+    q = parse_presentation("a,b,c,d | abAB")
+    res = Solver().magnus_membership(q, parse_word("cabABC", q.alphabet),
+                                     {0, 1, 2})
+    assert res.member and res.witness == ()
+    # a^-1 c a is no member of <c>, so the syllable c a^-1 c a^-1 c after
+    # it is asked only the word problem; its membership overruns 12 letters
+    p = parse_presentation("a,b,c | CaCacAcaC")
+    w = parse_word("BAcab^2CACAC", p.alphabet)
+    solver = Solver(SolverLimits(max_word_len=12))
+    assert not solver.magnus_membership(p, w, {1, 2}).member
 
 
 def test_membership_nonzero_two_omitted():
