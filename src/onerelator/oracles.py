@@ -8,12 +8,12 @@ matrices, and primitivity by Whitehead moves.  All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from . import words
 from .errors import ResourceExhausted
 from .words import (
+    concat,
     cyclic_reduce,
     cyclically_equal_up_to_inversion,
     exponent_vector,
@@ -33,11 +33,13 @@ class NclCertificate:
     factors: tuple  # sequence of (conjugator word, +-1)
 
     def expand(self, relator):
-        out = ()
+        """The product the factors name, freely reduced; total on any
+        conjugator words."""
+        pieces = []
         for conj, eps in self.factors:
-            r = relator if eps == 1 else invert(relator)
-            out = multiply(out, multiply(conj, multiply(r, invert(conj))))
-        return out
+            pieces += (conj, relator if eps == 1 else invert(relator),
+                       invert(conj))
+        return concat(pieces)
 
 
 def _all_reduced_words(num_gens, max_len):
@@ -58,20 +60,36 @@ def _all_reduced_words(num_gens, max_len):
     return out
 
 
-#: ``_products`` keeps this many half-product tables, evicting the least
-#: recently used first
-PRODUCT_TABLES = 32
+#: ``_products`` keeps tables holding at most this many products in all,
+#: evicting the least recently used table first; the newest table always
+#: stays
+PRODUCT_TABLES = 2**17
+
+_tables = {}
 
 
-@lru_cache(maxsize=PRODUCT_TABLES)
 def _products(size, relator, conj_len, factors):
     """Every product of at most ``factors`` conjugates ``g r^+-1 g^-1``
     (``|g| <= conj_len``) of ``relator`` over ``size`` generators, mapped to
-    the factor tags of a fewest-factor product, fewest factors first.
+    the factor tags of a fewest-factor product, fewest factors first, and
+    the inverse of each product in the same order.
 
-    The dict is shared by every caller with the same arguments: read it,
-    never mutate it.
+    The table is closed under inversion, so each inverse is the table's own
+    key object.  Both are shared by every caller with the same arguments:
+    read them, never mutate them.
     """
+    key = (size, relator, conj_len, factors)
+    if key in _tables:
+        out = _tables[key] = _tables.pop(key)
+        return out
+    out = _tables[key] = _build_products(*key)
+    held = sum(len(tags) for tags, _ in _tables.values())
+    while held > PRODUCT_TABLES and len(_tables) > 1:
+        held -= len(_tables.pop(next(iter(_tables)))[0])
+    return out
+
+
+def _build_products(size, relator, conj_len, factors):
     conjugates = []
     seen = set()
     for g in _all_reduced_words(size, conj_len):
@@ -92,7 +110,8 @@ def _products(size, relator, conj_len, factors):
                     tags[new] = tags[cur] + (tag,)
                     nxt.append(new)
         layer = nxt
-    return tags
+    own = {q: q for q in tags}
+    return tags, [own[invert(q)] for q in tags]
 
 
 def ncl_semidecide(pres, w, conj_len, max_factors):
@@ -100,14 +119,16 @@ def ncl_semidecide(pres, w, conj_len, max_factors):
 
     The conjugates are ``g r^+-1 g^-1`` with ``|g| <= conj_len``.  The search
     meets in the middle: it looks for a split ``w = p q`` with both halves
-    among the products of at most ``ceil(max_factors/2)`` conjugates.  That
-    table does not depend on ``w``; it is built once per (rank, relator,
-    conj_len, half) and kept in a bounded LRU cache of
-    :data:`PRODUCT_TABLES` tables.  The search is exhaustive within its
-    budget, and a hit returns a certificate with the fewest factors any
-    product of conjugates within budget has (always re-verified by the
-    caller via :meth:`NclCertificate.expand`); a miss returns None, which
-    only means "not found within budget".  A negative budget raises
+    among the products of at most ``ceil(max_factors/2)`` conjugates, one
+    product ``w q^-1`` and one lookup per ``q``.  That table does not
+    depend on ``w``; it is built once per (rank, relator, conj_len, half)
+    and stores each product's inverse beside it, so the scan inverts
+    nothing.  Tables are kept in an LRU cache bounded at
+    :data:`PRODUCT_TABLES` products held in all.  The search is exhaustive
+    within its budget, and a hit returns a certificate with the fewest
+    factors any product of conjugates within budget has (always re-verified
+    by the caller via :meth:`NclCertificate.expand`); a miss returns None,
+    which only means "not found within budget".  A negative budget raises
     ``ValueError``.
     """
     if conj_len < 0 or max_factors < 0:
@@ -117,14 +138,16 @@ def ncl_semidecide(pres, w, conj_len, max_factors):
     if not w:
         return NclCertificate(())
     half = (max_factors + 1) // 2
-    tags = _products(pres.alphabet.size, pres.relator, conj_len, half)
+    tags, inverses = _products(pres.alphabet.size, pres.relator, conj_len,
+                               half)
     # w = p q with q fewest factors first: a fewest-factor product of k
     # conjugates splits into its first min(k, half) and the rest, and p
     # never has more than half, so the first split found has k factors
-    for q, q_tags in tags.items():
-        if len(q_tags) > max_factors - half:
+    most = max_factors - half
+    for q_inv, q_tags in zip(inverses, tags.values()):
+        if len(q_tags) > most:
             break
-        p_tags = tags.get(multiply(w, invert(q)))
+        p_tags = tags.get(multiply(w, q_inv))
         if p_tags is not None:
             return NclCertificate(p_tags + q_tags)
     return None

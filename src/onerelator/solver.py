@@ -230,8 +230,11 @@ class Solver:
                                         lambda a: a != excluded, depth)
                 if res.member:
                     del out[-2:]
-                    words.push(out[-1], _shift(rank, res.witness, -sign) + u,
+                    # the shifted witness followed by u need not be
+                    # reduced, so each is pushed on its own
+                    words.push(out[-1], _shift(rank, res.witness, -sign),
                                self.limits.max_word_len)
+                    words.push(out[-1], u, self.limits.max_word_len)
                     continue
             out += (sign, list(u))
         return out

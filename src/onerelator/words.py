@@ -7,6 +7,14 @@ node's base group (see :mod:`.breakdown`); every function here treats them
 like any other generator.  Every word handed out by this module is freely
 reduced, so equality of group elements is tuple equality and the empty
 tuple is the identity.
+
+:func:`reduce`, :func:`concat`, :func:`power` and :func:`substitute` take any
+letter sequence.  :func:`multiply` and :func:`push` take reduced words only.
+Two reduced words cancel only at the seam where they meet, so their product
+costs one comparison per cancelled letter and one copy of what survives,
+never a step per surviving letter.  A product longer than its ``max_len``
+raises :class:`~onerelator.errors.ResourceExhausted` as a letter-by-letter
+reduction would: only when a letter of the right factor survives.
 """
 
 from itertools import chain, repeat
@@ -61,6 +69,11 @@ def letter_sign(lt):
     return 1 if lt > 0 else -1
 
 
+def _too_long(max_len):
+    return ResourceExhausted(f"word length exceeds {max_len}",
+                             budget="max_word_len", limit=max_len)
+
+
 def reduce(raw, max_len=DEFAULT_MAX_WORD_LEN):
     """Freely reduce a letter sequence.  Total and idempotent."""
     out = []
@@ -70,36 +83,42 @@ def reduce(raw, max_len=DEFAULT_MAX_WORD_LEN):
         else:
             out.append(lt)
             if len(out) > max_len:
-                raise ResourceExhausted(f"word length exceeds {max_len}",
-                                        budget="max_word_len", limit=max_len)
+                raise _too_long(max_len)
     return tuple(out)
 
 
 def multiply(u, v, max_len=DEFAULT_MAX_WORD_LEN):
-    """Product of two reduced words, reduced."""
-    out = list(u)
+    """Product of two reduced words, reduced.
+
+    Reduced words cancel only at their seam, so the product is
+    ``u[:len(u)-k] + v[k:]`` with ``k`` the letters that cancel there.  It
+    raises only if a letter of ``v`` survives and the product is longer
+    than ``max_len``.
+    """
+    n, m = len(u), min(len(u), len(v))
+    k = 0
+    while k < m and u[n - 1 - k] == -v[k]:
+        k += 1
+    if k < len(v) and n + len(v) - 2 * k > max_len:
+        raise _too_long(max_len)
+    return u[:n - k] + v[k:]
+
+
+def push(out, v, max_len=DEFAULT_MAX_WORD_LEN):
+    """Multiply the reduced list ``out`` by the reduced word ``v`` in place:
+    pop the letters that cancel at the seam, then extend by the rest of
+    ``v`` in one step.  It raises as :func:`multiply` does, with ``out``
+    already cut back to the seam."""
+    k = 0
     for lt in v:
         if out and out[-1] == -lt:
             out.pop()
+            k += 1
         else:
-            out.append(lt)
-            if len(out) > max_len:
-                raise ResourceExhausted(f"word length exceeds {max_len}",
-                                        budget="max_word_len", limit=max_len)
-    return tuple(out)
-
-
-def push(out, letters, max_len=DEFAULT_MAX_WORD_LEN):
-    """Multiply the reduced list ``out`` by ``letters`` in place, cancelling
-    at the seam."""
-    for lt in letters:
-        if out and out[-1] == -lt:
-            out.pop()
-        else:
-            out.append(lt)
-            if len(out) > max_len:
-                raise ResourceExhausted(f"word length exceeds {max_len}",
-                                        budget="max_word_len", limit=max_len)
+            if len(out) + len(v) - k > max_len:
+                raise _too_long(max_len)
+            out.extend(v[k:])
+            return
 
 
 def concat(words, max_len=DEFAULT_MAX_WORD_LEN):
@@ -170,15 +189,12 @@ def cyclically_equal_up_to_inversion(u, v):
 
 def exponent_sum(w, gen):
     """Signed count of occurrences of generator id ``gen`` in ``w``."""
-    target = gen + 1
-    return sum(letter_sign(lt) for lt in w if abs(lt) == target)
+    return w.count(gen + 1) - w.count(-gen - 1)
 
 
 def exponent_vector(w, size):
-    vec = [0] * size
-    for lt in w:
-        vec[letter_gen(lt)] += letter_sign(lt)
-    return tuple(vec)
+    """Exponent sums of generators ``0 .. size-1`` in ``w``."""
+    return tuple(w.count(g) - w.count(-g) for g in range(1, size + 1))
 
 
 def support(w):

@@ -1,5 +1,10 @@
+import hashlib
+import importlib.util
 import itertools
+import json
 import random
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +29,7 @@ from onerelator.oracles import (
     smith_invariants,
 )
 from onerelator.presentations import make_presentation
-from onerelator.textio import parse_presentation
+from onerelator.textio import parse_presentation, parse_word, print_word
 from onerelator.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -91,7 +96,7 @@ def _ncl_reference(pres, conj_len, max_factors):
 def _ncl_cold_and_warm(pres, w, conj_len, max_factors):
     """The search's answer, which must not change once its product table
     is cached."""
-    oracles._products.cache_clear()
+    oracles._tables.clear()
     cold = ncl_semidecide(pres, w, conj_len, max_factors)
     assert ncl_semidecide(pres, w, conj_len, max_factors) == cold
     return cold
@@ -118,21 +123,81 @@ def test_ncl_matches_brute_force_reference(pres):
 def test_ncl_table_shared_across_names():
     # x,y | xyXY and a,b | abAB have the same rank and relator ids
     xy = parse_presentation("x,y | xyXY")
-    oracles._products.cache_clear()
+    oracles._tables.clear()
     w = words.reduce((1, 1, 2, 2, -1, -1, -2, -2))
     first = ncl_semidecide(xy, w, conj_len=2, max_factors=4)
-    hits = oracles._products.cache_info().hits
     second = ncl_semidecide(Z2, w, conj_len=2, max_factors=4)
-    assert oracles._products.cache_info().hits == hits + 1
+    assert len(oracles._tables) == 1
     assert first is not None and first.factors == second.factors
 
 
-def test_ncl_table_cache_is_bounded():
-    oracles._products.cache_clear()
-    # half = k: one distinct cheap table per k
-    for k in range(oracles.PRODUCT_TABLES + 1):
+def test_ncl_table_stores_each_inverse_as_its_own_key():
+    tags, inverses = oracles._products(2, BS12.relator, 1, 2)
+    assert len(inverses) == len(tags)
+    keys = {id(q) for q in tags}
+    for q, q_inv in zip(tags, inverses):
+        assert q_inv == words.invert(q) and id(q_inv) in keys
+
+
+def test_ncl_table_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(oracles, "PRODUCT_TABLES", 40)
+    oracles._tables.clear()
+    # half = k: one distinct cheap table of 2k + 1 products per k
+    for k in range(1, 12):
         assert ncl_semidecide(Z2, (1,), conj_len=0, max_factors=2 * k) is None
-    assert oracles._products.cache_info().currsize <= oracles.PRODUCT_TABLES
+        held = sum(len(tags) for tags, _ in oracles._tables.values())
+        assert held <= 40
+        # the table just built always stays
+        assert next(reversed(oracles._tables))[3] == k
+    # the least recently used go first: k = 10 and 11 hold 21 + 23 > 40
+    assert [key[3] for key in oracles._tables] == [11]
+    ncl_semidecide(Z2, (1,), conj_len=0, max_factors=2)
+    ncl_semidecide(Z2, (1,), conj_len=0, max_factors=4)
+    assert [key[3] for key in oracles._tables] == [11, 1, 2]
+    ncl_semidecide(Z2, (1,), conj_len=0, max_factors=2)
+    ncl_semidecide(Z2, (1,), conj_len=0, max_factors=10)
+    assert [key[3] for key in oracles._tables] == [2, 1, 5]
+    # a table larger than the budget stays alone
+    ncl_semidecide(Z2, (1,), conj_len=0, max_factors=60)
+    assert [key[3] for key in oracles._tables] == [30]
+
+
+def _perfbench_gen():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_ncl_benchmark_tables_fit_the_cache():
+    """The tables the oracle-ncl workload asks for, one per presentation
+    and budget, fit in :data:`oracles.PRODUCT_TABLES` together."""
+    gen = _perfbench_gen()
+    oracles._tables.clear()
+    for entry in gen.NCL_CATALOGUE:
+        pres = parse_presentation(entry.text)
+        for conj_len, factors in gen.NCL_BUDGETS:
+            ncl_semidecide(pres, (1,), conj_len, factors)
+    assert len(oracles._tables) == 15
+
+
+def test_ncl_certificates_are_pinned():
+    """SHA-256 of the first 2000 seed-3 oracle-ncl answers, each rendered
+    as ``perfbench/worker.py`` renders it, one JSON line per answer.  A
+    change to the search may change its speed, never a certificate."""
+    digest = hashlib.sha256()
+    for q, _ in islice(_perfbench_gen().stream("oracle-ncl", 3), 2000):
+        pres = parse_presentation(q[1])
+        cert = ncl_semidecide(pres, parse_word(q[2], pres.alphabet), q[3],
+                              q[4])
+        answer = "none" if cert is None else [
+            "found", print_word(pres.relator, pres.alphabet),
+            [[print_word(c, pres.alphabet), eps] for c, eps in cert.factors]]
+        digest.update((json.dumps(answer) + "\n").encode())
+    assert digest.hexdigest() == (
+        "ecc2f209506446b68b79e1474e591cd3f4ddc0f015d7cab8ec3da3705dc0a876")
 
 
 # -- modular group ----------------------------------------------------------

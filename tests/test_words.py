@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from onerelator import words
@@ -56,6 +58,87 @@ def test_multiply_and_concat():
     with pytest.raises(ResourceExhausted) as info:
         words.push(out, (3, 3), max_len=2)
     assert info.value.budget == "max_word_len"
+
+
+def _letter_loop(u, v, max_len):
+    """Reference product: push ``v`` letter by letter onto ``u``, raising as
+    soon as an appended letter makes the word longer than ``max_len``."""
+    out = list(u)
+    for lt in v:
+        if out and out[-1] == -lt:
+            out.pop()
+        else:
+            out.append(lt)
+            if len(out) > max_len:
+                raise ResourceExhausted("", budget="max_word_len",
+                                        limit=max_len)
+    return tuple(out)
+
+
+def _seam_pairs(seed, count):
+    """Reduced pairs ``(u, v)`` where ``v`` starts by cancelling a random
+    suffix of ``u``, all of it in some pairs, and may cancel all of
+    itself."""
+    rng = random.Random(seed)
+    letters = (1, -1, 2, -2, 3, -3)
+    for _ in range(count):
+        u = words.reduce(rng.choice(letters)
+                         for _ in range(rng.randint(0, 12)))
+        j = rng.randint(0, len(u))
+        tail = [rng.choice(letters) for _ in range(rng.choice((0, 0, 3, 8)))]
+        v = words.reduce(list(words.invert(u[len(u) - j:])) + tail)
+        yield u, v
+
+
+def test_seam_products_match_reduction():
+    full = 0
+    for u, v in _seam_pairs(17, 3000):
+        product = words.multiply(u, v)
+        assert product == words.reduce(u + v)
+        out = list(u)
+        words.push(out, v)
+        assert tuple(out) == product
+        full += bool(u) and not product
+    assert full > 100
+
+
+def test_seam_products_overrun_like_the_letter_loop():
+    for u, v in _seam_pairs(18, 1500):
+        n = len(words.reduce(u + v))
+        for max_len in {0, len(u) - 1, len(u), n - 1, n, n + 1}:
+            if max_len < 0:
+                continue
+            try:
+                expected = _letter_loop(u, v, max_len)
+            except ResourceExhausted:
+                expected = None
+            out = list(u)
+            if expected is None:
+                with pytest.raises(ResourceExhausted) as info:
+                    words.multiply(u, v, max_len)
+                assert info.value.budget == "max_word_len"
+                with pytest.raises(ResourceExhausted):
+                    words.push(out, v, max_len)
+            else:
+                assert words.multiply(u, v, max_len) == expected
+                words.push(out, v, max_len)
+                assert tuple(out) == expected
+
+
+def test_seam_products_at_the_cap():
+    u = (1, 2, 3)
+    # u at the cap, v cancelling fully: no letter of v survives, no raise
+    assert words.multiply(u, (-3, -2), max_len=3) == (1,)
+    assert words.multiply(u, (-3, -2, -1), max_len=3) == ()
+    # u over the cap already: still no raise while v cancels fully
+    assert words.multiply(u, (-3,), max_len=1) == (1, 2)
+    out = list(u)
+    words.push(out, (-3, -2, -1), max_len=3)
+    assert out == []
+    # one surviving letter over the cap raises, even after cancelling
+    with pytest.raises(ResourceExhausted):
+        words.multiply(u, (-3, 1, 1), max_len=3)
+    assert words.multiply(u, (-3, 1, 1), max_len=4) == (1, 2, 1, 1)
 
 
 def test_invert_and_power():
