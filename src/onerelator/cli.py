@@ -41,27 +41,33 @@ def build_parser():
                         help="emit one JSON document instead of text")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized check suites")
-    parser.add_argument("--max-depth", type=int, default=32)
-    parser.add_argument("--max-word-len", type=int, default=2**20)
+    limits = SolverLimits()
+    parser.add_argument("--max-depth", type=int, default=limits.max_depth)
+    parser.add_argument("--max-word-len", type=int,
+                        default=limits.max_word_len)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="decide the word problem")
     p.add_argument("presentation")
     p.add_argument("word")
+    p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("member", help="Magnus subgroup membership")
     p.add_argument("presentation")
     p.add_argument("word")
     p.add_argument("--subset", required=True,
                    help="comma-separated generator names")
+    p.set_defaults(run=cmd_member)
 
     p = sub.add_parser("hierarchy", help="print the breakdown tree")
     p.add_argument("presentation")
+    p.set_defaults(run=cmd_hierarchy)
 
     p = sub.add_parser("is-root", help="does r die in <alphabet | s>?")
     p.add_argument("s")
     p.add_argument("r")
     p.add_argument("--alphabet", required=True)
+    p.set_defaults(run=cmd_is_root)
 
     p = sub.add_parser("oracle", help="independent ground-truth queries")
     osub = p.add_subparsers(dest="oracle_command", required=True)
@@ -70,6 +76,7 @@ def build_parser():
     p.add_argument("word")
     p.add_argument("--conj-len", type=int, default=2)
     p.add_argument("--factors", type=int, default=4)
+    p.set_defaults(run=cmd_oracle_ncl)
 
     p = sub.add_parser("check", help="classical-theorem check suites")
     p.add_argument("suite", choices=["conjugacy", "commutator-roots",
@@ -81,12 +88,8 @@ def build_parser():
                    help="freiheitssatz: number of random relators")
     p.add_argument("--words", type=int, default=50,
                    help="freiheitssatz: words per relator")
+    p.set_defaults(run=cmd_check)
     return parser
-
-
-def make_solver(args):
-    return Solver(SolverLimits(max_depth=args.max_depth,
-                               max_word_len=args.max_word_len))
 
 
 def emit(args, text_lines, payload):
@@ -97,8 +100,7 @@ def emit(args, text_lines, payload):
             print(line)
 
 
-def cmd_solve(args):
-    solver = make_solver(args)
+def cmd_solve(args, solver):
     pres = parse_presentation(args.presentation, args.max_word_len)
     w = parse_word(args.word, pres.alphabet, max_len=args.max_word_len)
     t0 = time.perf_counter()
@@ -113,8 +115,7 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def cmd_member(args):
-    solver = make_solver(args)
+def cmd_member(args, solver):
     pres = parse_presentation(args.presentation, args.max_word_len)
     w = parse_word(args.word, pres.alphabet, max_len=args.max_word_len)
     subset_alphabet = parse_alphabet(args.subset)
@@ -185,16 +186,14 @@ def hierarchy_lines(doc, indent=0):
     return lines
 
 
-def cmd_hierarchy(args):
-    solver = make_solver(args)
+def cmd_hierarchy(args, solver):
     pres = parse_presentation(args.presentation, args.max_word_len)
     doc = hierarchy_json(solver.hierarchy_tree(pres))
     emit(args, hierarchy_lines(doc), doc)
     return EXIT_OK
 
 
-def cmd_is_root(args):
-    solver = make_solver(args)
+def cmd_is_root(args, solver):
     alphabet = parse_alphabet(args.alphabet)
     s = parse_word(args.s, alphabet, max_len=args.max_word_len)
     r = parse_word(args.r, alphabet, max_len=args.max_word_len)
@@ -208,8 +207,7 @@ def cmd_is_root(args):
     return EXIT_OK
 
 
-def cmd_oracle_ncl(args):
-    make_solver(args)  # rejects nonpositive limits, as every command does
+def cmd_oracle_ncl(args, solver):
     pres = parse_presentation(args.presentation, args.max_word_len)
     w = parse_word(args.word, pres.alphabet, max_len=args.max_word_len)
     cert = oracles.ncl_semidecide(pres, w, args.conj_len, args.factors)
@@ -232,7 +230,7 @@ def cmd_oracle_ncl(args):
     return EXIT_OK
 
 
-def cmd_check(args):
+def cmd_check(args, solver):
     # the freiheitssatz relators use all three of a, b, c
     least = 3 if args.suite == "freiheitssatz" else 1
     max_len = args.max_len
@@ -241,7 +239,6 @@ def cmd_check(args):
     elif max_len < least:
         raise ValueError(f"--max-len must be at least {least} for "
                          f"{args.suite}, got {max_len}")
-    solver = make_solver(args)
     if args.suite == "conjugacy":
         report = oracles.check_conjugacy_theorem(max_len, solver=solver)
     elif args.suite == "commutator-roots":
@@ -271,17 +268,10 @@ def main(argv=None):
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "member":
-            return cmd_member(args)
-        if args.command == "hierarchy":
-            return cmd_hierarchy(args)
-        if args.command == "is-root":
-            return cmd_is_root(args)
-        if args.command == "oracle":
-            return cmd_oracle_ncl(args)
-        return cmd_check(args)
+        # every command gets the one solver, so each rejects bad limits
+        solver = Solver(SolverLimits(max_depth=args.max_depth,
+                                     max_word_len=args.max_word_len))
+        return args.run(args, solver)
     except (WordSyntaxError, UnknownGenerator, EmptyRelator,
             PreconditionViolated, ValueError) as exc:
         offset = getattr(exc, "offset", None)

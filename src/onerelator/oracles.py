@@ -1,18 +1,25 @@
 """Independent ground truth for checking the solver's verdicts.
 
-Nothing here shares code paths with the hierarchy solver: normal-closure
+The oracles share no code paths with the hierarchy solver: normal-closure
 membership is certified by explicit products of conjugates, metabelian
 Baumslag-Solitar groups by exact affine maps, the modular group by integer
 matrices, and primitivity by Whitehead moves.  All arithmetic is exact.
+The desk-scale check suites at the end are the one part that drives the
+solver: they ask it for verdicts and test them against classical theorems
+(the conjugacy theorem for roots, commutator roots, the Freiheitssatz).
 """
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from . import words
 from .errors import ResourceExhausted
+from .presentations import make_presentation
+from .solver import Solver, Verdict
 from .words import (
+    Alphabet,
     concat,
     cyclic_reduce,
     cyclically_equal_up_to_inversion,
@@ -129,12 +136,14 @@ def ncl_semidecide(pres, w, conj_len, max_factors):
     factors any product of conjugates within budget has (always re-verified
     by the caller via :meth:`NclCertificate.expand`); a miss returns None,
     which only means "not found within budget".  A negative budget raises
-    ``ValueError``.
+    ``ValueError``, and a letter outside the alphabet ``UnknownGenerator``,
+    as :meth:`.Solver.word_problem` does.
     """
     if conj_len < 0 or max_factors < 0:
         raise ValueError(f"search budgets must be nonnegative: conj_len "
                          f"{conj_len}, max_factors {max_factors}")
     w = reduce(w)
+    words.validate_word(pres.alphabet, w)
     if not w:
         return NclCertificate(())
     half = (max_factors + 1) // 2
@@ -205,10 +214,11 @@ MAT_A = ProjectiveMatrix.of(0, -1, 1, 0)
 MAT_B = ProjectiveMatrix.of(0, -1, 1, 1)
 
 
-def psl2_eval(w, mat_a=MAT_A, mat_b=MAT_B):
-    """Evaluate a word over a two-letter alphabet in PSL2(Z)."""
+def psl2_eval(w):
+    """Evaluate a word over a two-letter alphabet in PSL2(Z) with a -> MAT_A,
+    b -> MAT_B."""
     out = ProjectiveMatrix.identity()
-    table = {1: mat_a, -1: mat_a.inverse(), 2: mat_b, -2: mat_b.inverse()}
+    table = {1: MAT_A, -1: MAT_A.inverse(), 2: MAT_B, -2: MAT_B.inverse()}
     for lt in w:
         out = out * table[lt]
     return out
@@ -231,77 +241,6 @@ def free_at_length(m1, m2, max_len):
                 nxt.append((w + (lt,), prod))
         frontier = nxt
     return True
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-def smith_invariants(matrix):
-    """Invariant factors d1 | d2 | ... of a small integer matrix.
-
-    Plain elementary row/column reduction over the integers; zero factors
-    (free rank) come last.
-    """
-    m = [list(map(int, row)) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if max(rows, cols, 0) > 8:
-        raise ValueError("matrix larger than 8x8")
-    factors = []
-    s = 0
-    while s < rows and s < cols:
-        # pick the nonzero entry of least magnitude as pivot
-        pivot = None
-        for i in range(s, rows):
-            for j in range(s, cols):
-                if m[i][j] != 0 and (pivot is None
-                                     or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[s], m[i] = m[i], m[s]
-        for row in m:
-            row[s], row[j] = row[j], row[s]
-        if m[s][s] < 0:
-            m[s] = [-x for x in m[s]]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(s + 1, rows):
-                q = m[i][s] // m[s][s]
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[s])]
-                if m[i][s] != 0:
-                    m[s], m[i] = m[i], m[s]
-                    if m[s][s] < 0:
-                        m[s] = [-x for x in m[s]]
-                    dirty = True
-            for j in range(s + 1, cols):
-                q = m[s][j] // m[s][s]
-                if q:
-                    for row in m:
-                        row[j] -= q * row[s]
-                if m[s][j] != 0:
-                    for row in m:
-                        row[s], row[j] = row[j], row[s]
-                    if m[s][s] < 0:
-                        m[s] = [-x for x in m[s]]
-                    dirty = True
-        # divisibility repair: fold any entry the pivot misses
-        for i in range(s + 1, rows):
-            for j in range(s + 1, cols):
-                if m[i][j] % m[s][s] != 0:
-                    m[s] = [x + y for x, y in zip(m[s], m[i])]
-                    dirty = True
-        if dirty:
-            continue
-        factors.append(m[s][s])
-        s += 1
-    while s < min(rows, cols):
-        factors.append(0)
-        s += 1
-    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +351,8 @@ class CheckReport:
     name: str
     checked: int = 0
     hits: int = 0
-    violations: list = None
-    exhausted: list = None
-
-    def __post_init__(self):
-        self.violations = self.violations or []
-        self.exhausted = self.exhausted or []
+    violations: list = field(default_factory=list)
+    exhausted: list = field(default_factory=list)
 
     @property
     def passed(self):
@@ -435,9 +370,6 @@ class CheckReport:
 
 def check_conjugacy_theorem(max_len, solver=None):
     """Mutually-rooted word pairs must be cyclically equal up to inversion."""
-    from .solver import Solver
-    from .words import Alphabet
-
     if max_len > 5:
         raise ValueError("desk-scale check: max_len <= 5")
     solver = solver or Solver()
@@ -464,9 +396,6 @@ def check_conjugacy_theorem(max_len, solver=None):
 
 def check_commutator_roots(max_len, solver=None):
     """Roots of the commutator are primitive or the commutator itself."""
-    from .solver import Solver
-    from .words import Alphabet
-
     if max_len > 5:
         raise ValueError("desk-scale check: max_len <= 5")
     solver = solver or Solver()
@@ -521,11 +450,6 @@ def check_freiheitssatz(relators=200, words_per_relator=50, relator_len=6,
     Relators range over random cyclically reduced words using all three of
     a, b, c; the probe words live in the free group on a, b.
     """
-    import random
-
-    from .solver import Solver, Verdict
-    from .words import Alphabet
-
     rng = random.Random(seed)
     solver = solver or Solver()
     alphabet = Alphabet(("a", "b", "c"))
@@ -534,14 +458,11 @@ def check_freiheitssatz(relators=200, words_per_relator=50, relator_len=6,
     for _ in range(relators):
         r = random_cyclically_reduced_word(
             rng, 3, rng.randint(3, relator_len), require_full_support=True)
-        pres = None
+        pres = make_presentation(alphabet, r)
         for _ in range(words_per_relator):
             w = random_reduced_word(rng, 2, rng.randint(1, word_len))
             report.checked += 1
             try:
-                if pres is None:
-                    from .presentations import make_presentation
-                    pres = make_presentation(alphabet, r)
                 verdict = solver.word_problem(pres, w)
             except ResourceExhausted:
                 report.exhausted.append((r, w))
@@ -579,6 +500,4 @@ def check_modular_group():
     beta1 = psl2_eval((1, -2, -1, 2))
     item("no relation among beta0, beta1 up to length 12",
          free_at_length(beta0, beta1, 12))
-    item("smith_invariants(diag(2,3)) == (1, 6)",
-         smith_invariants([[2, 0], [0, 3]]) == (1, 6))
     return report

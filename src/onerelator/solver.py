@@ -75,7 +75,7 @@ MEMO_ENTRIES = 1024
 @dataclass(frozen=True)
 class SolverLimits:
     max_depth: int = 32
-    max_word_len: int = 2**20
+    max_word_len: int = words.DEFAULT_MAX_WORD_LEN
 
     def __post_init__(self):
         if min(self.max_depth, self.max_word_len) <= 0:

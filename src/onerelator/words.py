@@ -47,9 +47,6 @@ class Alphabet:
         except KeyError:
             raise UnknownGenerator(f"unknown generator {name!r}") from None
 
-    def __len__(self):
-        return len(self.names)
-
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.names == other.names
 

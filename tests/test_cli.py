@@ -11,6 +11,7 @@ from onerelator.errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
+from onerelator.solver import SolverLimits
 from onerelator.textio import (
     parse_presentation,
     parse_word,
@@ -317,3 +318,23 @@ def test_global_flags_reach_solver(capsys):
     assert main(["--max-depth", "30", "solve", "a,b | abAB^2",
                  "a^2bA^2B^4"]) == 0
     assert capsys.readouterr().out.strip() == "trivial"
+
+
+def test_budget_flag_defaults_are_the_solvers():
+    args = build_parser().parse_args(["hierarchy", "a,b | abAB"])
+    limits = SolverLimits()
+    assert (args.max_depth, args.max_word_len) \
+        == (limits.max_depth, limits.max_word_len)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "a,b | abAB", "ab"],
+    ["member", "a,b | abAB", "a", "--subset", "a"],
+    ["hierarchy", "a,b | abAB"],
+    ["is-root", "ab", "abab", "--alphabet", "a,b"],
+    ["oracle", "ncl", "a,b | abAB", "a"],
+    ["check", "modular-group"]])
+def test_every_command_rejects_nonpositive_limits(capsys, argv):
+    assert main(["--max-depth", "0", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "limits must be positive" in out.err

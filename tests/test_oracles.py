@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from onerelator import oracles, words
+from onerelator.errors import UnknownGenerator
 from onerelator.oracles import (
     MAT_A,
     MAT_B,
     AffineMap,
+    NclCertificate,
     ProjectiveMatrix,
     affine_eval_bs1n,
     check_commutator_roots,
@@ -26,9 +28,9 @@ from onerelator.oracles import (
     psl2_eval,
     random_cyclically_reduced_word,
     random_reduced_word,
-    smith_invariants,
 )
 from onerelator.presentations import make_presentation
+from onerelator.solver import Solver, Verdict
 from onerelator.textio import parse_presentation, parse_word, print_word
 from onerelator.words import Alphabet
 
@@ -70,6 +72,19 @@ def test_ncl_refuses_negative_budgets():
     for conj_len, max_factors in ((-1, 2), (1, -1)):
         with pytest.raises(ValueError):
             ncl_semidecide(Z2, Z2.relator, conj_len, max_factors)
+
+
+def test_ncl_rejects_letters_outside_the_alphabet():
+    # as Solver.word_problem does: reduce first, then check every letter
+    solver = Solver()
+    for w in ((3,), (0,), (1, 3, -1)):
+        with pytest.raises(UnknownGenerator):
+            ncl_semidecide(Z2, w, conj_len=1, max_factors=2)
+        with pytest.raises(UnknownGenerator):
+            solver.word_problem(Z2, w)
+    # a foreign letter that cancels is gone before the check
+    assert ncl_semidecide(Z2, (3, -3), 1, 2) == NclCertificate(())
+    assert solver.word_problem(Z2, (3, -3)) is Verdict.TRIVIAL
 
 
 def _reduced_words(num_gens, max_len):
@@ -228,32 +243,6 @@ def test_free_at_length():
     assert free_at_length(beta0, beta1, 8)
     # a has order 2, so the pair (a, b) is certainly not free
     assert not free_at_length(MAT_A, MAT_B, 2)
-
-
-# -- Smith normal form ------------------------------------------------------
-
-def test_smith_invariants_basics():
-    assert smith_invariants([[2, 0], [0, 3]]) == (1, 6)
-    assert smith_invariants([[1, 0], [0, 1]]) == (1, 1)
-    assert smith_invariants([[0, 0], [0, 0]]) == (0, 0)
-    assert smith_invariants([[2, 4], [4, 8]]) == (2, 0)
-    assert smith_invariants([[6]]) == (6,)
-
-
-def test_smith_invariants_divisibility_chain():
-    rng = random.Random(5)
-    for _ in range(50):
-        m = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        inv = smith_invariants(m)
-        nonzero = [d for d in inv if d]
-        for d1, d2 in zip(nonzero, nonzero[1:]):
-            assert d2 % d1 == 0
-        assert all(d >= 0 for d in inv)
-
-
-def test_smith_invariants_size_guard():
-    with pytest.raises(ValueError):
-        smith_invariants([[0] * 9 for _ in range(9)])
 
 
 # -- primitivity ------------------------------------------------------------

@@ -10,7 +10,6 @@ from onerelator.words import Alphabet
 def test_alphabet_basics():
     ab = Alphabet(("a", "b"))
     assert ab.size == 2
-    assert len(ab) == 2
     assert ab.index("a") == 0
     assert ab.index("b") == 1
     assert ab == Alphabet(("a", "b"))
