@@ -39,7 +39,7 @@ class ResourceExhausted(OneRelatorError):
 
 
 class WordSyntaxError(OneRelatorError):
-    """Malformed textual input; ``offset`` is the byte position of the error."""
+    """Malformed text; ``offset`` is the character index of the error."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")

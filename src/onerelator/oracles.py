@@ -27,6 +27,7 @@ from .words import (
     invert,
     multiply,
     reduce,
+    substitute,
 )
 
 
@@ -214,58 +215,56 @@ MAT_A = ProjectiveMatrix.of(0, -1, 1, 0)
 MAT_B = ProjectiveMatrix.of(0, -1, 1, 1)
 
 
+def _images(m1, m2):
+    """Letter images for a two-letter alphabet with a -> m1, b -> m2."""
+    return {1: m1, -1: m1.inverse(), 2: m2, -2: m2.inverse()}
+
+
+def _product(w, images, identity):
+    """The product of the images of w's letters; letters multiply like the
+    group elements they name, so the first letter is the outermost map."""
+    out = identity
+    for lt in w:
+        out = out * images[lt]
+    return out
+
+
+_PSL2_IMAGES = _images(MAT_A, MAT_B)
+
+
 def psl2_eval(w):
     """Evaluate a word over a two-letter alphabet in PSL2(Z) with a -> MAT_A,
     b -> MAT_B."""
-    out = ProjectiveMatrix.identity()
-    table = {1: MAT_A, -1: MAT_A.inverse(), 2: MAT_B, -2: MAT_B.inverse()}
-    for lt in w:
-        out = out * table[lt]
-    return out
+    return _product(w, _PSL2_IMAGES, ProjectiveMatrix.identity())
 
 
 def free_at_length(m1, m2, max_len):
     """True iff no nonempty reduced word of length <= max_len in m1, m2
-    evaluates to the projective identity."""
-    gens = {1: m1, -1: m1.inverse(), 2: m2, -2: m2.inverse()}
-    frontier = [((), ProjectiveMatrix.identity())]
-    for _ in range(max_len):
-        nxt = []
-        for w, m in frontier:
-            for lt, g in gens.items():
-                if w and w[-1] == -lt:
-                    continue
-                prod = m * g
-                if prod.is_identity():
-                    return False
-                nxt.append((w + (lt,), prod))
-        frontier = nxt
+    evaluates to the projective identity.
+
+    Meets in the middle: a relation of length L is two distinct reduced
+    words of lengths <= ceil(L/2) with one value, and two such words u, w
+    give the nonempty relation u w^-1, of length <= |u| + |w|.
+    """
+    images = _images(m1, m2)
+    first = {}
+    for w in _all_reduced_words(2, (max_len + 1) // 2):
+        m = _product(w, images, ProjectiveMatrix.identity())
+        u = first.setdefault(m, w)
+        if u is not w and len(u) + len(w) <= max_len:
+            return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # rank-2 primitivity
 
-def _apply_auto(w, images):
-    out = []
-    for lt in w:
-        img = images[abs(lt)]
-        out.extend(img if lt > 0 else invert(img))
-    return reduce(out)
-
-
-def _rank2_whitehead_autos():
-    autos = []
-    for g, x in ((1, 2), (2, 1)):
-        other = {x: (x,)}
-        for eps in (1, -1):
-            autos.append({g: (g, eps * x), **other})
-            autos.append({g: (-eps * x, g), **other})
-            autos.append({g: (-eps * x, g, eps * x), **other})
-    return autos
-
-
-_WHITEHEAD_AUTOS = _rank2_whitehead_autos()
+#: the rank-2 Whitehead automorphisms that move one generator, keyed by
+#: generator id as :func:`.words.substitute` takes them
+_WHITEHEAD_AUTOS = [
+    {g - 1: image}
+    for g, x in ((1, 2), (2, 1)) for eps in (1, -1)
+    for image in ((g, eps * x), (-eps * x, g), (-eps * x, g, eps * x))]
 
 
 def is_primitive_rank2(w):
@@ -281,7 +280,7 @@ def is_primitive_rank2(w):
         return False
     while len(core) > 1:
         for auto in _WHITEHEAD_AUTOS:
-            _, cand = cyclic_reduce(_apply_auto(core, auto))
+            _, cand = cyclic_reduce(substitute(core, auto))
             if len(cand) < len(core):
                 core = cand
                 break
@@ -304,7 +303,7 @@ class AffineMap:
     def identity(cls):
         return cls(Fraction(1), Fraction(0))
 
-    def compose(self, other):
+    def __mul__(self, other):
         """self after other: x -> self(other(x))."""
         return AffineMap(self.scale * other.scale,
                          self.scale * other.offset + self.offset)
@@ -325,13 +324,9 @@ def affine_eval_bs1n(w, n):
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    amap = AffineMap(Fraction(n), Fraction(0))
-    bmap = AffineMap(Fraction(1), Fraction(1))
-    table = {1: amap, -1: amap.inverse(), 2: bmap, -2: bmap.inverse()}
-    out = AffineMap.identity()
-    for lt in w:
-        out = out.compose(table[lt])
-    return out
+    images = _images(AffineMap(Fraction(n), Fraction(0)),
+                     AffineMap(Fraction(1), Fraction(1)))
+    return _product(w, images, AffineMap.identity())
 
 
 # ---------------------------------------------------------------------------

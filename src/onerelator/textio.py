@@ -1,8 +1,9 @@
 """Textual grammar for words and presentations.
 
 Generator names are single ASCII lowercase letters; the corresponding
-uppercase letter is the inverse; ``g^k`` abbreviates ``|k|`` copies of
-``g`` (or its inverse for negative ``k``); ``1`` is the identity.
+uppercase letter is the inverse; ``g^k``, with ``k`` in ASCII digits,
+abbreviates ``|k|`` copies of ``g`` (or its inverse for negative ``k``);
+``1`` is the identity.
 Presentations read ``a,b,... | relator``.
 """
 
@@ -18,11 +19,11 @@ from .words import (
 
 
 def parse_word(text, alphabet, offset=0, max_len=DEFAULT_MAX_WORD_LEN):
-    """Parse a word; raises WordSyntaxError/UnknownGenerator with the byte
-    offset of the offending character.  ``offset`` shifts reported positions
-    when the word is embedded in a larger input.  A power that would expand
-    the word past ``max_len`` letters, before free reduction, raises
-    ResourceExhausted instead of being spelled out."""
+    """Parse a word; raises WordSyntaxError/UnknownGenerator with the
+    character index of the offending character.  ``offset`` shifts reported
+    positions when the word is embedded in a larger input.  A power that
+    would expand the word past ``max_len`` letters, before free reduction,
+    raises ResourceExhausted instead of being spelled out."""
     out = []
     i = 0
     n = len(text)
@@ -52,7 +53,7 @@ def parse_word(text, alphabet, offset=0, max_len=DEFAULT_MAX_WORD_LEN):
             start = i
             if i < n and text[i] == "-":
                 i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in "0123456789":
                 i += 1
             if i == start or text[start:i] == "-":
                 raise WordSyntaxError("expected integer after '^'",
@@ -91,18 +92,21 @@ def print_word(w, alphabet):
 
 
 def parse_alphabet(text, offset=0):
+    """Parse ``a,b,...``; an error's offset is that of the name at fault."""
     names = []
+    start = offset
     for chunk in text.split(","):
         name = chunk.strip()
+        at = start + len(chunk) - len(chunk.lstrip())
         if len(name) != 1 or not ("a" <= name <= "z"):
             raise WordSyntaxError(
                 f"generator names are single lowercase letters, got {name!r}",
-                offset + text.find(chunk))
+                at)
+        if name in names:
+            raise WordSyntaxError("duplicate generator name", at)
         names.append(name)
-    try:
-        return Alphabet(tuple(names))
-    except ValueError:
-        raise WordSyntaxError("duplicate generator name", offset) from None
+        start += len(chunk) + 1
+    return Alphabet(tuple(names))
 
 
 def parse_presentation(text, max_len=DEFAULT_MAX_WORD_LEN):

@@ -113,7 +113,7 @@ def test_criterion_5_commutator_roots():
 
 
 def test_criterion_6_modular_group():
-    """Matrix facts behind the modular-group discussion.  Budget: 60 s."""
+    """Matrix facts behind the modular-group discussion.  Budget: 5 s."""
     t0 = time.perf_counter()
     # (i) generator orders
     assert (MAT_A * MAT_A).is_identity()
@@ -130,7 +130,7 @@ def test_criterion_6_modular_group():
     beta1 = psl2_eval((1, -2, -1, 2))
     assert free_at_length(beta0, beta1, 12)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 60
+    assert elapsed < 5
     print(f"criterion 6: 4 items, {elapsed:.2f}s PASS")
 
 
@@ -247,7 +247,7 @@ def test_criterion_9_witness_validity():
 
 def test_criterion_10_parser_round_trip(capsys):
     """1000 random words and 200 presentations survive print-then-parse;
-    malformed inputs exit with code 2 and report a byte offset."""
+    malformed inputs exit with code 2 and report a character offset."""
     rng = random.Random(SEED)
     for _ in range(1000):
         w = random_reduced_word(rng, 2, rng.randint(0, 20))

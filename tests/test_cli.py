@@ -13,6 +13,7 @@ from onerelator.errors import (
 )
 from onerelator.solver import SolverLimits
 from onerelator.textio import (
+    parse_alphabet,
     parse_presentation,
     parse_word,
     print_presentation,
@@ -48,6 +49,25 @@ def test_parse_word_errors_carry_offsets():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("a+b", AB)
     assert err.value.offset == 1
+    # a power takes the digits 0-9 only
+    for text in ("a^\u00b2", "a^\u0661"):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text, AB)
+        assert err.value.offset == 2
+        assert "expected integer after '^'" in str(err.value)
+    # offsets count characters, not bytes
+    with pytest.raises(UnknownGenerator) as err:
+        parse_word("a\u00a0x", AB)
+    assert err.value.offset == 2
+
+
+def test_parse_alphabet_errors_carry_offsets():
+    for text, offset in (("a,b,", 4), ("a,,b", 2), ("a,b,a", 4),
+                         (" a, b, a", 7), ("a,bc", 2)):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_alphabet(text)
+        assert err.value.offset == offset, text
+    assert parse_alphabet(" a , b ").names == ("a", "b")
 
 
 def test_parse_word_refuses_powers_past_the_word_cap():
@@ -247,6 +267,13 @@ def test_exit_code_2_on_bad_input(capsys):
     assert main(["solve", "a,b | aA", "ab"]) == 2  # empty relator
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_2_reports_offsets_in_powers_and_subsets(capsys):
+    assert main(["solve", "a,b | ab", "a^\u00b2"]) == 2
+    assert "[offset 2]" in capsys.readouterr().err
+    assert main(["member", "a,b,c | abc", "c", "--subset", "a,b,a"]) == 2
+    assert "[offset 4]" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_exhaustion(capsys):

@@ -237,12 +237,50 @@ def test_commutator_is_corrected_beta0():
                                         ProjectiveMatrix.of(1, -1, -1, 2)}
 
 
+BETA0 = psl2_eval((1, 2, -1, -2))
+BETA1 = psl2_eval((1, -2, -1, 2))
+
+
 def test_free_at_length():
-    beta0 = psl2_eval((1, 2, -1, -2))
-    beta1 = psl2_eval((1, -2, -1, 2))
-    assert free_at_length(beta0, beta1, 8)
+    assert free_at_length(BETA0, BETA1, 8)
     # a has order 2, so the pair (a, b) is certainly not free
     assert not free_at_length(MAT_A, MAT_B, 2)
+
+
+def _free_reference(m1, m2, max_len):
+    """Breadth-first search of every reduced word of length <= max_len."""
+    gens = {1: m1, -1: m1.inverse(), 2: m2, -2: m2.inverse()}
+    frontier = [((), ProjectiveMatrix.identity())]
+    for _ in range(max_len):
+        nxt = []
+        for w, m in frontier:
+            for lt, g in gens.items():
+                if w and w[-1] == -lt:
+                    continue
+                prod = m * g
+                if prod.is_identity():
+                    return False
+                nxt.append((w + (lt,), prod))
+        frontier = nxt
+    return True
+
+
+def test_free_at_length_matches_breadth_first_reference():
+    mats = [MAT_A, MAT_B, BETA0, BETA1, ProjectiveMatrix.identity(),
+            ProjectiveMatrix.of(1, 2, 0, 1), ProjectiveMatrix.of(1, 0, 2, 1)]
+    for m1, m2 in itertools.product(mats, repeat=2):
+        for max_len in range(9):
+            assert free_at_length(m1, m2, max_len) == _free_reference(
+                m1, m2, max_len), (m1, m2, max_len)
+
+
+def test_free_at_length_odd_boundaries():
+    # b^3 has odd length: one half of length 2 against one of length 1
+    assert free_at_length(MAT_B, BETA0, 2)
+    assert not free_at_length(MAT_B, BETA0, 3)
+    # a^2 has even length: a against A
+    assert free_at_length(MAT_A, BETA0, 1)
+    assert not free_at_length(MAT_A, BETA0, 2)
 
 
 # -- primitivity ------------------------------------------------------------
@@ -275,11 +313,11 @@ def test_primitivity_is_automorphism_invariant():
 def test_affine_map_algebra():
     from fractions import Fraction
     m = AffineMap(Fraction(2), Fraction(3))
-    assert m.compose(m.inverse()).is_identity()
-    assert m.inverse().compose(m).is_identity()
-    # composition order: (self after other)
+    assert (m * m.inverse()).is_identity()
+    assert (m.inverse() * m).is_identity()
+    # product order: (self after other)
     n = AffineMap(Fraction(1), Fraction(1))
-    assert m.compose(n).offset == Fraction(5)  # 2*(x+1)+3
+    assert (m * n).offset == Fraction(5)  # 2*(x+1)+3
 
 
 def test_affine_kills_bs_relator():
