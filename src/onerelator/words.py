@@ -26,16 +26,27 @@ DEFAULT_MAX_WORD_LEN = 2**20
 
 
 class Alphabet:
-    """An ordered list of distinct generator names; order fixes the ids."""
+    """An ordered list of distinct generator names; order fixes the ids.
 
-    __slots__ = ("names", "_index")
+    ``letters`` maps each name the text grammar can spell (a single ASCII
+    lowercase letter) to its letter ``+(g+1)`` and the uppercase name to
+    ``-(g+1)``, so a parser reads a letter with one lookup.
+    """
+
+    __slots__ = ("names", "_index", "letters")
 
     def __init__(self, names):
         names = tuple(names)
-        if len(set(names)) != len(names):
+        index, letters = {}, {}
+        for g, n in enumerate(names):
+            index[n] = g
+            if len(n) == 1 and "a" <= n <= "z":
+                letters[n], letters[n.upper()] = g + 1, -g - 1
+        if len(index) != len(names):
             raise ValueError(f"duplicate generator names: {names}")
         self.names = names
-        self._index = {n: i for i, n in enumerate(names)}
+        self._index = index
+        self.letters = letters
 
     @property
     def size(self):
@@ -202,7 +213,7 @@ def support(w):
 def validate_word(alphabet, w):
     """Check every letter of ``w`` indexes into ``alphabet``."""
     n = alphabet.size
-    for lt in w:
-        if lt == 0 or letter_gen(lt) >= n:
-            raise UnknownGenerator(
-                f"letter {lt} has no generator in {alphabet!r}")
+    if w and (0 in w or max(w) > n or min(w) < -n):
+        lt = next(lt for lt in w if lt == 0 or letter_gen(lt) >= n)
+        raise UnknownGenerator(
+            f"letter {lt} has no generator in {alphabet!r}")

@@ -59,6 +59,11 @@ def test_parse_word_errors_carry_offsets():
     with pytest.raises(UnknownGenerator) as err:
         parse_word("a\u00a0x", AB)
     assert err.value.offset == 2
+    # an overrun names its offset whether a power or plain letters make it
+    for text, offset in (("a^5", 2), ("aaaaa", 4), ("b aAaaaa", 7)):
+        with pytest.raises(ResourceExhausted) as err:
+            parse_word(text, AB, max_len=4)
+        assert f"(at offset {offset})" in str(err.value), text
 
 
 def test_parse_alphabet_errors_carry_offsets():
@@ -108,8 +113,12 @@ def test_parse_presentation():
 def test_parse_presentation_errors():
     with pytest.raises(WordSyntaxError):
         parse_presentation("a,b abAB")
-    with pytest.raises(WordSyntaxError):
-        parse_presentation("a,b | ab | AB")
+    # a surplus bar is reported where the first one stands
+    for text, offset in (("a,b | ab | AB", 9), ("a,b | ab | ba | c", 9),
+                         ("a,b || ab", 5)):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_presentation(text)
+        assert err.value.offset == offset, text
     with pytest.raises(WordSyntaxError):
         parse_presentation("a,bc | ab")
 
