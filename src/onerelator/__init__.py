@@ -5,7 +5,6 @@ problem / Magnus subgroup membership solver, and independent oracles for
 cross-checking the solver against small faithful representations.
 """
 
-from .breakdown import BreakdownStep, EmbeddingData, ZeroCaseData, classify
 from .errors import (
     EmptyRelator,
     OneRelatorError,
@@ -15,12 +14,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .presentations import OneRelatorPresentation, make_presentation
-from .solver import (
-    MembershipVerdict,
-    Solver,
-    SolverLimits,
-    Verdict,
-)
+from .solver import MembershipVerdict, Solver, SolverLimits, Verdict
 from .textio import parse_presentation, parse_word, print_presentation, print_word
 from .words import Alphabet
 
@@ -28,8 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "BreakdownStep",
-    "EmbeddingData",
     "EmptyRelator",
     "MembershipVerdict",
     "OneRelatorError",
@@ -41,8 +33,6 @@ __all__ = [
     "UnknownGenerator",
     "Verdict",
     "WordSyntaxError",
-    "ZeroCaseData",
-    "classify",
     "make_presentation",
     "parse_presentation",
     "parse_word",

@@ -199,23 +199,6 @@ def base_word(zdata, u):
     return tuple(out), zdata.ids + tuple(outside)
 
 
-def hnn_syllables(w, t):
-    """HNN query form: ``[word, sign, word, sign, ..., word]``.
-
-    ``w`` is cut at its ``t`` letters, each of which becomes an explicit
-    ``+1``/``-1`` stable-letter syllable; the pieces between keep their
-    letters, which are the subscript-0 letters of the zero node.
-    """
-    items = []
-    start = 0
-    for k, lt in enumerate(w):
-        if abs(lt) == t + 1:
-            items += (w[start:k], 1 if lt > 0 else -1)
-            start = k + 1
-    items.append(w[start:])
-    return items
-
-
 def embed_nonzero_case(rank, relator, a, b):
     """Magnus embedding ``a -> y x^-beta, b -> x^alpha`` (others fixed).
 

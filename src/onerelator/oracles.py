@@ -143,8 +143,7 @@ def ncl_semidecide(pres, w, conj_len, max_factors):
     if conj_len < 0 or max_factors < 0:
         raise ValueError(f"search budgets must be nonnegative: conj_len "
                          f"{conj_len}, max_factors {max_factors}")
-    w = reduce(w)
-    words.validate_word(pres.alphabet, w)
+    w = words.validate_word(pres.alphabet, w)
     if not w:
         return NclCertificate(())
     half = (max_factors + 1) // 2

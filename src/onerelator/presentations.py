@@ -25,9 +25,8 @@ def make_presentation(alphabet, relator_input):
     Conjugating the relator does not change the normal closure, so the
     cyclic reduction is harmless normalization.
     """
-    reduced = words.reduce(relator_input)
-    words.validate_word(alphabet, reduced)
-    _, core = words.cyclic_reduce(reduced)
+    _, core = words.cyclic_reduce(
+        words.validate_word(alphabet, relator_input))
     if not core:
         raise EmptyRelator("relator freely reduces to the empty word")
     return OneRelatorPresentation(alphabet, core)

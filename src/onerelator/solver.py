@@ -12,14 +12,16 @@ subgroup on no generators, with witness ``()``:
   the subset): the group is free on the other generators, so substituting
   for ``h`` and freely reducing decides the query when ``h`` lies outside
   the subset (the reduced image is the witness); with ``h`` in the subset
-  only an empty image decides it, as a trivial word with witness ``()``,
+  only an empty image decides it, as a trivial word with witness ``()``;
+  the move is redone per node, never memoized, and ``stats["eliminations"]``
+  counts the nodes it decides,
 * free-factor generators split off as a free product, decided in one
   stack pass over the query's maximal runs that asks each active syllable
   once (:meth:`Solver._member_free_split`),
 * a zero-exponent-sum generator gives an HNN extension whose base is a
   one-relator group on subscripted generators with a strictly shorter
-  relator (:meth:`Solver._member_zero`); queries are put in stable-letter
-  syllable form and pinches ``t u t^-1`` (``u`` in an associated Magnus
+  relator (:meth:`Solver._member_zero`); a query is cut at its stable
+  letters and pinches ``t u t^-1`` (``u`` in an associated Magnus
   subgroup) are eliminated by rewriting ``u`` over the subgroup's free
   basis and shifting subscripts, in one left-to-right stack pass that
   tests each pinch once (:meth:`Solver._britton`); a residue over the
@@ -41,9 +43,7 @@ over ids ``0..rank-1``.  A zero node's base group is built once, by
 residue with :func:`.breakdown.base_word`.  Each node shape has one path,
 wherever the subset lies; a subset holding a zero node's stable letter
 ``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
-t^-i`` times a power of ``t``).  Breakdown steps and pinch answers are
-memoized in one table per solver, keyed by function and arguments and
-bounded at :data:`MEMO_ENTRIES` entries (LRU).  Names are made only in
+t^-i`` times a power of ``t``).  Names are made only in
 :meth:`Solver._tree`, for the tree that ``hierarchy_tree`` returns.
 
 All procedures run under explicit budgets and raise
@@ -89,8 +89,11 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    member: bool
-    witness: tuple = None  # word over the queried subset iff member
+    witness: tuple  # word over the queried subset, None for a non-member
+
+    @property
+    def member(self):
+        return self.witness is not None
 
 
 @dataclass
@@ -106,18 +109,12 @@ class Solver:
     """Single-owner decision engine with one memo table.
 
     Both queries run through one recursion, :meth:`_member`; the word
-    problem is membership on the empty subset.  It works on ``(rank,
-    relator)``: generator ids ``0..rank-1`` and no names.  Names are made
-    in one place only, :meth:`_tree`, for the presentations that
-    :meth:`hierarchy_tree` returns.
-
-    Every hierarchy node that is not its own witness first makes the
-    abelian test on the subset, then one Tietze move on a once-occurring
-    generator ``h``: the node is decided in the free group on the other
-    generators if ``h`` lies outside the subset or the image is empty.
-    ``stats["eliminations"]`` counts the nodes a move decides.  The move is
-    computed per node and never memoized: a node it decides is cheaper to
-    redo than to look up.  Any other node splits or descends.
+    problem is membership on the empty subset.  Every descent returns the
+    witness, a reduced word over the subset, or None for a non-member; the
+    empty witness ``()`` is a member, so each test reads ``is None``.  Only
+    :meth:`magnus_membership` wraps the answer, in a
+    :class:`MembershipVerdict`.  A word from outside is reduced and checked
+    once, by :func:`.words.validate_word`, on the way in.
 
     The memo holds the results of ``breakdown.classify``,
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
@@ -156,12 +153,6 @@ class Solver:
                 f"hierarchy depth exceeds {self.limits.max_depth}",
                 budget="max_depth", limit=self.limits.max_depth, depth=depth)
 
-    def _reduce(self, raw):
-        return words.reduce(raw, self.limits.max_word_len)
-
-    def _mul(self, u, v):
-        return words.multiply(u, v, self.limits.max_word_len)
-
     def _cached(self, hits, fn, *args):
         """``fn(*args)``, memoized; a hit bumps ``stats[hits]``, and a call
         that raises stores nothing."""
@@ -178,19 +169,18 @@ class Solver:
     # -- public API --------------------------------------------------------
 
     def word_problem(self, pres, w):
-        w = self._reduce(w)
-        words.validate_word(pres.alphabet, w)
-        res = self._member(pres.alphabet.size, pres.relator, w, frozenset(),
-                           0)
-        return Verdict.TRIVIAL if res.member else Verdict.NONTRIVIAL
+        w = words.validate_word(pres.alphabet, w, self.limits.max_word_len)
+        witness = self._member(pres.alphabet.size, pres.relator, w,
+                               frozenset(), 0)
+        return Verdict.NONTRIVIAL if witness is None else Verdict.TRIVIAL
 
     def magnus_membership(self, pres, w, subset):
-        w = self._reduce(w)
-        words.validate_word(pres.alphabet, w)
+        w = words.validate_word(pres.alphabet, w, self.limits.max_word_len)
         subset = frozenset(subset)
         if not subset <= set(range(pres.alphabet.size)):
             raise UnknownGenerator("subset contains ids outside the alphabet")
-        return self._member(pres.alphabet.size, pres.relator, w, subset, 0)
+        return MembershipVerdict(
+            self._member(pres.alphabet.size, pres.relator, w, subset, 0))
 
     def is_root(self, s, r, alphabet):
         """True iff ``r`` dies in ``<alphabet | s>``."""
@@ -203,41 +193,44 @@ class Solver:
     # -- Britton reduction -------------------------------------------------
 
     def _britton(self, zdata, w, depth):
-        """Britton-reduce ``w`` in one left-to-right stack pass.
+        """Britton-reduce ``w`` in one left-to-right stack pass: the residue
+        as a list over subscripted letters, or None if a stable letter
+        survives.
 
-        ``w`` enters in the stable-letter syllable form of
-        :func:`.breakdown.hnn_syllables` and the output stack alternates
-        words over subscripted letters and stable letters.  An incoming
-        stable letter inverse to the one on top closes a pinch ``t u t^-1``
-        around the top word ``u``; if ``u`` lies in the associated subgroup
-        (every generator but the pivot's top subscript for ``t u t^-1``,
-        symmetrically for ``t^-1 u t``), the subscript-shift of ``u``'s
-        free-basis witness and the incoming word are pushed onto the word
-        below, under the word-length cap.  The stack's words are lists and a
-        word below the top changes only at its seam with a fold, so a fold
-        costs the letters it pushes, each incoming stable letter costs at
-        most one membership test, and the result has no pinch left.
+        ``w`` is cut at its stable letters ``t``, and each comes in with the
+        chunk of subscript-0 letters after it.  The stack alternates words
+        over subscripted letters and stable-letter signs.  An incoming
+        stable letter inverse to the one below the top word ``u`` closes a
+        pinch ``t u t^-1``; if ``u`` lies in the associated subgroup (every
+        generator but the pivot's top subscript for ``t u t^-1``,
+        symmetrically for ``t^-1 u t``), both are popped, and the
+        subscript-shift of ``u``'s free-basis witness and the incoming chunk
+        are pushed onto the word below, under the word-length cap.
+        Otherwise the letter and its chunk go on top.  A word below the top
+        changes only at its seam with a push, so a fold costs the letters it
+        pushes, each stable letter costs at most one membership test, and
+        no pinch is left.
         """
-        rank = zdata.rank
+        rank, t, cap = zdata.rank, zdata.stable + 1, self.limits.max_word_len
         pivots = [a for a, (g, _) in zip(zdata.ids, zdata.pairs)
                   if g == zdata.pivot]
-        items = breakdown.hnn_syllables(w, zdata.stable)
-        out = [list(items[0])]
-        for sign, u in zip(items[1::2], items[2::2]):
+        cuts = [k for k, lt in enumerate(w) if abs(lt) == t] + [len(w)]
+        out = [list(w[:cuts[0]])]
+        for k, end in zip(cuts, cuts[1:]):
+            sign, u = (1 if w[k] > 0 else -1), w[k + 1:end]
             if len(out) > 1 and out[-2] == -sign:
                 excluded = pivots[-1] if sign < 0 else pivots[0]
-                res = self._base_member(zdata, out[-1],
-                                        lambda a: a != excluded, depth)
-                if res.member:
+                witness = self._base_member(zdata, out[-1],
+                                            lambda a: a != excluded, depth)
+                if witness is not None:
                     del out[-2:]
                     # the shifted witness followed by u need not be
                     # reduced, so each is pushed on its own
-                    words.push(out[-1], _shift(rank, res.witness, -sign),
-                               self.limits.max_word_len)
-                    words.push(out[-1], u, self.limits.max_word_len)
+                    words.push(out[-1], _shift(rank, witness, -sign), cap)
+                    words.push(out[-1], u, cap)
                     continue
             out += (sign, list(u))
-        return out
+        return out[0] if len(out) == 1 else None
 
     def _base_member(self, zdata, u, keep, depth):
         """Membership of a residue word in the zero node's base group.
@@ -249,16 +242,16 @@ class Solver:
         # every subgroup asked here misses a letter of the base relator, so
         # it is free and a residue over its letters is its own witness
         if all(keep(abs(lt)) for lt in u):
-            return MembershipVerdict(True, tuple(u))
+            return tuple(u)
         self.stats["pinch_tests"] += 1
         word, ids = base_word(zdata, u)
         subset = frozenset(k for k, a in enumerate(ids) if keep(a))
-        res = self._cached("pinch_hits", self._member, len(ids),
-                           zdata.base_relator, word, subset, depth + 1)
-        if not res.member:
-            return res
-        return MembershipVerdict(True, tuple(
-            ids[lt - 1] if lt > 0 else -ids[-lt - 1] for lt in res.witness))
+        witness = self._cached("pinch_hits", self._member, len(ids),
+                               zdata.base_relator, word, subset, depth + 1)
+        if witness is None:
+            return None
+        return tuple(ids[lt - 1] if lt > 0 else -ids[-lt - 1]
+                     for lt in witness)
 
     # -- Magnus subgroup membership ---------------------------------------
 
@@ -269,9 +262,9 @@ class Solver:
             if len(subset) == rank or (
                     all(words.letter_gen(lt) in subset for lt in w)
                     and not words.support(relator) <= subset):
-                return MembershipVerdict(True, w)
+                return w
             if abelian_obstruction(rank, relator, w, subset):
-                return MembershipVerdict(False)
+                return None
             move = breakdown.tietze_value(relator, subset)
             if move is not None:
                 # the group is free on the generators other than h, so the
@@ -288,8 +281,8 @@ class Solver:
                 if h not in subset or image == ():
                     self.stats["eliminations"] += 1
                     if all(words.letter_gen(lt) in subset for lt in image):
-                        return MembershipVerdict(True, image)
-                    return MembershipVerdict(False)
+                        return image
+                    return None
 
             active = words.support(relator)
             if len(active) < rank:
@@ -301,7 +294,7 @@ class Solver:
             if step.kind == "base_single":
                 # the subset is empty (the full subset returned above), so
                 # the abelian test made w a power of the relator
-                return MembershipVerdict(True, ())
+                return ()
 
             if step.kind == "zero":
                 return self._member_zero(rank, relator, w, subset, step.zero,
@@ -333,6 +326,7 @@ class Solver:
         sub_active = frozenset(old_to_new[g] for g in subset
                                if g in old_to_new)
         full = len(sub_active) == rank
+        cap = self.limits.max_word_len
         # (is_active, word, witness), the witness None from the first
         # syllable that lacks one upwards
         syls = []
@@ -340,25 +334,24 @@ class Solver:
                 w, lambda lt: words.letter_gen(lt) in old_to_new):
             u = tuple(run)
             if syls and syls[-1][0] == is_act:
-                u = self._mul(syls.pop()[1], u)
+                u = words.multiply(syls.pop()[1], u, cap)
             if not u:
                 continue
             hope = not syls or syls[-1][2] is not None
             if not is_act:
                 witness = u if words.support(u) <= subset else None
             else:
-                res = self._member(
+                found = self._member(
                     rank, relator, map_word(u, old_to_new),
                     sub_active if hope and not full else frozenset(), depth)
-                if res.member and not res.witness:
+                if found == ():
                     continue
                 witness = u if full else (
-                    res.witness and map_word(res.witness, new_to_old))
+                    found and map_word(found, new_to_old))
             syls.append((is_act, u, witness if hope else None))
         if syls and syls[-1][2] is None:
-            return MembershipVerdict(False)
-        return MembershipVerdict(True, words.concat(
-            (witness for _, _, witness in syls), self.limits.max_word_len))
+            return None
+        return words.concat((witness for _, _, witness in syls), cap)
 
     def _member_zero(self, rank, relator, w, subset, zd, depth):
         """Zero node with stable letter ``t``: Britton-reduce ``w`` times
@@ -383,21 +376,21 @@ class Solver:
             # the subscript-0 letters are the plain letters 1..rank
             keep = lambda a: a - 1 in subset
         if d:
-            w = self._mul(w, words.power((t + 1,), -d, cap))
-        items = self._britton(zd, w, depth)
-        if len(items) > 1:
-            return MembershipVerdict(False)
-        res = self._base_member(zd, items[0], keep, depth)
-        if not res.member or t not in subset:
-            return res
+            w = words.multiply(w, words.power((t + 1,), -d, cap), cap)
+        residue = self._britton(zd, w, depth)
+        if residue is None:
+            return None
+        witness = self._base_member(zd, residue, keep, depth)
+        if witness is None or t not in subset:
+            return witness
         out, height = [], 0
-        for lt in res.witness:
+        for lt in witness:
             h, i = _decode(zd.rank, abs(lt))
             out += [t + 1 if i > height else -t - 1] * abs(i - height)
             out.append(h + 1 if lt > 0 else -h - 1)
             height = i
         out += [t + 1 if d > height else -t - 1] * abs(d - height)
-        return MembershipVerdict(True, self._reduce(out))
+        return words.reduce(out, cap)
 
     def _member_nonzero(self, rank, relator, w, subset, depth):
         """Nonzero node: ``a -> y x^-beta, b -> x^alpha`` with ``a`` the
@@ -418,13 +411,13 @@ class Solver:
         cap = self.limits.max_word_len
         wprime = words.substitute(w, emb.substitution, cap)
         magnus = frozenset(emb.gen_map.get(s, emb.x_gen) for s in subset)
-        res = self._member(rank, emb.image_relator, wprime, magnus, depth)
-        if not res.member:
-            return res
+        witness = self._member(rank, emb.image_relator, wprime, magnus, depth)
+        if witness is None:
+            return None
         back = {v: k for k, v in emb.gen_map.items()}
         xlt = emb.x_gen + 1
         parts = []
-        for is_x, run in groupby(res.witness, lambda lt: abs(lt) == xlt):
+        for is_x, run in groupby(witness, lambda lt: abs(lt) == xlt):
             run = tuple(run)
             if not is_x:
                 parts.append(map_word(run, back))
@@ -432,9 +425,9 @@ class Solver:
             # the witness is reduced, so a run of x letters has one sign
             e = words.letter_sign(run[0]) * len(run)
             if e % emb.alpha != 0:
-                return MembershipVerdict(False)
+                return None
             parts.append(words.power((b + 1,), e // emb.alpha, cap))
-        return MembershipVerdict(True, words.concat(parts, cap))
+        return words.concat(parts, cap)
 
     # -- hierarchy tree ----------------------------------------------------
 

@@ -120,10 +120,10 @@ def print_word(w, alphabet):
     return "".join(parts)
 
 
-def parse_alphabet(text, offset=0):
+def parse_alphabet(text):
     """Parse ``a,b,...``; an error's offset is that of the name at fault."""
     names = []
-    start = offset
+    start = 0
     for chunk in text.split(","):
         name = chunk.strip()
         at = start + len(chunk) - len(chunk.lstrip())

@@ -183,15 +183,11 @@ def cyclically_equal_up_to_inversion(u, v):
         return False
     if not u:
         return True
-    doubled = u + u
-    for shift in range(len(u)):
-        if doubled[shift:shift + len(u)] == v:
-            return True
-    ui = invert(u)
-    doubled = ui + ui
-    for shift in range(len(u)):
-        if doubled[shift:shift + len(u)] == v:
-            return True
+    for x in (u, invert(u)):
+        doubled = x + x
+        for shift in range(len(x)):
+            if doubled[shift:shift + len(x)] == v:
+                return True
     return False
 
 
@@ -210,10 +206,14 @@ def support(w):
     return frozenset(letter_gen(lt) for lt in w)
 
 
-def validate_word(alphabet, w):
-    """Check every letter of ``w`` indexes into ``alphabet``."""
+def validate_word(alphabet, w, max_len=DEFAULT_MAX_WORD_LEN):
+    """The one check on a word from outside: freely reduce ``w`` under
+    ``max_len``, check that every letter of the reduced word indexes into
+    ``alphabet`` (a letter that cancels is not checked), and return it."""
+    w = reduce(w, max_len)
     n = alphabet.size
     if w and (0 in w or max(w) > n or min(w) < -n):
         lt = next(lt for lt in w if lt == 0 or letter_gen(lt) >= n)
         raise UnknownGenerator(
             f"letter {lt} has no generator in {alphabet!r}")
+    return w

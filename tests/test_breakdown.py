@@ -13,7 +13,6 @@ from onerelator.breakdown import (
     base_word,
     classify,
     embed_nonzero_case,
-    hnn_syllables,
     rewrite_zero_case,
 )
 from onerelator.errors import PreconditionViolated
@@ -96,21 +95,22 @@ def test_rewrite_zero_case_preconditions():
 
 
 def test_substitute_back_inverts_rewrite():
-    # the pieces of the syllable form sit at subscript 0, so substituting
-    # back and re-inserting the stable letters rebuilds the word
+    # the pieces of a word cut at its stable letters sit at subscript 0, so
+    # substituting back and re-inserting the stable letters rebuilds it
+    def pieces(w, t):
+        out = [[]]
+        for lt in w:
+            if abs(lt) == t + 1:
+                out += ((lt,), [])
+            else:
+                out[-1].append(lt)
+        return out
+
     level0 = [(0, 0), (1, 0)]
     for w in [(2, 1, 2, -1), (1, 1, 2, -1, -1, -2), (2, 2, -1, 2, 1)]:
-        items = hnn_syllables(w, 0)
-        parts = [substitute_back(u, level0, 0) if k % 2 == 0 else (u,)
-                 for k, u in enumerate(items)]
+        parts = [substitute_back(u, level0, 0) if k % 2 == 0 else u
+                 for k, u in enumerate(pieces(w, 0))]
         assert words.concat(parts) == words.reduce(w)
-
-
-def test_hnn_syllables():
-    items = hnn_syllables((2, 1, 2, -1, -2), 0)
-    assert items == [(2,), 1, (2,), -1, (-2,)]
-    assert hnn_syllables((2, 2), 0) == [(2, 2)]
-    assert hnn_syllables((1, 2, -1), 0) == [(), 1, (2,), -1, ()]
 
 
 def test_fresh_names_avoid_collisions():

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ from onerelator.errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
-from onerelator.solver import SolverLimits
+from onerelator.solver import SolverLimits, Verdict
 from onerelator.textio import (
     parse_alphabet,
     parse_presentation,
@@ -337,6 +338,25 @@ def test_readme_command_lines_run(capsys):
         out = capsys.readouterr().out.strip()
         if comment.strip().startswith("->"):
             assert out == comment.strip()[2:].strip(), line
+
+
+def test_readme_library_block_runs():
+    # the README's "Library" block runs, and each expression line in it
+    # gives the value its comment spells
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, results = {}, []
+    for line in block.strip().splitlines():
+        code, _, comment = line.partition("#")
+        if comment.strip() and isinstance(ast.parse(code).body[0], ast.Expr):
+            results.append((eval(code, namespace), comment.strip()))
+        else:
+            exec(code, namespace)
+    assert [comment for _, comment in results] == [
+        "Verdict.TRIVIAL", "True, (-2, -1)"]
+    assert [value for value, _ in results] == [
+        Verdict.TRIVIAL, (True, (-2, -1))]
 
 
 def test_readme_names_every_budget_flag():

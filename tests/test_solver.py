@@ -291,8 +291,7 @@ def test_pinch_hits_are_counted_apart_from_memo_hits():
     # the residue b_1 (letter id 6) in the base subgroup on b_0, where
     # b_1 = b_0^2
     for hits in (0, 1):
-        res = solver._base_member(zd, (6,), lambda a: a == 2, 0)
-        assert res.witness == (2, 2)
+        assert solver._base_member(zd, (6,), lambda a: a == 2, 0) == (2, 2)
         assert solver.stats["pinch_hits"] == hits
     assert solver.stats["pinch_tests"] == 2
     assert solver.stats["memo_hits"] == 0
@@ -307,8 +306,7 @@ def test_residue_over_the_kept_letters_is_its_own_witness():
     # b_0^2 b_2 b_0^-1 in the subgroup on every letter but b_1 (id 6), as
     # in a pinch a u a^-1; b_2 (id 10) lies outside the base's window
     for u in ((2, 2, 10, -2), ()):
-        res = solver._base_member(zd, u, lambda a: a != 6, 0)
-        assert res.member and res.witness == u
+        assert solver._base_member(zd, u, lambda a: a != 6, 0) == u
     assert solver.stats["pinch_tests"] == solver.stats["nodes"] == 0
     assert not solver._memo
     # a subset word of a node whose relator has a letter outside the subset

@@ -178,7 +178,12 @@ def test_exponent_sums_and_support():
 
 def test_validate_word():
     ab = Alphabet(("a", "b"))
-    words.validate_word(ab, (1, -2))
+    assert words.validate_word(ab, (1, -2)) == (1, -2)
+    # the word comes back reduced under the cap, and only the letters of
+    # the reduced word are checked
+    assert words.validate_word(ab, [1, 3, -3, 2, -2, -2]) == (1, -2)
+    with pytest.raises(ResourceExhausted):
+        words.validate_word(ab, (1, 2, 1), max_len=2)
     with pytest.raises(UnknownGenerator):
         words.validate_word(ab, (3,))
     with pytest.raises(UnknownGenerator):

@@ -13,9 +13,9 @@ compared on the same draw.  For each of ``wp-warm``, ``member-warm`` and
 prepares it (the workload's catalogue set up), then answers the first ``N``
 queries in process.  Each answer is rendered as the worker renders it
 (``exhausted`` when a budget runs out).  One line per run gives the SHA-256
-over the answers, each followed by a newline, and the ``solver.nodes`` the
-queries took; the last line is the SHA-256 over the six raw digests, in
-that order.
+over the answers, each followed by a newline, then the hierarchy nodes and
+the pinch tests the queries took (``nodes N pinch_tests P``); the last line
+is the SHA-256 over the six raw digests, in that order.
 """
 
 import hashlib
@@ -56,7 +56,7 @@ def main(argv):
         solver = Solver()
         for text in gen.catalogue(workload):
             solver.hierarchy_tree(parse_presentation(text))
-        nodes = solver.stats["nodes"]
+        before = dict(solver.stats)
         h = hashlib.sha256()
         for query, _ in islice(gen.stream(workload, seed), count):
             try:
@@ -65,8 +65,9 @@ def main(argv):
                 text = "exhausted"
             h.update(text.encode() + b"\n")
         digests.append(h.digest())
-        print(f"{workload} seed {seed}: {h.hexdigest()} "
-              f"nodes {solver.stats['nodes'] - nodes}")
+        counts = " ".join(f"{key} {solver.stats[key] - before[key]}"
+                          for key in ("nodes", "pinch_tests"))
+        print(f"{workload} seed {seed}: {h.hexdigest()} {counts}")
     total = hashlib.sha256(b"".join(digests)).hexdigest()
     print(f"total {total}")
 
