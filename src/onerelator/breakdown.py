@@ -73,16 +73,9 @@ class ZeroCaseData:
 @dataclass(frozen=True)
 class EmbeddingData:
     alpha: int                  # exponent sum of a in the relator
-    image_relator: tuple        # over the same number of generators
-    x_gen: int                  # id of x in the image
+    image_relator: tuple        # over the same number of generators, x is 0
     gen_map: dict               # other old gen id -> image gen id
     substitution: dict = field(repr=False)  # old gen id -> image word
-
-
-@dataclass(frozen=True)
-class BreakdownStep:
-    kind: str                   # "base_single" | "zero" | "nonzero"
-    zero: ZeroCaseData = None
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +83,25 @@ class BreakdownStep:
 
 def classify(rank, relator):
     """Deterministic hierarchy classification of a relator that uses every
-    one of the ``rank`` generators.
+    one of the ``rank >= 2`` generators (a single generator is the base
+    case, which needs no classification).
 
-    The stable letter is the least zero-exponent-sum generator.  A
-    ``nonzero`` step carries no embedding: callers build it with
+    Returns the zero node on the least zero-exponent-sum generator, as
+    :func:`rewrite_zero_case` builds it, or None for a nonzero node.  A
+    nonzero node carries no embedding: callers build it with
     :func:`embed_nonzero_case` on the pair they need, the two least ids
     ``(0, 1)`` unless a subset keeps one of them.
     """
-    sup = words.support(relator)
-    if sup != set(range(rank)):
+    if rank < 2:
+        raise PreconditionViolated("a single generator is the base case")
+    if words.support(relator) != set(range(rank)):
         raise PreconditionViolated(
             "relator must use every generator; split off the free part "
             "first (restrict_to_subalphabet)")
-    if len(sup) == 1:
-        return BreakdownStep(kind="base_single")
-    for t in sorted(sup):
+    for t in range(rank):
         if words.exponent_sum(relator, t) == 0:
-            return BreakdownStep(kind="zero",
-                                 zero=rewrite_zero_case(relator, t))
-    return BreakdownStep(kind="nonzero")
+            return rewrite_zero_case(relator, t)
+    return None
 
 
 def tietze_value(relator, subset=frozenset()):
@@ -213,15 +206,13 @@ def embed_nonzero_case(rank, relator, a, b):
         raise PreconditionViolated("embedding needs two distinct generators "
                                    "with nonzero exponent sums")
     others = [g for g in range(rank) if g not in (a, b)]
-    x_gen, y_gen = 0, 1
+    # x is id 0 and y id 1
     gen_map = {g: 2 + k for k, g in enumerate(others)}
     substitution = {g: (gen_map[g] + 1,) for g in others}
     substitution[a] = words.reduce(
-        (y_gen + 1,) + tuple([-(x_gen + 1)] * beta if beta > 0
-                             else [x_gen + 1] * (-beta)))
-    substitution[b] = tuple([x_gen + 1] * alpha if alpha > 0
-                            else [-(x_gen + 1)] * (-alpha))
-    _, core = words.cyclic_reduce(words.substitute(relator, substitution))
-    return EmbeddingData(alpha=alpha, image_relator=core, x_gen=x_gen,
-                         gen_map=gen_map, substitution=substitution)
+        (2,) + tuple([-1] * beta if beta > 0 else [1] * (-beta)))
+    substitution[b] = tuple([1] * alpha if alpha > 0 else [-1] * (-alpha))
+    core = words.cyclic_reduce(words.substitute(relator, substitution))
+    return EmbeddingData(alpha=alpha, image_relator=core, gen_map=gen_map,
+                         substitution=substitution)
 

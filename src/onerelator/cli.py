@@ -148,30 +148,8 @@ def cmd_member(args, solver):
     return EXIT_OK
 
 
-def hierarchy_json(node):
-    pres = node.presentation
-    names = pres.alphabet.names
-    out = {"case": node.kind,
-           "relator": print_word(pres.relator, pres.alphabet),
-           "alphabet": list(names),
-           "children": [hierarchy_json(c) for c in node.children]}
-    if node.free_part:
-        out["free_part"] = list(node.free_part)
-    if node.kind == "zero":
-        zd = node.step.zero
-        out["stable"] = names[zd.stable]
-        out["pivot"] = names[zd.pivot]
-        # pairs are sorted, so a generator's last subscript is its greatest
-        out["ranges"] = ranges = {}
-        for g, i in zd.pairs:
-            ranges.setdefault(names[g], [i, i])[1] = i
-        child = node.children[0].presentation
-        out["rewritten"] = print_word(child.relator, child.alphabet)
-    return out
-
-
 def hierarchy_lines(doc, indent=0):
-    """The text form of a :func:`hierarchy_json` document."""
+    """The text form of a :meth:`.Solver.hierarchy_tree` document."""
     extra = ""
     if "free_part" in doc:
         extra += f" free_part={','.join(doc['free_part'])}"
@@ -188,7 +166,7 @@ def hierarchy_lines(doc, indent=0):
 
 def cmd_hierarchy(args, solver):
     pres = parse_presentation(args.presentation, args.max_word_len)
-    doc = hierarchy_json(solver.hierarchy_tree(pres))
+    doc = solver.hierarchy_tree(pres)
     emit(args, hierarchy_lines(doc), doc)
     return EXIT_OK
 

@@ -10,6 +10,7 @@ solver: they ask it for verdicts and test them against classical theorems
 """
 
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -74,6 +75,7 @@ def _all_reduced_words(num_gens, max_len):
 PRODUCT_TABLES = 2**17
 
 _tables = {}
+_tables_lock = threading.Lock()
 
 
 def _products(size, relator, conj_len, factors):
@@ -84,17 +86,20 @@ def _products(size, relator, conj_len, factors):
 
     The table is closed under inversion, so each inverse is the table's own
     key object.  Both are shared by every caller with the same arguments:
-    read them, never mutate them.
+    read them, never mutate them.  The cache is safe to share between
+    threads: one lock covers its lookup, the build of a missing table, its
+    insert and the evictions.
     """
     key = (size, relator, conj_len, factors)
-    if key in _tables:
-        out = _tables[key] = _tables.pop(key)
+    with _tables_lock:
+        if key in _tables:
+            out = _tables[key] = _tables.pop(key)
+            return out
+        out = _tables[key] = _build_products(*key)
+        held = sum(len(tags) for tags, _ in _tables.values())
+        while held > PRODUCT_TABLES and len(_tables) > 1:
+            held -= len(_tables.pop(next(iter(_tables)))[0])
         return out
-    out = _tables[key] = _build_products(*key)
-    held = sum(len(tags) for tags, _ in _tables.values())
-    while held > PRODUCT_TABLES and len(_tables) > 1:
-        held -= len(_tables.pop(next(iter(_tables)))[0])
-    return out
 
 
 def _build_products(size, relator, conj_len, factors):
@@ -273,13 +278,13 @@ def is_primitive_rank2(w):
     length > 1 always admit a strictly shortening Whitehead move, so the
     greedy minimum has length 1 exactly for primitive inputs.
     """
-    _, core = cyclic_reduce(reduce(w))
+    core = cyclic_reduce(reduce(w))
     p, q = exponent_vector(core, 2)
     if gcd(abs(p), abs(q)) != 1:
         return False
     while len(core) > 1:
         for auto in _WHITEHEAD_AUTOS:
-            _, cand = cyclic_reduce(substitute(core, auto))
+            cand = cyclic_reduce(substitute(core, auto))
             if len(cand) < len(core):
                 core = cand
                 break

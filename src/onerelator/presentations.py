@@ -25,8 +25,7 @@ def make_presentation(alphabet, relator_input):
     Conjugating the relator does not change the normal closure, so the
     cyclic reduction is harmless normalization.
     """
-    _, core = words.cyclic_reduce(
-        words.validate_word(alphabet, relator_input))
+    core = words.cyclic_reduce(words.validate_word(alphabet, relator_input))
     if not core:
         raise EmptyRelator("relator freely reduces to the empty word")
     return OneRelatorPresentation(alphabet, core)

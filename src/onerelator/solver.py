@@ -44,13 +44,14 @@ residue with :func:`.breakdown.base_word`.  Each node shape has one path,
 wherever the subset lies; a subset holding a zero node's stable letter
 ``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
 t^-i`` times a power of ``t``).  Names are made only in
-:meth:`Solver._tree`, for the tree that ``hierarchy_tree`` returns.
+:meth:`Solver._tree`, which names, prints and describes each node of the
+document that ``hierarchy_tree`` returns in its one walk.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, islice
 
@@ -58,12 +59,12 @@ from . import breakdown, words
 from .breakdown import _decode, _shift, base_word
 from .errors import ResourceExhausted, UnknownGenerator
 from .presentations import (
-    OneRelatorPresentation,
     abelian_obstruction,
     map_word,
     make_presentation,
     restrict_to_subalphabet,
 )
+from .textio import print_word
 from .words import Alphabet
 
 
@@ -96,15 +97,6 @@ class MembershipVerdict:
         return self.witness is not None
 
 
-@dataclass
-class HierarchyNode:
-    presentation: OneRelatorPresentation
-    kind: str
-    step: breakdown.BreakdownStep
-    free_part: tuple = ()
-    children: list = field(default_factory=list)
-
-
 class Solver:
     """Single-owner decision engine with one memo table.
 
@@ -120,9 +112,10 @@ class Solver:
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
     keyed by the function and its arguments (rank, relator, generator ids),
     so presentations that differ only in generator names share entries;
-    a hit is counted in ``stats["memo_hits"]``.  A zero node's
-    ``classify`` entry carries its base group, built once; a subset holding
-    its pivot and stable letter needs another pivot, the one case in which
+    a hit is counted in ``stats["memo_hits"]``.  A node's ``classify``
+    entry is its zero node, which carries its base group, built once, or
+    None for a nonzero node.  A subset holding a zero node's pivot and
+    stable letter needs another pivot, the one case in which
     :meth:`_member_zero` calls ``rewrite_zero_case`` itself.  A pinch test
     (:meth:`_base_member`) on a residue over the kept letters is its own
     witness; any other reaches the memo, keyed by the base group's rank and
@@ -156,7 +149,9 @@ class Solver:
     def _cached(self, hits, fn, *args):
         """``fn(*args)``, memoized; a hit bumps ``stats[hits]``, and a call
         that raises stores nothing."""
-        key = (fn,) + args
+        # a bound method keys by its function, so the memo holds no
+        # reference back to its solver
+        key = (getattr(fn, "__func__", fn),) + args
         if key in self._memo:
             self.stats[hits] += 1
             out = self._memo[key] = self._memo.pop(key)
@@ -188,7 +183,15 @@ class Solver:
         return self.word_problem(pres, r) is Verdict.TRIVIAL
 
     def hierarchy_tree(self, pres):
-        return self._tree(pres, 0)
+        """The hierarchy below ``pres`` as the document that ``onerel --json
+        hierarchy`` prints: each node a dict with its ``case``
+        (``base_single``, ``zero`` or ``nonzero``), ``alphabet``, printed
+        ``relator``, the generators its relator misses as ``free_part``
+        (when there are any) and ``children``, the one node below it.  A
+        zero node adds its ``stable`` letter, ``pivot``, the subscript
+        ``ranges`` of each generator in the rewritten relator, and that
+        relator printed as ``rewritten``."""
+        return self._tree(pres.alphabet.names, pres.relator, 0)
 
     # -- Britton reduction -------------------------------------------------
 
@@ -289,16 +292,13 @@ class Solver:
                 return self._member_free_split(relator, w, subset, active,
                                                depth)
 
-            step = self._cached("memo_hits", breakdown.classify, rank,
-                                relator)
-            if step.kind == "base_single":
+            if rank == 1:
                 # the subset is empty (the full subset returned above), so
                 # the abelian test made w a power of the relator
                 return ()
-
-            if step.kind == "zero":
-                return self._member_zero(rank, relator, w, subset, step.zero,
-                                         depth)
+            zd = self._cached("memo_hits", breakdown.classify, rank, relator)
+            if zd is not None:
+                return self._member_zero(rank, relator, w, subset, zd, depth)
             return self._member_nonzero(rank, relator, w, subset, depth)
         except ResourceExhausted as exc:
             # an overrun inside words has no depth: this is the innermost
@@ -410,14 +410,14 @@ class Solver:
                            relator, a, b)
         cap = self.limits.max_word_len
         wprime = words.substitute(w, emb.substitution, cap)
-        magnus = frozenset(emb.gen_map.get(s, emb.x_gen) for s in subset)
+        # x is the image's generator 0
+        magnus = frozenset(emb.gen_map.get(s, 0) for s in subset)
         witness = self._member(rank, emb.image_relator, wprime, magnus, depth)
         if witness is None:
             return None
         back = {v: k for k, v in emb.gen_map.items()}
-        xlt = emb.x_gen + 1
         parts = []
-        for is_x, run in groupby(witness, lambda lt: abs(lt) == xlt):
+        for is_x, run in groupby(witness, lambda lt: abs(lt) == 1):
             run = tuple(run)
             if not is_x:
                 parts.append(map_word(run, back))
@@ -431,35 +431,45 @@ class Solver:
 
     # -- hierarchy tree ----------------------------------------------------
 
-    def _tree(self, pres, depth):
-        """The named hierarchy below ``pres``: the one place where the
-        generators of base groups and embedding images get names."""
+    def _tree(self, names, relator, depth):
+        """The document of the hierarchy below ``<names | relator>``: the
+        one place where the generators of base groups and embedding images
+        get names."""
         self._bump(depth)
-        names, relator = pres.alphabet.names, pres.relator
         active = words.support(relator)
-        free_part = tuple(n for g, n in enumerate(names) if g not in active)
+        free_part = [n for g, n in enumerate(names) if g not in active]
         if free_part:
             relator, _ = restrict_to_subalphabet(relator, active)
             names = tuple(n for g, n in enumerate(names) if g in active)
-            pres = OneRelatorPresentation(Alphabet(names), relator)
-        step = self._cached("memo_hits", breakdown.classify, len(names),
-                            relator)
-        node = HierarchyNode(presentation=pres, kind=step.kind, step=step,
-                             free_part=free_part)
-        if step.kind == "zero":
-            child_names = [f"{names[g]}_{i}" for g, i in step.zero.pairs]
-            child_relator = step.zero.base_relator
-        elif step.kind == "nonzero":
+        doc = {"case": "base_single", "alphabet": list(names),
+               "relator": print_word(relator, Alphabet(names)),
+               "children": []}
+        if free_part:
+            doc["free_part"] = free_part
+        if len(names) == 1:
+            return doc
+        zd = self._cached("memo_hits", breakdown.classify, len(names),
+                          relator)
+        if zd is None:
             emb = self._cached("memo_hits", breakdown.embed_nonzero_case,
                                len(names), relator, 0, 1)
             child_names = fresh_names(names, 2) + [
                 names[g] for g in sorted(emb.gen_map)]
-            child_relator = emb.image_relator
+            child = self._tree(child_names, emb.image_relator, depth + 1)
+            doc["case"] = "nonzero"
         else:
-            return node
-        child = OneRelatorPresentation(Alphabet(child_names), child_relator)
-        node.children.append(self._tree(child, depth + 1))
-        return node
+            child = self._tree([f"{names[g]}_{i}" for g, i in zd.pairs],
+                               zd.base_relator, depth + 1)
+            # pairs are sorted, so a generator's last subscript is its
+            # greatest
+            ranges = {}
+            for g, i in zd.pairs:
+                ranges.setdefault(names[g], [i, i])[1] = i
+            doc.update(case="zero", stable=names[zd.stable],
+                       pivot=names[zd.pivot], ranges=ranges,
+                       rewritten=child["relator"])
+        doc["children"].append(child)
+        return doc
 
 
 def fresh_names(names, count):

@@ -161,13 +161,13 @@ def power(u, n, max_len=DEFAULT_MAX_WORD_LEN):
 
 
 def cyclic_reduce(w):
-    """Split ``w`` as ``conjugator * core * conjugator^-1`` with cyclically
-    reduced core.  Returns ``(conjugator, core)``."""
+    """The cyclically reduced core of ``w``: ``w`` is ``c * core * c^-1``
+    for a conjugator ``c``."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
         j -= 1
-    return w[:i], w[i:j]
+    return w[i:j]
 
 
 def is_cyclically_reduced(w):

@@ -189,24 +189,23 @@ def test_criterion_8_hierarchy_strict_descent():
         if len(pres.relator) < len(r):
             continue
         checked += 1
-        step = classify(2, pres.relator)
-        if step.kind == "zero":
-            zd = step.zero
+        zd = classify(2, pres.relator)
+        if zd is not None:
             assert len(zd.base_relator) < len(r)
             back = substitute_back(zd.base_relator, zd.pairs, zd.stable)
-            _, core = words.cyclic_reduce(back)
+            core = words.cyclic_reduce(back)
             assert words.cyclically_equal_up_to_inversion(core, r)
         # depth = number of shortening (zero-case) steps; embedding nodes
         # only reshape the presentation and are not counted
         tree = Solver().hierarchy_tree(pres)
         depth = 0
         node = tree
-        while node.children:
-            if node.kind == "zero":
+        while node["children"]:
+            if node["case"] == "zero":
                 depth += 1
-            node = node.children[0]
+            node = node["children"][0]
         assert depth <= len(r)
-        assert node.kind == "base_single"
+        assert node["case"] == "base_single"
     assert checked > 300
     print(f"criterion 8: {checked} relators, strict descent PASS")
 

@@ -3,6 +3,8 @@ import importlib.util
 import itertools
 import json
 import random
+import sys
+import threading
 from itertools import islice
 from pathlib import Path
 
@@ -175,6 +177,44 @@ def test_ncl_table_cache_is_bounded(monkeypatch):
     # a table larger than the budget stays alone
     ncl_semidecide(Z2, (1,), conj_len=0, max_factors=60)
     assert [key[3] for key in oracles._tables] == [30]
+
+
+def test_ncl_table_cache_under_threads(monkeypatch):
+    # a small bound, so that the threads evict each other's tables
+    monkeypatch.setattr(oracles, "PRODUCT_TABLES", 20)
+    oracles._tables.clear()
+    pool = [parse_presentation(f"a,b | {r}") for r in (
+        "abAB", "abABB", "a^2b^3", "abAb", "aBaB", "a^3b", "abaB^2", "ab^2")]
+    # each relator is its own certificate; the commutator is one for abAB
+    targets = [(p, w) for p in pool for w in (p.relator, (1, 2, -1, -2))]
+    expected = {(p, w): ncl_semidecide(p, w, 1, 2) for p, w in targets}
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(4000):
+                p, w = rng.choice(targets)
+                if ncl_semidecide(p, w, 1, 2) != expected[p, w]:
+                    failures.append((p, w))
+        except Exception as e:  # reported by the assertion below
+            failures.append(repr(e))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    held = sum(len(tags) for tags, _ in oracles._tables.values())
+    assert held <= 20 or len(oracles._tables) == 1
 
 
 def _perfbench_gen():

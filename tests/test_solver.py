@@ -1,5 +1,7 @@
 import collections
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -283,11 +285,30 @@ def test_pinch_answers_are_memoized():
     assert solver.stats["pinch_tests"] > tests
 
 
+def test_memo_keys_do_not_keep_the_solver_alive():
+    """The pinch-test memo keys by the solver's function, not by a bound
+    method, so a solver that has run pinch tests is freed when its last
+    reference goes, without the cyclic garbage collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        solver = Solver()
+        w = parse_word("a^2bA^2B^4", BS12.alphabet)
+        assert solver.word_problem(BS12, w) is Verdict.TRIVIAL
+        assert solver.stats["pinch_tests"] > 0
+        ref = weakref.ref(solver)
+        del solver
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_pinch_hits_are_counted_apart_from_memo_hits():
     """A repeated pinch test is a hit in stats["pinch_hits"];
     stats["memo_hits"] counts only breakdown-step hits."""
     solver = Solver()
-    zd = breakdown.classify(2, BS12.relator).zero
+    zd = breakdown.classify(2, BS12.relator)
     # the residue b_1 (letter id 6) in the base subgroup on b_0, where
     # b_1 = b_0^2
     for hits in (0, 1):
@@ -302,7 +323,7 @@ def test_residue_over_the_kept_letters_is_its_own_witness():
     on its letters (Freiheitssatz) and a residue written in them is its own
     witness: no test reaches the memo and nothing descends."""
     solver = Solver()
-    zd = breakdown.classify(2, BS12.relator).zero
+    zd = breakdown.classify(2, BS12.relator)
     # b_0^2 b_2 b_0^-1 in the subgroup on every letter but b_1 (id 6), as
     # in a pinch a u a^-1; b_2 (id 10) lies outside the base's window
     for u in ((2, 2, 10, -2), ()):
@@ -482,7 +503,7 @@ def test_word_problem_shares_the_embedding(monkeypatch):
     w = (1, 2, -1, -2)
     assert solver.word_problem(TREFOIL, w) is Verdict.NONTRIVIAL
     assert not solver.magnus_membership(TREFOIL, w, set()).member
-    assert solver.hierarchy_tree(TREFOIL).kind == "nonzero"
+    assert solver.hierarchy_tree(TREFOIL)["case"] == "nonzero"
     assert calls.count((2, TREFOIL.relator, 0, 1)) == 1
     assert len(set(calls)) == len(calls)
 
@@ -517,18 +538,22 @@ def test_is_root():
 def test_hierarchy_tree_shapes():
     solver = Solver()
     tree = solver.hierarchy_tree(BS12)
-    assert tree.kind == "zero"
-    assert tree.children
-    child = tree.children[0]
-    assert child.presentation.alphabet.names == ("b_0", "b_1")
-    assert len(child.presentation.relator) < len(BS12.relator)
+    assert tree["case"] == "zero"
+    assert tree["children"]
+    child = tree["children"][0]
+    assert child["alphabet"] == ["b_0", "b_1"]
+    assert child["relator"] == tree["rewritten"]
+    # the base group of the zero node, which the child describes
+    zd = breakdown.classify(2, BS12.relator)
+    assert len(zd.pairs) == 2
+    assert len(zd.base_relator) < len(BS12.relator)
 
     leaf = tree
     depth = 0
-    while leaf.children:
-        leaf = leaf.children[0]
+    while leaf["children"]:
+        leaf = leaf["children"][0]
         depth += 1
-    assert leaf.kind == "base_single"
+    assert leaf["case"] == "base_single"
     assert depth <= len(BS12.relator)
 
 
@@ -536,21 +561,21 @@ def test_hierarchy_tree_names():
     """Generator names are made only in the hierarchy tree: an embedding
     image takes the first two unused names of x, y, z, w, ..., a base group
     names its generators gen_subscript, and a free part keeps its names."""
-    def names(node):
-        return node.presentation.alphabet.names
+    def child(node):
+        return node["children"][0]
 
     tree = Solver().hierarchy_tree(parse_presentation("a,b | a^2b^3"))
-    assert names(tree.children[0]) == ("x", "y")
+    assert child(tree)["alphabet"] == ["x", "y"]
     tree = Solver().hierarchy_tree(parse_presentation("x,y | x^2y^3"))
-    assert names(tree.children[0]) == ("z", "w")
-    assert names(tree.children[0].children[0]) == ("w_0", "w_3")
-    assert names(Solver().hierarchy_tree(BS12).children[0]) == ("b_0", "b_1")
+    assert child(tree)["alphabet"] == ["z", "w"]
+    assert child(child(tree))["alphabet"] == ["w_0", "w_3"]
+    assert child(Solver().hierarchy_tree(BS12))["alphabet"] == ["b_0", "b_1"]
     tree = Solver().hierarchy_tree(parse_presentation("a,b,c | a^2"))
-    assert names(tree) == ("a",) and tree.free_part == ("b", "c")
+    assert tree["alphabet"] == ["a"] and tree["free_part"] == ["b", "c"]
 
 
 def test_hierarchy_tree_free_part():
     p = make_presentation(ABC, (1, 1))
     tree = Solver().hierarchy_tree(p)
-    assert tree.free_part == ("b", "c")
-    assert tree.kind == "base_single"
+    assert tree["free_part"] == ["b", "c"]
+    assert tree["case"] == "base_single"
