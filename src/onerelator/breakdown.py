@@ -21,13 +21,18 @@ letter id ``1 + g + rank*z(i)``, where ``z`` zigzags the subscript
 subscripted letters are ordinary :mod:`.words` words and ``g_0`` is the
 plain letter of ``g``.  :func:`base_word` renumbers such a word onto the
 base group's ids when recursing.
+
+Each relator the hierarchy reaches is a :class:`Node`, built once: the
+zero node owns its base group's node, an embedding its image's node, and a
+node the node of its free-part core.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import words
 from .errors import PreconditionViolated
+from .presentations import restrict_to_subalphabet
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +59,100 @@ def _shift(rank, w, delta):
     return tuple(out)
 
 
+def _shift_one(zdata, w, delta):
+    """:func:`_shift` by ``delta`` = +-1, one lookup per letter in the zero
+    node's table; only a word with a letter off the window is decoded."""
+    table = zdata.shifted[delta]
+    try:
+        return tuple(map(table.__getitem__, w))
+    except KeyError:
+        return _shift(zdata.rank, w, delta)
+
+
+# ---------------------------------------------------------------------------
+# hierarchy nodes
+
+_UNBUILT = object()
+
+
+class Node:
+    """A relator of the hierarchy and what it fixes, built once per relator.
+
+    The relator is cyclically reduced, as every relator in the hierarchy
+    is: a presentation stores its cyclically reduced core, and the zero-case
+    rewriting, the embedding and the restriction to the support keep that.
+    A node has no rank, since a base group's residue may bring free
+    generators beyond the relator's ids.
+
+    * ``support``: the generator ids of the relator;
+    * ``exponents``: the exponent sums of ids ``0..max(support)``;
+    * ``moves``: the Tietze moves, one ``(h, value)`` per generator ``h``
+      that occurs once, in increasing ``h``.  From ``r = p h^e q`` the
+      rotation ``h^e q p`` is trivial too, so ``h = ((q p)^-1)^e``, and
+      ``q p``, a piece of a cyclically reduced word's rotation, is reduced;
+    * ``zero``: :func:`classify` of a relator over ids ``0..k-1``, built on
+      first use;
+    * ``core``: the node of the relator restricted to its support (the
+      node itself when the support is ``0..k-1``), with the id map
+      (:func:`~.presentations.restrict_to_subalphabet`), built on first
+      use.
+
+    Nodes with equal relators are equal, so a node in a memo key stands
+    for its relator.
+    """
+
+    __slots__ = ("relator", "support", "exponents", "moves", "_hash",
+                 "_zero", "_core")
+
+    def __init__(self, relator):
+        letters = sorted(set(map(abs, relator)))
+        self.relator = relator
+        self.support = frozenset([a - 1 for a in letters])
+        self.exponents = words.exponent_vector(relator, letters[-1])
+        moves = []
+        for a in letters:
+            if relator.count(a) + relator.count(-a) == 1:
+                k = relator.index(a) if a in relator else relator.index(-a)
+                qp = relator[k + 1:] + relator[:k]
+                moves.append((a - 1, qp if relator[k] < 0 else
+                              words.invert(qp)))
+        self.moves = tuple(moves)
+        self._hash = hash(relator)
+        self._zero = self._core = _UNBUILT
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Node)
+                                 and self.relator == other.relator)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Node({self.relator})"
+
+    @property
+    def zero(self):
+        if self._zero is _UNBUILT:
+            self._zero = classify(len(self.support), self.relator)
+        return self._zero
+
+    @property
+    def core(self):
+        if self._core is _UNBUILT:
+            relator, old_to_new = restrict_to_subalphabet(self.relator,
+                                                          self.support)
+            # a base group's relator uses ids 0..k-1 and is its own core
+            core = self if relator == self.relator else Node(relator)
+            self._core = core, old_to_new
+        return self._core
+
+    @property
+    def classified(self):
+        """True once the hierarchy below the node has been entered: its
+        zero node or its core is built."""
+        return self._zero is not _UNBUILT or self._core is not _UNBUILT
+
+
 # ---------------------------------------------------------------------------
 # breakdown step data
 
@@ -67,13 +166,27 @@ class ZeroCaseData:
                                 # pairs, sorted: base generator k is pairs[k]
     ids: tuple                  # letter id of each base generator
     index: dict                 # letter id -> base generator id
-    base_relator: tuple         # the rewritten relator over the base ids
+    base: Node                  # the rewritten relator over the base ids
+    pivot_ends: tuple           # letter ids of the pivot's least and
+                                # greatest subscript
+
+    @cached_property
+    def shifted(self):
+        """``delta`` (+-1) -> signed window letter -> the letter shifted by
+        ``delta``, built on first use."""
+        out = {}
+        for delta in (1, -1):
+            table = out[delta] = {}
+            for (g, i), a in zip(self.pairs, self.ids):
+                b = _encode(self.rank, g, i + delta)
+                table[a], table[-a] = b, -b
+        return out
 
 
 @dataclass(frozen=True)
 class EmbeddingData:
     alpha: int                  # exponent sum of a in the relator
-    image_relator: tuple        # over the same number of generators, x is 0
+    image: Node                 # over the same number of generators, x is 0
     gen_map: dict               # other old gen id -> image gen id
     substitution: dict = field(repr=False)  # old gen id -> image word
 
@@ -102,26 +215,6 @@ def classify(rank, relator):
         if words.exponent_sum(relator, t) == 0:
             return rewrite_zero_case(relator, t)
     return None
-
-
-def tietze_value(relator, subset=frozenset()):
-    """Tietze move on the least generator that occurs exactly once in the
-    relator, preferring one outside ``subset``.
-
-    From ``r = p h^e q`` the conjugate ``h^e q p`` is also trivial, so
-    ``h = ((q p)^-1)^e``: the move deletes ``h`` and the relator, and the
-    group is free on the other generators.  Returns ``(h, value)`` with the
-    value a reduced word over those generators, or None when no generator
-    occurs once.
-    """
-    seen = Counter(words.letter_gen(lt) for lt in relator)
-    h = min((g for g, n in seen.items() if n == 1),
-            key=lambda g: (g in subset, g), default=None)
-    if h is None:
-        return None
-    k = next(k for k, lt in enumerate(relator) if words.letter_gen(lt) == h)
-    qp = words.reduce(relator[k + 1:] + relator[:k])
-    return h, (qp if relator[k] < 0 else words.invert(qp))
 
 
 def rewrite_zero_case(relator, t, pivot=None):
@@ -167,8 +260,10 @@ def rewrite_zero_case(relator, t, pivot=None):
     index = {a: k for k, a in enumerate(ids)}
     base_relator = tuple(index[lt] + 1 if lt > 0 else -index[-lt] - 1
                          for lt in rewritten)
+    pivot_ids = [a for a, (g, _) in zip(ids, pairs) if g == pivot]
     return ZeroCaseData(stable=t, pivot=pivot, rank=rank, pairs=pairs,
-                        ids=ids, index=index, base_relator=base_relator)
+                        ids=ids, index=index, base=Node(base_relator),
+                        pivot_ends=(pivot_ids[0], pivot_ids[-1]))
 
 
 def base_word(zdata, u):
@@ -192,13 +287,15 @@ def base_word(zdata, u):
     return tuple(out), zdata.ids + tuple(outside)
 
 
-def embed_nonzero_case(rank, relator, a, b):
+def embed_nonzero_case(rank, relator, a, b,
+                       max_len=words.DEFAULT_MAX_WORD_LEN):
     """Magnus embedding ``a -> y x^-beta, b -> x^alpha`` (others fixed).
 
     The image relator gets ``x``-exponent sum ``alpha*(-beta) + beta*alpha
     = 0``, so the zero-exponent rewriting applies next.  The substitution
     maps a free basis to a free basis of a subgroup, hence is injective,
-    and a word is trivial iff its image is trivial in the image group.
+    and a word is trivial iff its image is trivial in the image group.  The
+    image relator is built under ``max_len``.
     """
     alpha = words.exponent_sum(relator, a)
     beta = words.exponent_sum(relator, b)
@@ -212,7 +309,8 @@ def embed_nonzero_case(rank, relator, a, b):
     substitution[a] = words.reduce(
         (2,) + tuple([-1] * beta if beta > 0 else [1] * (-beta)))
     substitution[b] = tuple([1] * alpha if alpha > 0 else [-1] * (-alpha))
-    core = words.cyclic_reduce(words.substitute(relator, substitution))
-    return EmbeddingData(alpha=alpha, image_relator=core, gen_map=gen_map,
+    core = words.cyclic_reduce(words.substitute(relator, substitution,
+                                                max_len))
+    return EmbeddingData(alpha=alpha, image=Node(core), gen_map=gen_map,
                          substitution=substitution)
 

@@ -2,6 +2,7 @@
 Magnus-subgroup membership and sub-alphabet restriction."""
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import words
 from .errors import EmptyRelator, UnknownGenerator
@@ -31,17 +32,19 @@ def make_presentation(alphabet, relator_input):
     return OneRelatorPresentation(alphabet, core)
 
 
-def abelian_obstruction(rank, relator, w, subset=frozenset()):
+def abelian_obstruction(rank, exponents, w, subset=frozenset()):
     """Fast negative certificate for membership of ``w`` in the Magnus
-    subgroup on ``subset`` of ``<rank generators | relator>``.
+    subgroup on ``subset`` of ``<rank generators | relator>``, given the
+    relator's ``exponents`` (its exponent sums of the first ids; the rest
+    are 0).
 
     Outside ``subset`` a member's exponent sums are one integer multiple of
     the relator's.  Returns True when that necessary condition FAILS (so
     ``w`` is certainly no member; for the empty subset, nontrivial).
     """
     k = None
-    for g, (r, x) in enumerate(zip(words.exponent_vector(relator, rank),
-                                   words.exponent_vector(w, rank))):
+    for g, (r, x) in enumerate(zip_longest(
+            exponents, words.exponent_vector(w, rank), fillvalue=0)):
         if g in subset:
             continue
         if r and k is None:

@@ -8,13 +8,12 @@ subgroup on no generators, with witness ``()``:
   the relator's is refused first (:func:`.presentations.abelian_obstruction`,
   the recursion's one exponent-sum test),
 * a generator ``h`` that occurs once in the relator is eliminated by a
-  Tietze move (:func:`.breakdown.tietze_value`, preferring an ``h`` outside
-  the subset): the group is free on the other generators, so substituting
-  for ``h`` and freely reducing decides the query when ``h`` lies outside
-  the subset (the reduced image is the witness); with ``h`` in the subset
-  only an empty image decides it, as a trivial word with witness ``()``;
-  the move is redone per node, never memoized, and ``stats["eliminations"]``
-  counts the nodes it decides,
+  Tietze move (one of the node's ``moves``, the least ``h`` outside the
+  subset if there is one): the group is free on the other generators, so
+  substituting for ``h`` and freely reducing decides the query when ``h``
+  lies outside the subset (the reduced image is the witness); with ``h``
+  in the subset only an empty image decides it, as a trivial word with
+  witness ``()``; ``stats["eliminations"]`` counts the nodes it decides,
 * free-factor generators split off as a free product, decided in one
   stack pass over the query's maximal runs that asks each active syllable
   once (:meth:`Solver._member_free_split`),
@@ -25,8 +24,9 @@ subgroup on no generators, with witness ``()``:
   subgroup) are eliminated by rewriting ``u`` over the subgroup's free
   basis and shifting subscripts, in one left-to-right stack pass that
   tests each pinch once (:meth:`Solver._britton`); a residue over the
-  subgroup's letters is its own witness, and any other test's answer
-  depends only on the base group, the residue and the subset (memoized),
+  subgroup's letters is its own witness (for a pinch: it misses the one
+  excluded pivot letter), and any other test's answer depends only on the
+  base group, the residue and the subset (memoized),
 * otherwise an injective substitution creates such a generator and maps
   the queried subset into a Magnus subgroup of the image, which the same
   recursion decides at the same depth (:meth:`Solver._member_nonzero`).
@@ -37,15 +37,19 @@ of a cyclically reduced relator is free on itself (Freiheitssatz), so the
 witness is the unique normal form, a word already over the subset is its own
 witness without a descent, and shifting subscripts realizes the conjugation.
 
-The recursion carries no generator names: a node is a rank and a relator
-over ids ``0..rank-1``.  A zero node's base group is built once, by
-:func:`.breakdown.rewrite_zero_case`, and every descent into it maps its
-residue with :func:`.breakdown.base_word`.  Each node shape has one path,
-wherever the subset lies; a subset holding a zero node's stable letter
-``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
-t^-i`` times a power of ``t``).  Names are made only in
-:meth:`Solver._tree`, which names, prints and describes each node of the
-document that ``hierarchy_tree`` returns in its one walk.
+The recursion carries no generator names: a node is a rank and a
+:class:`.breakdown.Node`, a relator over ids below the rank with its
+support, exponent sums and Tietze moves, built once per relator.  The node
+builds its zero node (:func:`.breakdown.classify`) and its free-part core
+on first use and owns them; a zero node owns its base group's node, built
+once by :func:`.breakdown.rewrite_zero_case` with the subscript shifts of
+its window, and an embedding owns its image's node.  Every descent into a
+base group maps its residue with :func:`.breakdown.base_word`.  Each node
+shape has one path, wherever the subset lies; a subset holding a zero
+node's stable letter ``t`` pulls its witness back as a tower of
+``t``-conjugates (``t^i g t^-i`` times a power of ``t``).  Names are made
+only in :meth:`Solver._tree`, which names, prints and describes each node
+of the document that ``hierarchy_tree`` returns in its one walk.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
@@ -56,14 +60,9 @@ from enum import Enum
 from itertools import chain, groupby, islice
 
 from . import breakdown, words
-from .breakdown import _decode, _shift, base_word
+from .breakdown import _decode, _shift_one, base_word
 from .errors import ResourceExhausted, UnknownGenerator
-from .presentations import (
-    abelian_obstruction,
-    map_word,
-    make_presentation,
-    restrict_to_subalphabet,
-)
+from .presentations import abelian_obstruction, map_word, make_presentation
 from .textio import print_word
 from .words import Alphabet
 
@@ -71,6 +70,7 @@ from .words import Alphabet
 #: the solver's memo evicts its least recently used entry beyond this many
 MEMO_ENTRIES = 1024
 
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,24 @@ class Solver:
     :class:`MembershipVerdict`.  A word from outside is reduced and checked
     once, by :func:`.words.validate_word`, on the way in.
 
-    The memo holds the results of ``breakdown.classify``,
+    The memo holds the node of each presentation's relator, keyed by
+    ``(breakdown.Node, relator)``, and the results of
     ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
-    keyed by the function and its arguments (rank, relator, generator ids),
-    so presentations that differ only in generator names share entries;
-    a hit is counted in ``stats["memo_hits"]``.  A node's ``classify``
-    entry is its zero node, which carries its base group, built once, or
-    None for a nonzero node.  A subset holding a zero node's pivot and
-    stable letter needs another pivot, the one case in which
-    :meth:`_member_zero` calls ``rewrite_zero_case`` itself.  A pinch test
-    (:meth:`_base_member`) on a residue over the kept letters is its own
-    witness; any other reaches the memo, keyed by the base group's rank and
-    relator, the residue, the subset and the depth, and counts in
-    ``stats["pinch_tests"]``, a hit also in ``stats["pinch_hits"]``.
+    keyed by the function and its arguments (relator, generator ids and,
+    for an embedding, the word-length cap its image relator was built
+    under), so presentations that differ only in generator names share
+    entries; a hit is counted in ``stats["memo_hits"]``.  A top node enters
+    the memo only once a query or the hierarchy walk has classified it
+    (built its zero node or its free-part core), so a query decided at the
+    top by the own-witness, abelian or Tietze exit adds no entry.  The
+    nodes below it are reached through their owners, never through the
+    memo.  A subset holding a zero node's pivot and stable letter needs
+    another pivot, the one case in which :meth:`_member_zero` calls
+    ``rewrite_zero_case`` itself.  A pinch test (:meth:`_base_member`) on
+    a residue over the kept letters is its own witness; any other reaches
+    the memo, keyed by the base group's node (equal nodes have equal
+    relators), its rank, the residue, the subset and the depth, and counts
+    in ``stats["pinch_tests"]``, a hit also in ``stats["pinch_hits"]``.
     The depth in the key means a hit stands for a computation under the
     same budgets, and a test that raised stores nothing, so verdicts,
     witnesses and :class:`~onerelator.errors.ResourceExhausted` do not
@@ -152,21 +157,41 @@ class Solver:
         # a bound method keys by its function, so the memo holds no
         # reference back to its solver
         key = (getattr(fn, "__func__", fn),) + args
-        if key in self._memo:
+        out = self._memo.pop(key, _MISSING)
+        if out is _MISSING:
+            out = fn(*args)
+        else:
             self.stats[hits] += 1
-            out = self._memo[key] = self._memo.pop(key)
-            return out
-        out = self._memo[key] = fn(*args)
+        self._store(key, out)
+        return out
+
+    def _store(self, key, value):
+        self._memo[key] = value
         if len(self._memo) > MEMO_ENTRIES:
             del self._memo[next(iter(self._memo))]
-        return out
+
+    def _at_top(self, relator, walk, *args):
+        """``walk(node, *args)`` on the node of a presentation's relator,
+        the memo's or a new one.  After the walk, one that raised too, a
+        classified node is stored as the most recently used entry."""
+        key = (breakdown.Node, relator)
+        node = self._memo.pop(key, None)
+        if node is None:
+            node = breakdown.Node(relator)
+        else:
+            self.stats["memo_hits"] += 1
+        try:
+            return walk(node, *args)
+        finally:
+            if node.classified:
+                self._store(key, node)
 
     # -- public API --------------------------------------------------------
 
     def word_problem(self, pres, w):
         w = words.validate_word(pres.alphabet, w, self.limits.max_word_len)
-        witness = self._member(pres.alphabet.size, pres.relator, w,
-                               frozenset(), 0)
+        witness = self._at_top(pres.relator, self._member,
+                               pres.alphabet.size, w, frozenset(), 0)
         return Verdict.NONTRIVIAL if witness is None else Verdict.TRIVIAL
 
     def magnus_membership(self, pres, w, subset):
@@ -174,8 +199,8 @@ class Solver:
         subset = frozenset(subset)
         if not subset <= set(range(pres.alphabet.size)):
             raise UnknownGenerator("subset contains ids outside the alphabet")
-        return MembershipVerdict(
-            self._member(pres.alphabet.size, pres.relator, w, subset, 0))
+        return MembershipVerdict(self._at_top(
+            pres.relator, self._member, pres.alphabet.size, w, subset, 0))
 
     def is_root(self, s, r, alphabet):
         """True iff ``r`` dies in ``<alphabet | s>``."""
@@ -191,7 +216,7 @@ class Solver:
         zero node adds its ``stable`` letter, ``pivot``, the subscript
         ``ranges`` of each generator in the rewritten relator, and that
         relator printed as ``rewritten``."""
-        return self._tree(pres.alphabet.names, pres.relator, 0)
+        return self._at_top(pres.relator, self._tree, pres.alphabet.names, 0)
 
     # -- Britton reduction -------------------------------------------------
 
@@ -208,28 +233,32 @@ class Solver:
         generator but the pivot's top subscript for ``t u t^-1``,
         symmetrically for ``t^-1 u t``), both are popped, and the
         subscript-shift of ``u``'s free-basis witness and the incoming chunk
-        are pushed onto the word below, under the word-length cap.
+        are pushed onto the word below, under the word-length cap.  A ``u``
+        without that one excluded letter is its own witness, with no test,
+        and a shift looks each window letter up in the zero node's table.
         Otherwise the letter and its chunk go on top.  A word below the top
         changes only at its seam with a push, so a fold costs the letters it
         pushes, each stable letter costs at most one membership test, and
         no pinch is left.
         """
-        rank, t, cap = zdata.rank, zdata.stable + 1, self.limits.max_word_len
-        pivots = [a for a, (g, _) in zip(zdata.ids, zdata.pairs)
-                  if g == zdata.pivot]
+        t, cap = zdata.stable + 1, self.limits.max_word_len
         cuts = [k for k, lt in enumerate(w) if abs(lt) == t] + [len(w)]
         out = [list(w[:cuts[0]])]
         for k, end in zip(cuts, cuts[1:]):
             sign, u = (1 if w[k] > 0 else -1), w[k + 1:end]
             if len(out) > 1 and out[-2] == -sign:
-                excluded = pivots[-1] if sign < 0 else pivots[0]
-                witness = self._base_member(zdata, out[-1],
-                                            lambda a: a != excluded, depth)
+                top, excluded = out[-1], zdata.pivot_ends[sign < 0]
+                if excluded in top or -excluded in top:
+                    witness = self._base_member(
+                        zdata, top, lambda a: a != excluded, depth)
+                else:
+                    witness = top
                 if witness is not None:
                     del out[-2:]
                     # the shifted witness followed by u need not be
                     # reduced, so each is pushed on its own
-                    words.push(out[-1], _shift(rank, witness, -sign), cap)
+                    words.push(out[-1], _shift_one(zdata, witness, -sign),
+                               cap)
                     words.push(out[-1], u, cap)
                     continue
             out += (sign, list(u))
@@ -249,8 +278,8 @@ class Solver:
         self.stats["pinch_tests"] += 1
         word, ids = base_word(zdata, u)
         subset = frozenset(k for k, a in enumerate(ids) if keep(a))
-        witness = self._cached("pinch_hits", self._member, len(ids),
-                               zdata.base_relator, word, subset, depth + 1)
+        witness = self._cached("pinch_hits", self._member, zdata.base,
+                               len(ids), word, subset, depth + 1)
         if witness is None:
             return None
         return tuple(ids[lt - 1] if lt > 0 else -ids[-lt - 1]
@@ -258,22 +287,23 @@ class Solver:
 
     # -- Magnus subgroup membership ---------------------------------------
 
-    def _member(self, rank, relator, w, subset, depth):
+    def _member(self, node, rank, w, subset, depth):
         try:
             self._bump(depth)
             # w over all generators, or over a free subset, is its own witness
             if len(subset) == rank or (
-                    all(words.letter_gen(lt) in subset for lt in w)
-                    and not words.support(relator) <= subset):
+                    not node.support <= subset
+                    and all(words.letter_gen(lt) in subset for lt in w)):
                 return w
-            if abelian_obstruction(rank, relator, w, subset):
+            if abelian_obstruction(rank, node.exponents, w, subset):
                 return None
-            move = breakdown.tietze_value(relator, subset)
-            if move is not None:
-                # the group is free on the generators other than h, so the
+            if node.moves:
+                # the least move, preferring an h outside the subset: the
+                # group is free on the generators other than h, so the
                 # image decides the node; with h in the subset, only an
                 # empty image does (w is trivial)
-                h, value = move
+                h, value = next((m for m in node.moves if m[0] not in subset),
+                                node.moves[0])
                 try:
                     image = words.substitute(w, {h: value},
                                              self.limits.max_word_len)
@@ -287,19 +317,17 @@ class Solver:
                         return image
                     return None
 
-            active = words.support(relator)
-            if len(active) < rank:
-                return self._member_free_split(relator, w, subset, active,
-                                               depth)
+            if len(node.support) < rank:
+                return self._member_free_split(node, w, subset, depth)
 
             if rank == 1:
                 # the subset is empty (the full subset returned above), so
                 # the abelian test made w a power of the relator
                 return ()
-            zd = self._cached("memo_hits", breakdown.classify, rank, relator)
+            zd = node.zero
             if zd is not None:
-                return self._member_zero(rank, relator, w, subset, zd, depth)
-            return self._member_nonzero(rank, relator, w, subset, depth)
+                return self._member_zero(node, rank, w, subset, zd, depth)
+            return self._member_nonzero(node, rank, w, subset, depth)
         except ResourceExhausted as exc:
             # an overrun inside words has no depth: this is the innermost
             # node it leaves
@@ -307,7 +335,7 @@ class Solver:
                 exc.depth = depth
             raise
 
-    def _member_free_split(self, relator, w, subset, active, depth):
+    def _member_free_split(self, node, w, subset, depth):
         """Membership in ``<active | relator> * F(rest)``, in one stack pass
         over the maximal runs of ``w``: a run merges into a top syllable of
         its own factor.
@@ -320,8 +348,9 @@ class Solver:
         it, so above one only the word problem is asked.  ``w`` is a member
         iff every syllable left has a witness.
         """
-        relator, old_to_new = restrict_to_subalphabet(relator, active)
-        new_to_old = {v: k for k, v in old_to_new.items()}
+        core, old_to_new = node.core
+        # the support is numbered in increasing order
+        new_to_old = tuple(old_to_new)
         rank = len(old_to_new)
         sub_active = frozenset(old_to_new[g] for g in subset
                                if g in old_to_new)
@@ -342,7 +371,7 @@ class Solver:
                 witness = u if words.support(u) <= subset else None
             else:
                 found = self._member(
-                    rank, relator, map_word(u, old_to_new),
+                    core, rank, map_word(u, old_to_new),
                     sub_active if hope and not full else frozenset(), depth)
                 if found == ():
                     continue
@@ -353,7 +382,7 @@ class Solver:
             return None
         return words.concat((witness for _, _, witness in syls), cap)
 
-    def _member_zero(self, rank, relator, w, subset, zd, depth):
+    def _member_zero(self, node, rank, w, subset, zd, depth):
         """Zero node with stable letter ``t``: Britton-reduce ``w`` times
         ``t^-d``, ``d`` its ``t``-exponent sum, and ask its base word.
 
@@ -370,7 +399,8 @@ class Solver:
         if t in subset:
             if zd.pivot in subset:
                 zd = self._cached("memo_hits", breakdown.rewrite_zero_case,
-                                  relator, t, min(set(range(rank)) - subset))
+                                  node.relator, t,
+                                  min(set(range(rank)) - subset))
             keep = lambda a: _decode(zd.rank, a)[0] in subset
         else:
             # the subscript-0 letters are the plain letters 1..rank
@@ -392,7 +422,7 @@ class Solver:
         out += [t + 1 if d > height else -t - 1] * abs(d - height)
         return words.reduce(out, cap)
 
-    def _member_nonzero(self, rank, relator, w, subset, depth):
+    def _member_nonzero(self, node, rank, w, subset, depth):
         """Nonzero node: ``a -> y x^-beta, b -> x^alpha`` with ``a`` the
         least omitted generator and ``b`` the next, or the least subset
         generator when only ``a`` is omitted.
@@ -406,13 +436,13 @@ class Solver:
         omitted = sorted(set(range(rank)) - subset)
         a = omitted[0]
         b = omitted[1] if len(omitted) > 1 else min(subset)
-        emb = self._cached("memo_hits", breakdown.embed_nonzero_case, rank,
-                           relator, a, b)
         cap = self.limits.max_word_len
+        emb = self._cached("memo_hits", breakdown.embed_nonzero_case, rank,
+                           node.relator, a, b, cap)
         wprime = words.substitute(w, emb.substitution, cap)
         # x is the image's generator 0
         magnus = frozenset(emb.gen_map.get(s, 0) for s in subset)
-        witness = self._member(rank, emb.image_relator, wprime, magnus, depth)
+        witness = self._member(emb.image, rank, wprime, magnus, depth)
         if witness is None:
             return None
         back = {v: k for k, v in emb.gen_map.items()}
@@ -431,35 +461,40 @@ class Solver:
 
     # -- hierarchy tree ----------------------------------------------------
 
-    def _tree(self, names, relator, depth):
-        """The document of the hierarchy below ``<names | relator>``: the
-        one place where the generators of base groups and embedding images
-        get names."""
+    def _tree(self, node, names, depth):
+        """The document of the hierarchy below ``<names | node.relator>``:
+        the one place where the generators of base groups and embedding
+        images get names."""
         self._bump(depth)
-        active = words.support(relator)
-        free_part = [n for g, n in enumerate(names) if g not in active]
+        free_part = [n for g, n in enumerate(names) if g not in node.support]
         if free_part:
-            relator, _ = restrict_to_subalphabet(relator, active)
-            names = tuple(n for g, n in enumerate(names) if g in active)
+            names = tuple(n for g, n in enumerate(names) if g in node.support)
+            node, _ = node.core
         doc = {"case": "base_single", "alphabet": list(names),
-               "relator": print_word(relator, Alphabet(names)),
+               "relator": print_word(node.relator, Alphabet(names)),
                "children": []}
         if free_part:
             doc["free_part"] = free_part
         if len(names) == 1:
             return doc
-        zd = self._cached("memo_hits", breakdown.classify, len(names),
-                          relator)
+        zd = node.zero
         if zd is None:
-            emb = self._cached("memo_hits", breakdown.embed_nonzero_case,
-                               len(names), relator, 0, 1)
+            try:
+                emb = self._cached("memo_hits", breakdown.embed_nonzero_case,
+                                   len(names), node.relator, 0, 1,
+                                   self.limits.max_word_len)
+            except ResourceExhausted as exc:
+                # the image relator overran inside words, at this node
+                exc.depth = depth
+                raise
             child_names = fresh_names(names, 2) + [
                 names[g] for g in sorted(emb.gen_map)]
-            child = self._tree(child_names, emb.image_relator, depth + 1)
+            child = self._tree(emb.image, child_names, depth + 1)
             doc["case"] = "nonzero"
         else:
-            child = self._tree([f"{names[g]}_{i}" for g, i in zd.pairs],
-                               zd.base_relator, depth + 1)
+            child = self._tree(zd.base,
+                               [f"{names[g]}_{i}" for g, i in zd.pairs],
+                               depth + 1)
             # pairs are sorted, so a generator's last subscript is its
             # greatest
             ranges = {}

@@ -18,6 +18,7 @@ reduction would: only when a letter of the right factor survives.
 """
 
 from itertools import chain, repeat
+from operator import add
 
 from .errors import ResourceExhausted, UnknownGenerator
 
@@ -209,8 +210,14 @@ def support(w):
 def validate_word(alphabet, w, max_len=DEFAULT_MAX_WORD_LEN):
     """The one check on a word from outside: freely reduce ``w`` under
     ``max_len``, check that every letter of the reduced word indexes into
-    ``alphabet`` (a letter that cancels is not checked), and return it."""
-    w = reduce(w, max_len)
+    ``alphabet`` (a letter that cancels is not checked), and return it.
+
+    A word no longer than ``max_len`` with no adjacent pair summing to 0 is
+    already reduced, and reducing it could not overrun, so it skips the
+    letter-by-letter pass."""
+    w = tuple(w)
+    if len(w) > max_len or 0 in map(add, w, w[1:]):
+        w = reduce(w, max_len)
     n = alphabet.size
     if w and (0 in w or max(w) > n or min(w) < -n):
         lt = next(lt for lt in w if lt == 0 or letter_gen(lt) >= n)

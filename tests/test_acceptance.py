@@ -158,7 +158,8 @@ def test_criterion_7_klein_bottle_and_trefoil():
     assert solver.word_problem(trefoil, (1, 2)) is Verdict.NONTRIVIAL
     # abelianization certificate: (1,1) is not a multiple of (2,-3)
     from onerelator.presentations import abelian_obstruction
-    assert abelian_obstruction(2, trefoil.relator, (1, 2))
+    assert abelian_obstruction(
+        2, words.exponent_vector(trefoil.relator, 2), (1, 2))
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     print(f"criterion 7: klein + trefoil cross-checked, {elapsed:.2f}s PASS")
@@ -191,8 +192,8 @@ def test_criterion_8_hierarchy_strict_descent():
         checked += 1
         zd = classify(2, pres.relator)
         if zd is not None:
-            assert len(zd.base_relator) < len(r)
-            back = substitute_back(zd.base_relator, zd.pairs, zd.stable)
+            assert len(zd.base.relator) < len(r)
+            back = substitute_back(zd.base.relator, zd.pairs, zd.stable)
             core = words.cyclic_reduce(back)
             assert words.cyclically_equal_up_to_inversion(core, r)
         # depth = number of shortening (zero-case) steps; embedding nodes

@@ -7,9 +7,11 @@ import pytest
 
 from onerelator import words
 from onerelator.breakdown import (
+    Node,
     _decode,
     _encode,
     _shift,
+    _shift_one,
     base_word,
     classify,
     embed_nonzero_case,
@@ -73,7 +75,7 @@ def test_rewrite_zero_case_bs12():
     # a b a^-1 b^-2 with t = a rewrites to b_1 b_0^-2
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
     assert zd.pairs == ((1, 0), (1, 1))
-    assert zd.base_relator == (2, -1, -1)
+    assert zd.base.relator == (2, -1, -1)
     assert zd.rank == 2
     assert zd.pivot == 1
 
@@ -81,7 +83,7 @@ def test_rewrite_zero_case_bs12():
 def test_rewrite_zero_case_round_trip():
     p = make_presentation(AB, (1, 2, -1, -2, -2))
     zd = rewrite_zero_case(p.relator, 0)
-    back = substitute_back(zd.base_relator, zd.pairs, 0)
+    back = substitute_back(zd.base.relator, zd.pairs, 0)
     # the rewritten relator spells a conjugate of (a cyclic shift of) the
     # relator
     core = words.cyclic_reduce(back)
@@ -126,10 +128,10 @@ def test_embed_nonzero_case():
     # a -> y x^-3 (beta = 3), b -> x^2
     assert emb.substitution == {0: (2, -1, -1, -1), 1: (1, 1)}
     # sigma_x of the image relator must vanish
-    assert words.exponent_sum(emb.image_relator, 0) == 0
+    assert words.exponent_sum(emb.image.relator, 0) == 0
     # translating the relator itself gives a trivial image
     core = words.cyclic_reduce(words.substitute(r, emb.substitution))
-    assert words.cyclically_equal_up_to_inversion(core, emb.image_relator) \
+    assert words.cyclically_equal_up_to_inversion(core, emb.image.relator) \
         or core == ()
 
 
@@ -151,7 +153,7 @@ def test_zero_case_presentation():
     assert zd.pairs == ((1, 0), (1, 1))
     assert zd.ids == (b[0], b[1])
     assert zd.index == {b[0]: 0, b[1]: 1}
-    assert zd.base_relator == (2, -1, -1)
+    assert zd.base.relator == (2, -1, -1)
     assert base_word(zd, ()) == ((), (b[0], b[1]))
     # window letters keep their ids; the residue's letters outside the
     # window follow, in order of first occurrence, and the relator is
@@ -187,10 +189,10 @@ def test_zero_case_strict_descent_exhaustive():
         zd = classify(2, p.relator)
         if zd is None:
             continue
-        assert len(zd.base_relator) < len(r)
-        assert len(zd.base_relator) == len(r) - sum(
+        assert len(zd.base.relator) < len(r)
+        assert len(zd.base.relator) == len(r) - sum(
             1 for lt in r if words.letter_gen(lt) == zd.stable)
-        back = substitute_back(zd.base_relator, zd.pairs, zd.stable)
+        back = substitute_back(zd.base.relator, zd.pairs, zd.stable)
         core = words.cyclic_reduce(back)
         assert words.cyclically_equal_up_to_inversion(core, r)
 
@@ -249,14 +251,100 @@ def test_reachable_nodes_are_free_on_what_they_keep():
             pairs = [(a, b) for a in range(rank) for b in range(rank)
                      if a < b or b == min(set(range(rank)) - {a})]
             todo.update((rank, embed_nonzero_case(rank, relator, *ab)
-                         .image_relator) for ab in pairs)
+                         .image.relator) for ab in pairs)
             continue
         t = zd.stable
         for pivot in sorted(active - {t}):
             zd = rewrite_zero_case(relator, t, pivot)
-            letters = {zd.pairs[abs(lt) - 1] for lt in zd.base_relator}
+            letters = {zd.pairs[abs(lt) - 1] for lt in zd.base.relator}
             subs = [i for g, i in zd.pairs if g == pivot]
             assert {(pivot, min(subs)), (pivot, max(subs))} <= letters
             assert any(i != 0 for _, i in letters), (relator, pivot)
-            todo.add((len(zd.pairs), zd.base_relator))
+            todo.add((len(zd.pairs), zd.base.relator))
     assert len(seen) > 10000
+
+
+def cyclically_reduced_words(rank, max_len):
+    """Every cyclically reduced word of length 1..max_len over ``rank``
+    generators."""
+    out, frontier = [], [()]
+    for _ in range(max_len):
+        frontier = [w + (lt,) for w in frontier
+                    for g in range(1, rank + 1) for lt in (g, -g)
+                    if not w or w[-1] != -lt]
+        out.extend(w for w in frontier if cyclically_reduced(w))
+    return out
+
+
+def test_every_node_relator_is_cyclically_reduced(monkeypatch):
+    """A node's Tietze values skip free reduction, which is sound only on
+    a cyclically reduced relator.  Build the node of every cyclically
+    reduced relator of length <= 5 over a,b and over a,b,c, and walk every
+    node below it: its core, the base group of every pivot its zero node
+    can take, and the image of every pair (a, b) it can embed by (a < b,
+    or b the least other generator).  Every relator a Node is built for is
+    cyclically reduced, and every move's value is reduced."""
+    built = []
+    init = Node.__init__
+
+    def recording(self, relator):
+        built.append(relator)
+        init(self, relator)
+
+    monkeypatch.setattr(Node, "__init__", recording)
+    todo = [Node(r) for rank in (2, 3)
+            for r in cyclically_reduced_words(rank, 5)]
+    tops = len(todo)
+    seen = set()
+    while todo:
+        node = todo.pop()
+        if node.relator in seen:
+            continue
+        seen.add(node.relator)
+        for h, value in node.moves:
+            assert value == words.reduce(value), (node, h)
+        rank = len(node.support)
+        if rank == 1:
+            continue
+        if max(node.support) >= rank:
+            todo.append(node.core[0])
+            continue
+        zd = node.zero
+        if zd is None:
+            todo.extend(embed_nonzero_case(rank, node.relator, a, b).image
+                        for a in range(rank) for b in range(rank)
+                        if a < b or b == min(set(range(rank)) - {a}))
+            continue
+        todo.extend(rewrite_zero_case(node.relator, zd.stable, pivot).base
+                    for pivot in sorted(node.support - {zd.stable}))
+    assert tops > 4000 and len(built) > tops
+    bad = [r for r in built if not cyclically_reduced(r)]
+    assert not bad, bad[:5]
+
+
+def test_node_holds_what_its_relator_fixes():
+    """A node's support, exponent sums (up to its greatest id) and moves;
+    its core renumbers the support in increasing order; nodes with equal
+    relators are equal and hash alike, whoever built them."""
+    node = Node((1, 3, 1, -3))
+    assert node.support == {0, 2}
+    assert node.exponents == (2, 0, 0)
+    assert node.moves == ()
+    core, old_to_new = node.core
+    assert core.relator == (1, 2, 1, -2) and old_to_new == {0: 0, 2: 1}
+    assert node.core[0] is core
+    # a relator over ids 0..k-1, as a base group's is, is its own core
+    assert core.core == (core, {0: 0, 1: 1})
+    assert core.zero.stable == 1
+    assert Node((1, 3, 1, -3)) == node and hash(Node(node.relator)) == \
+        hash(node)
+    assert Node((1, 2)) != node
+    # the zero node carries its base group's node, the pivot's end letters
+    # and the one-step subscript shifts of its window
+    zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
+    b = {i: _encode(2, 1, i) for i in (-1, 0, 1, 2)}
+    assert zd.base == Node((2, -1, -1)) and zd.pivot_ends == (b[0], b[1])
+    assert _shift_one(zd, (b[0], -b[1]), 1) == (b[1], -b[2])
+    assert _shift_one(zd, (-b[0], b[1]), -1) == (-b[-1], b[0])
+    # a letter off the window is shifted too
+    assert _shift_one(zd, (b[2], b[0]), -1) == (b[1], b[-1])

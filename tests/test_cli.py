@@ -313,6 +313,13 @@ def test_exit_code_3_on_oversized_power(capsys):
     assert "budget max_word_len" in capsys.readouterr().err
 
 
+def test_hierarchy_overrun_names_its_depth(capsys):
+    # the top node's embedding image relator has 91 letters, over the cap
+    assert main(["--max-word-len", "50", "hierarchy", "a,b | a^7b^7"]) == 3
+    assert "budget max_word_len, limit 50, depth 0" in \
+        capsys.readouterr().err
+
+
 def test_max_word_len_caps_the_parser(capsys):
     # a raised cap admits a power past the default, which reduces away
     assert main(["--max-word-len", "4000000", "solve", "a,b | abAB",

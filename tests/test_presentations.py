@@ -1,5 +1,6 @@
 import pytest
 
+from onerelator import words
 from onerelator.errors import EmptyRelator, UnknownGenerator
 from onerelator.presentations import (
     abelian_obstruction,
@@ -31,20 +32,27 @@ def test_repr_round_trips_through_grammar():
 
 
 def test_abelian_obstruction():
+    def obstructs(rank, relator, w, subset=frozenset()):
+        return abelian_obstruction(
+            rank, words.exponent_vector(relator, rank), w, subset)
+
     z2 = (1, 2, -1, -2)
-    assert abelian_obstruction(2, z2, (1,))
-    assert not abelian_obstruction(2, z2, ())
+    assert obstructs(2, z2, (1,))
+    assert not obstructs(2, z2, ())
     q = (1, 1, 2)
     # (2, 1) is the relator vector itself: no obstruction
-    assert not abelian_obstruction(2, q, (1, 1, 2))
-    assert abelian_obstruction(2, q, (1,))
+    assert not obstructs(2, q, (1, 1, 2))
+    assert obstructs(2, q, (1,))
     # outside the subset only: Z^2 mod <a> keeps the b-sum
-    assert abelian_obstruction(2, z2, (2,), {0})
-    assert not abelian_obstruction(2, z2, (1, 1, 1), {0})
+    assert obstructs(2, z2, (2,), {0})
+    assert not obstructs(2, z2, (1, 1, 1), {0})
     # ababc mod <b, c>: the a-sum must be a multiple of 2
     ababc = (1, 2, 1, 2, 3)
-    assert abelian_obstruction(3, ababc, (1,), {1, 2})
-    assert not abelian_obstruction(3, ababc, (2, 3), {1, 2})
+    assert obstructs(3, ababc, (1,), {1, 2})
+    assert not obstructs(3, ababc, (2, 3), {1, 2})
+    # a vector shorter than the rank: the later relator sums are 0
+    assert not abelian_obstruction(3, (2,), (1, 1, 3, -3))
+    assert abelian_obstruction(3, (2,), (1, 1, 3))
 
 
 def test_restrict_to_subalphabet():

@@ -125,7 +125,9 @@ def test_britton_keeps_genuine_stable_letters():
 def test_britton_tests_each_stable_letter_once(monkeypatch):
     # in a^-1 b a (b a b a^-1)^k the first a closes a failing pinch and each
     # a^-1 a succeeding one; a restarted scan re-tests the failing pinch
-    # after every removal
+    # after every removal.  The succeeding pinches hold residues over the
+    # kept letters, which fold as their own witnesses without a test, so
+    # the one membership test is the failing pinch's
     calls = []
     base_member = Solver._base_member
 
@@ -138,7 +140,7 @@ def test_britton_tests_each_stable_letter_once(monkeypatch):
         calls.clear()
         w = words.concat([(-1, 2, 1)] + [(2, 1, 2, -1)] * k)
         assert Solver().word_problem(BS12, w) is Verdict.NONTRIVIAL
-        assert len(calls) == k + 1
+        assert [args[1] for args in calls] == [[2]]
 
 
 def test_depth_budget_reported_honestly():
@@ -210,15 +212,35 @@ def test_word_length_overrun_reports_its_depth():
     assert info.value.depth == 1
 
 
+def test_embedding_relator_is_built_under_the_word_cap():
+    """The Magnus embedding of <a,b | a^7 b^7> has a 91-letter image
+    relator, (y x^-7)^7 x^49 reduced; under a 50-letter cap it is not
+    built and the query overruns at the top node, and nothing built under
+    one cap is reused under another."""
+    p = parse_presentation("a,b | a^7b^7")
+    w = parse_word("abAB", p.alphabet)
+    solver = Solver(SolverLimits(max_word_len=50))
+    with pytest.raises(ResourceExhausted) as info:
+        solver.word_problem(p, w)
+    assert (info.value.budget, info.value.limit, info.value.depth) == \
+        ("max_word_len", 50, 0)
+    assert not any(key[0] is breakdown.embed_nonzero_case
+                   for key in solver._memo)
+    assert Solver(SolverLimits(max_word_len=91)).word_problem(p, w) is \
+        Verdict.NONTRIVIAL
+
+
 def test_tietze_value():
+    """A node holds one Tietze move per once-occurring generator, in
+    increasing order; the solver takes the least outside the subset, or
+    the least when the subset holds them all."""
     # a b a c: b = (a c a)^-1 is the least move, c = (a b a)^-1 the one
-    # outside a subset holding b, and b again when the subset holds both
-    assert breakdown.tietze_value((1, 2, 1, 3)) == (1, (-1, -3, -1))
-    assert breakdown.tietze_value((1, 2, 1, 3), {1}) == (2, (-1, -2, -1))
-    assert breakdown.tietze_value((1, 2, 1, 3), {1, 2}) == (1, (-1, -3, -1))
+    # outside a subset holding b
+    assert breakdown.Node((1, 2, 1, 3)).moves == (
+        (1, (-1, -3, -1)), (2, (-1, -2, -1)))
     # a b a b^-1 c^-1: c = a b a b^-1, from a negative occurrence
-    assert breakdown.tietze_value((1, 2, 1, -2, -3)) == (2, (1, 2, 1, -2))
-    assert breakdown.tietze_value(BS12.relator) is None
+    assert breakdown.Node((1, 2, 1, -2, -3)).moves == ((2, (1, 2, 1, -2)),)
+    assert breakdown.Node(BS12.relator).moves == ()
 
 
 def test_wp_tietze_positive_occurrence():
@@ -262,7 +284,8 @@ def test_memo_is_bounded():
     for p in pres[1:]:
         assert answers(p) == first
     assert len(solver._memo) <= solver_mod.MEMO_ENTRIES == 1024
-    assert (breakdown.classify, 2, pres[0].relator) not in solver._memo
+    assert (breakdown.Node, pres[-1].relator) in solver._memo
+    assert (breakdown.Node, pres[0].relator) not in solver._memo
     assert answers(pres[0]) == first
 
 
@@ -504,7 +527,8 @@ def test_word_problem_shares_the_embedding(monkeypatch):
     assert solver.word_problem(TREFOIL, w) is Verdict.NONTRIVIAL
     assert not solver.magnus_membership(TREFOIL, w, set()).member
     assert solver.hierarchy_tree(TREFOIL)["case"] == "nonzero"
-    assert calls.count((2, TREFOIL.relator, 0, 1)) == 1
+    assert calls.count(
+        (2, TREFOIL.relator, 0, 1, solver.limits.max_word_len)) == 1
     assert len(set(calls)) == len(calls)
 
 
@@ -546,7 +570,7 @@ def test_hierarchy_tree_shapes():
     # the base group of the zero node, which the child describes
     zd = breakdown.classify(2, BS12.relator)
     assert len(zd.pairs) == 2
-    assert len(zd.base_relator) < len(BS12.relator)
+    assert len(zd.base.relator) < len(BS12.relator)
 
     leaf = tree
     depth = 0

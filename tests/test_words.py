@@ -184,3 +184,37 @@ def test_validate_word():
         words.validate_word(ab, (3,))
     with pytest.raises(UnknownGenerator):
         words.validate_word(ab, (0,))
+
+
+def test_validate_word_skips_the_pass_only_on_reduced_words():
+    """The check agrees with reducing first and checking the result: the
+    same word, or the same error (type and message), on reduced and
+    unreduced words, words around the cap (one whose reduction passes the
+    cap on the way, though the result fits), and letters 0 or outside the
+    alphabet that survive or cancel."""
+    ab = Alphabet(("a", "b"))
+
+    def reference(w, max_len):
+        w = words.reduce(w, max_len)
+        bad = [lt for lt in w if lt == 0 or abs(lt) > 2]
+        if bad:
+            raise UnknownGenerator(
+                f"letter {bad[0]} has no generator in {ab!r}")
+        return w
+
+    def outcome(fn, w, max_len):
+        try:
+            return fn(w, max_len)
+        except (ResourceExhausted, UnknownGenerator) as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(5)
+    cases = [((1, 1, -1), 2), ((1, 1, 1, -1, -1), 2), ((0, 0), 4),
+             ((1, 0, -1), 4), ((3, -3), 4), ((1, 2), 2), ((1, 2, 1), 2)]
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        cases.append((tuple(rng.choice((1, -1, 2, -2, 2, 3, 0))
+                            for _ in range(n)), rng.randint(1, 8)))
+    for w, max_len in cases:
+        got = outcome(lambda w, m: words.validate_word(ab, w, m), w, max_len)
+        assert got == outcome(reference, w, max_len), (w, max_len)
