@@ -24,11 +24,12 @@ base group's ids when recursing.
 
 Each relator the hierarchy reaches is a :class:`Node`, built once: the
 zero node owns its base group's node, an embedding its image's node, and a
-node the node of its free-part core.
+node the node of its free-part core.  A zero node also owns the
+:class:`FoldTable` that folds its pinches closed by each sign of the
+stable letter, built on the first such pinch.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import words
 from .errors import PreconditionViolated
@@ -59,14 +60,26 @@ def _shift(rank, w, delta):
     return tuple(out)
 
 
-def _shift_one(zdata, w, delta):
-    """:func:`_shift` by ``delta`` = +-1, one lookup per letter in the zero
-    node's table; only a word with a letter off the window is decoded."""
-    table = zdata.shifted[delta]
-    try:
-        return tuple(map(table.__getitem__, w))
-    except KeyError:
-        return _shift(zdata.rank, w, delta)
+class FoldTable(dict):
+    """Signed letter -> its image under a pinch's conjugation ``g_i ->
+    g_{i+delta}``, one table per zero node and sign of the stable letter
+    that closes the pinch (:func:`_fold_table`).  A letter enters on its
+    first lookup, one off the zero node's window too.  The pinch's excluded
+    letter enters only when the base relator has a Tietze move for it, and
+    maps to the shifted Tietze value, a word (tuple): every other value is
+    a letter (int).  A lookup would enter any letter, so the excluded
+    letter is looked up only once the table holds it."""
+
+    __slots__ = ("rank", "delta")
+
+    def __init__(self, rank, delta):
+        self.rank, self.delta = rank, delta
+
+    def __missing__(self, lt):
+        g, i = _decode(self.rank, abs(lt))
+        b = _encode(self.rank, g, i + self.delta)
+        self[abs(lt)], self[-abs(lt)] = b, -b
+        return b if lt > 0 else -b
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +171,20 @@ class Node:
 
 @dataclass(frozen=True)
 class ZeroCaseData:
+    """The HNN form of a relator whose generator ``t`` has exponent sum 0.
+
+    A pinch ``t^-s u t^s`` (``s`` = +-1) folds when ``u`` lies in the
+    associated subgroup, on every base generator but the excluded letter
+    ``pivot_ends[s < 0]``; the fold is ``u``'s witness shifted by ``-s``.
+    ``folds[s]`` is that sign's :class:`FoldTable`, built by
+    :func:`_fold_table` on the first such pinch.  When the excluded letter
+    occurs once in the base relator (it has a move in ``base.moves``), the
+    base group is free on the other generators, so every ``u`` is a member,
+    with ``u`` under the Tietze move as its witness: the table maps the
+    excluded letter to its shifted Tietze value, and the fold is one lookup
+    per letter and one free reduction.
+    """
+
     stable: int                 # generator t with exponent sum 0
     pivot: int                  # generator whose subscript range bounds the
                                 # associated subgroups
@@ -169,18 +196,26 @@ class ZeroCaseData:
     base: Node                  # the rewritten relator over the base ids
     pivot_ends: tuple           # letter ids of the pivot's least and
                                 # greatest subscript
+    folds: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)  # sign -> FoldTable, on first use
 
-    @cached_property
-    def shifted(self):
-        """``delta`` (+-1) -> signed window letter -> the letter shifted by
-        ``delta``, built on first use."""
-        out = {}
-        for delta in (1, -1):
-            table = out[delta] = {}
-            for (g, i), a in zip(self.pairs, self.ids):
-                b = _encode(self.rank, g, i + delta)
-                table[a], table[-a] = b, -b
-        return out
+
+def _fold_table(zdata, sign):
+    """The :class:`FoldTable` of the pinches ``t^-sign u t^sign`` that a
+    stable letter of sign ``sign`` closes: it shifts by ``-sign``, and its
+    excluded letter is ``zdata.pivot_ends[sign < 0]``.  Built on the first
+    such pinch."""
+    table = zdata.folds.get(sign)
+    if table is None:
+        table = zdata.folds[sign] = FoldTable(zdata.rank, -sign)
+        excluded = zdata.pivot_ends[sign < 0]
+        value = dict(zdata.base.moves).get(zdata.index[excluded])
+        if value is not None:
+            ids = zdata.ids
+            image = tuple(table[ids[lt - 1] if lt > 0 else -ids[-lt - 1]]
+                          for lt in value)
+            table[excluded], table[-excluded] = image, words.invert(image)
+    return table
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,14 @@ subgroup on no generators, with witness ``()``:
   letters and pinches ``t u t^-1`` (``u`` in an associated Magnus
   subgroup) are eliminated by rewriting ``u`` over the subgroup's free
   basis and shifting subscripts, in one left-to-right stack pass that
-  tests each pinch once (:meth:`Solver._britton`); a residue over the
-  subgroup's letters is its own witness (for a pinch: it misses the one
-  excluded pivot letter), and any other test's answer depends only on the
-  base group, the residue and the subset (memoized),
+  tests each pinch at most once (:meth:`Solver._britton`); a residue over
+  the subgroup's letters is its own witness (for a pinch: it misses the
+  one excluded pivot letter); when the excluded letter occurs once in the
+  base relator, the base group is free on the other letters, so every
+  residue is a member with its image under that Tietze move as witness,
+  and the pinch folds through the zero node's fold table without a test
+  (``stats["tietze_folds"]`` counts these folds); any other test's answer
+  depends only on the base group, the residue and the subset (memoized),
 * otherwise an injective substitution creates such a generator and maps
   the queried subset into a Magnus subgroup of the image, which the same
   recursion decides at the same depth (:meth:`Solver._member_nonzero`).
@@ -42,14 +46,16 @@ The recursion carries no generator names: a node is a rank and a
 support, exponent sums and Tietze moves, built once per relator.  The node
 builds its zero node (:func:`.breakdown.classify`) and its free-part core
 on first use and owns them; a zero node owns its base group's node, built
-once by :func:`.breakdown.rewrite_zero_case` with the subscript shifts of
-its window, and an embedding owns its image's node.  Every descent into a
-base group maps its residue with :func:`.breakdown.base_word`.  Each node
-shape has one path, wherever the subset lies; a subset holding a zero
-node's stable letter ``t`` pulls its witness back as a tower of
-``t``-conjugates (``t^i g t^-i`` times a power of ``t``).  Names are made
-only in :meth:`Solver._tree`, which names, prints and describes each node
-of the document that ``hierarchy_tree`` returns in its one walk.
+once by :func:`.breakdown.rewrite_zero_case`, and one fold table per sign
+of the stable letter that closes a pinch (:class:`.breakdown.FoldTable`),
+built on the first such pinch; an embedding owns its image's node.  Every
+descent into a base group maps its residue with
+:func:`.breakdown.base_word`.  Each node shape has one path, wherever the
+subset lies; a subset holding a zero node's stable letter ``t`` pulls its
+witness back as a tower of ``t``-conjugates (``t^i g t^-i`` times a power
+of ``t``).  Names are made only in :meth:`Solver._tree`, which names,
+prints and describes each node of the document that ``hierarchy_tree``
+returns in its one walk.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
@@ -60,7 +66,7 @@ from enum import Enum
 from itertools import chain, groupby, islice
 
 from . import breakdown, words
-from .breakdown import _decode, _shift_one, base_word
+from .breakdown import _decode, _fold_table, base_word
 from .errors import ResourceExhausted, UnknownGenerator
 from .presentations import abelian_obstruction, map_word, make_presentation
 from .textio import print_word
@@ -121,11 +127,16 @@ class Solver:
     nodes below it are reached through their owners, never through the
     memo.  A subset holding a zero node's pivot and stable letter needs
     another pivot, the one case in which :meth:`_member_zero` calls
-    ``rewrite_zero_case`` itself.  A pinch test (:meth:`_base_member`) on
-    a residue over the kept letters is its own witness; any other reaches
-    the memo, keyed by the base group's node (equal nodes have equal
-    relators), its rank, the residue, the subset and the depth, and counts
-    in ``stats["pinch_tests"]``, a hit also in ``stats["pinch_hits"]``.
+    ``rewrite_zero_case`` itself.  A pinch folds through its zero node's
+    fold table without a test when its residue misses the excluded letter
+    (the residue is its own witness) or when the base relator has a Tietze
+    move for that letter (the residue's image under it is the witness), a
+    fold counted in ``stats["tietze_folds"]``.  Any other pinch test, and
+    the base word of a zero node's residue, is a :meth:`_base_member`
+    descent that reaches the memo, keyed by the base group's node (equal
+    nodes have equal relators), its rank, the residue, the subset and the
+    depth, and counts in ``stats["pinch_tests"]``, a hit also in
+    ``stats["pinch_hits"]``.
     The depth in the key means a hit stands for a computation under the
     same budgets, and a test that raised stores nothing, so verdicts,
     witnesses and :class:`~onerelator.errors.ResourceExhausted` do not
@@ -139,7 +150,8 @@ class Solver:
         self.limits = limits or SolverLimits()
         self._memo = {}
         self.stats = {"memo_hits": 0, "pinch_hits": 0, "nodes": 0,
-                      "max_depth": 0, "eliminations": 0, "pinch_tests": 0}
+                      "max_depth": 0, "eliminations": 0, "pinch_tests": 0,
+                      "tietze_folds": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -233,13 +245,18 @@ class Solver:
         generator but the pivot's top subscript for ``t u t^-1``,
         symmetrically for ``t^-1 u t``), both are popped, and the
         subscript-shift of ``u``'s free-basis witness and the incoming chunk
-        are pushed onto the word below, under the word-length cap.  A ``u``
-        without that one excluded letter is its own witness, with no test,
-        and a shift looks each window letter up in the zero node's table.
-        Otherwise the letter and its chunk go on top.  A word below the top
-        changes only at its seam with a push, so a fold costs the letters it
-        pushes, each stable letter costs at most one membership test, and
-        no pinch is left.
+        are pushed onto the word below, under the word-length cap.  The
+        shift looks each letter up in the zero node's fold table for the
+        incoming sign, and needs no test when ``u`` misses that one
+        excluded letter (``u`` is its own witness) or when the table holds
+        the letter, mapped to its shifted Tietze value (the base group is
+        free on the other letters, and the lookups followed by one free
+        reduction give ``u``'s witness, shifted).  Only otherwise is ``u``
+        tested, by a :meth:`_base_member` descent.  If the test fails, the
+        letter and its chunk go on top.  A word below the top changes only
+        at its seam with a push, so a fold costs the letters it pushes,
+        each stable letter costs at most one membership test, and no pinch
+        is left.
         """
         t, cap = zdata.stable + 1, self.limits.max_word_len
         cuts = [k for k, lt in enumerate(w) if abs(lt) == t] + [len(w)]
@@ -248,36 +265,44 @@ class Solver:
             sign, u = (1 if w[k] > 0 else -1), w[k + 1:end]
             if len(out) > 1 and out[-2] == -sign:
                 top, excluded = out[-1], zdata.pivot_ends[sign < 0]
-                if excluded in top or -excluded in top:
-                    witness = self._base_member(
-                        zdata, top, lambda a: a != excluded, depth)
+                table = _fold_table(zdata, sign)
+                if excluded not in top and -excluded not in top:
+                    folded = tuple(map(table.__getitem__, top))
+                elif excluded in table:
+                    self.stats["tietze_folds"] += 1
+                    letters = []
+                    for v in map(table.__getitem__, top):
+                        if v.__class__ is tuple:
+                            letters += v
+                        else:
+                            letters.append(v)
+                    folded = words.reduce(letters, cap)
                 else:
-                    witness = top
-                if witness is not None:
+                    word, ids = base_word(zdata, top)
+                    witness = self._base_member(
+                        zdata, word, ids,
+                        frozenset(range(len(ids))) - {zdata.index[excluded]},
+                        depth)
+                    folded = None if witness is None else tuple(
+                        map(table.__getitem__, witness))
+                if folded is not None:
                     del out[-2:]
-                    # the shifted witness followed by u need not be
+                    # the folded witness followed by u need not be
                     # reduced, so each is pushed on its own
-                    words.push(out[-1], _shift_one(zdata, witness, -sign),
-                               cap)
+                    words.push(out[-1], folded, cap)
                     words.push(out[-1], u, cap)
                     continue
             out += (sign, list(u))
         return out[0] if len(out) == 1 else None
 
-    def _base_member(self, zdata, u, keep, depth):
-        """Membership of a residue word in the zero node's base group.
-
-        The subgroup is generated by the base generators whose letter id
-        satisfies ``keep``; the witness comes back over those letters.  The
-        descent's answer is memoized under the depth it runs at.
+    def _base_member(self, zdata, word, ids, subset, depth):
+        """Membership of a residue in the zero node's base group, in the
+        subgroup on the base ids ``subset``: ``word`` and ``ids`` are the
+        residue's :func:`.breakdown.base_word`, and the witness comes back
+        over the residue's letter ids.  The descent's answer is memoized
+        under the depth it runs at.
         """
-        # every subgroup asked here misses a letter of the base relator, so
-        # it is free and a residue over its letters is its own witness
-        if all(keep(abs(lt)) for lt in u):
-            return tuple(u)
         self.stats["pinch_tests"] += 1
-        word, ids = base_word(zdata, u)
-        subset = frozenset(k for k, a in enumerate(ids) if keep(a))
         witness = self._cached("pinch_hits", self._member, zdata.base,
                                len(ids), word, subset, depth + 1)
         if witness is None:
@@ -410,7 +435,15 @@ class Solver:
         residue = self._britton(zd, w, depth)
         if residue is None:
             return None
-        witness = self._base_member(zd, residue, keep, depth)
+        if all(keep(abs(lt)) for lt in residue):
+            # the subset misses a letter of the base relator, so it is free
+            # and a residue over its letters is its own witness
+            witness = tuple(residue)
+        else:
+            word, ids = base_word(zd, residue)
+            witness = self._base_member(
+                zd, word, ids,
+                frozenset(k for k, a in enumerate(ids) if keep(a)), depth)
         if witness is None or t not in subset:
             return witness
         out, height = [], 0

@@ -10,8 +10,8 @@ from onerelator.breakdown import (
     Node,
     _decode,
     _encode,
+    _fold_table,
     _shift,
-    _shift_one,
     base_word,
     classify,
     embed_nonzero_case,
@@ -339,12 +339,101 @@ def test_node_holds_what_its_relator_fixes():
     assert Node((1, 3, 1, -3)) == node and hash(Node(node.relator)) == \
         hash(node)
     assert Node((1, 2)) != node
-    # the zero node carries its base group's node, the pivot's end letters
-    # and the one-step subscript shifts of its window
+    # the zero node carries its base group's node and the pivot's end
+    # letters
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
     b = {i: _encode(2, 1, i) for i in (-1, 0, 1, 2)}
     assert zd.base == Node((2, -1, -1)) and zd.pivot_ends == (b[0], b[1])
-    assert _shift_one(zd, (b[0], -b[1]), 1) == (b[1], -b[2])
-    assert _shift_one(zd, (-b[0], b[1]), -1) == (-b[-1], b[0])
-    # a letter off the window is shifted too
-    assert _shift_one(zd, (b[2], b[0]), -1) == (b[1], b[-1])
+
+
+def test_fold_tables():
+    """A zero node builds one fold table per sign of the stable letter that
+    closes a pinch, on the first such pinch.  In BS(1,2), with base
+    relator b_1 b_0^-2: a pinch a^-1 u a shifts subscripts down and
+    excludes b_0, which occurs twice, so b_0 stays out of its table; a
+    pinch a u a^-1 shifts up and excludes b_1 = b_0^2, which its table maps
+    to the shifted Tietze value b_1^2.  Any other letter, one off the
+    window too, enters a table on its first lookup."""
+    zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
+    b = {i: _encode(2, 1, i) for i in (-1, 0, 1, 2, 3)}
+    assert not zd.folds
+    down = _fold_table(zd, 1)
+    assert zd.folds == {1: down} and not down
+    assert (down[b[1]], down[-b[1]]) == (b[0], -b[0])
+    assert down[-b[2]] == -b[1] and down[b[2]] == b[1]
+    assert b[0] not in down and -b[0] not in down
+    up = _fold_table(zd, -1)
+    assert up[b[1]] == (b[1], b[1]) and up[-b[1]] == (-b[1], -b[1])
+    assert up[b[0]] == b[1] and up[-b[-1]] == -b[0] and up[b[2]] == b[3]
+    assert _fold_table(zd, -1) is up and _fold_table(zd, 1) is down
+    assert zd.folds == {1: down, -1: up}
+    # the Klein bottle a b a B: the base relator a_0 a_1 has a move for
+    # both pivot ends, each the inverse of the other
+    zd = classify(2, (1, 2, 1, -2))
+    a0, a1 = zd.pivot_ends
+    assert _fold_table(zd, 1)[a0] == (-a0,)
+    assert _fold_table(zd, -1)[a1] == (-a1,)
+
+
+def wp_warm_zero_nodes():
+    """Every zero node of the hierarchies of the wp-warm catalogue, as the
+    solver walks them: a node's core, its zero node's base, and the image
+    of its embedding by (0, 1)."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    todo = [Node(parse_presentation(text).relator)
+            for text in gen.catalogue("wp-warm")]
+    out = []
+    while todo:
+        node, _ = todo.pop().core
+        if len(node.support) == 1:
+            continue
+        zd = node.zero
+        if zd is None:
+            todo.append(embed_nonzero_case(len(node.support), node.relator,
+                                           0, 1).image)
+        else:
+            out.append(zd)
+            todo.append(zd.base)
+    return out
+
+
+def test_tietze_fold_agrees_with_the_descent():
+    """A pinch whose excluded letter has a Tietze move folds through its
+    table, with no test; its residue must be what a descent into the base
+    group returns, shifted letter by letter.  Random residues over each
+    window, with letters off it, holding the excluded letter, at every
+    zero node of the wp-warm hierarchies."""
+    rng = random.Random(SEED)
+    checked = set()
+    for zd in wp_warm_zero_nodes():
+        t = zd.stable + 1
+        outside = [_encode(zd.rank, g, i) for g, i in zd.pairs[:2]
+                   for i in (-3, 4)]
+        for sign in (1, -1):
+            excluded = zd.pivot_ends[sign < 0]
+            if excluded not in _fold_table(zd, sign):
+                continue
+            checked.add((zd.base.relator, sign))
+            letters = [s * a for a in zd.ids + tuple(outside) for s in (1, -1)]
+            for _ in range(40):
+                u = words.reduce(rng.choice(letters)
+                                 for _ in range(rng.randint(0, 8)))
+                k = rng.randint(0, len(u))
+                u = words.reduce(u[:k] + (rng.choice((1, -1)) * excluded,)
+                                 + u[k:])
+                if excluded not in u and -excluded not in u:
+                    continue
+                solver = Solver()
+                folded = solver._britton(zd, (-sign * t,) + u + (sign * t,),
+                                         0)
+                assert solver.stats["tietze_folds"] == 1
+                assert solver.stats["pinch_tests"] == 0
+                word, ids = base_word(zd, u)
+                subset = frozenset(range(len(ids))) - {zd.index[excluded]}
+                witness = solver._base_member(zd, word, ids, subset, 0)
+                assert folded == list(_shift(zd.rank, witness, -sign)), (
+                    zd.base, sign, u)
+    assert len(checked) >= 20

@@ -287,18 +287,24 @@ def test_exit_code_2_reports_offsets_in_powers_and_subsets(capsys):
 
 
 def test_exit_code_3_on_exhaustion(capsys):
-    # the query's pinch test cannot eliminate a generator at depth 1, so
-    # deciding it needs depth 2
-    code = main(["--max-depth", "1", "solve", "a,b | a^2baB", "Ba^2ba"])
+    # the query's pinch test descends to depth 1, where a nested pinch's
+    # excluded letter occurs twice in its base relator, so deciding it
+    # needs depth 2 (test_solver.py::test_depth_budget_reported_honestly)
+    code = main(["--max-depth", "1", "solve", "a,b,c | A^2CbaBc",
+                 "aBcA^2Cb"])
     assert code == 3
     err = capsys.readouterr().err
     assert "resource exhausted" in err
     assert "budget max_depth, limit 1, depth 2" in err
+    # below the pinch of this query every pinch folds through a Tietze
+    # move, so depth 1 decides it
+    assert main(["--max-depth", "1", "solve", "a,b | a^2baB", "Ba^2ba"]) == 0
+    assert capsys.readouterr().out == "trivial\n"
 
 
 def test_exhaustion_json(capsys):
-    code = main(["--max-depth", "1", "--json", "solve", "a,b | a^2baB",
-                 "Ba^2ba"])
+    code = main(["--max-depth", "1", "--json", "solve", "a,b,c | A^2CbaBc",
+                 "aBcA^2Cb"])
     assert code == 3
     out = capsys.readouterr()
     assert json.loads(out.out) == {"command": "solve", "exhausted": True,

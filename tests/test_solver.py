@@ -128,6 +128,17 @@ def test_britton_tests_each_stable_letter_once(monkeypatch):
     # after every removal.  The succeeding pinches hold residues over the
     # kept letters, which fold as their own witnesses without a test, so
     # the one membership test is the failing pinch's
+    calls = count_base_members(monkeypatch)
+    for k in (1, 3, 6):
+        calls.clear()
+        w = words.concat([(-1, 2, 1)] + [(2, 1, 2, -1)] * k)
+        assert Solver().word_problem(BS12, w) is Verdict.NONTRIVIAL
+        # the residue b_0 of the pinch, as base generator 0 over b_0, b_1
+        assert [args[1:3] for args in calls] == [((1,), (2, 6))]
+
+
+def count_base_members(monkeypatch):
+    """The argument tuples of every Solver._base_member call from now on."""
     calls = []
     base_member = Solver._base_member
 
@@ -136,27 +147,51 @@ def test_britton_tests_each_stable_letter_once(monkeypatch):
         return base_member(self, *args)
 
     monkeypatch.setattr(Solver, "_base_member", counting)
-    for k in (1, 3, 6):
-        calls.clear()
-        w = words.concat([(-1, 2, 1)] + [(2, 1, 2, -1)] * k)
-        assert Solver().word_problem(BS12, w) is Verdict.NONTRIVIAL
-        assert [args[1] for args in calls] == [[2]]
+    return calls
+
+
+def test_pinches_with_a_tietze_excluded_letter_fold_without_a_test(
+        monkeypatch):
+    """In BS(1,2) each pinch a u a^-1 excludes b_1, which occurs once in
+    the base relator b_1 b_0^-2: the pinches of a^5 b a^-5 fold through
+    the zero node's table (b_1 -> b_0^2, shifted) with no test and no
+    descent; the one test left is the word problem of the residue b_1^16
+    in the base group."""
+    calls = count_base_members(monkeypatch)
+    solver = Solver()
+    w = parse_word("a^5bA^5", BS12.alphabet)
+    assert solver.word_problem(BS12, w) is Verdict.NONTRIVIAL
+    assert [args[1] for args in calls] == [(2,) * 16]
+    assert solver.stats["tietze_folds"] == 4
+    assert solver.stats["pinch_tests"] == 1
+    assert solver.stats["nodes"] == 2
 
 
 def test_depth_budget_reported_honestly():
     solver = Solver(SolverLimits(max_depth=1))
-    # the one pinch test of B a^2 b a in <a,b | a^2 b a B> asks whether a_0^2
-    # lies in <a_1> in the base group <a_0, a_1 | a_0^2 a_1>, whose
-    # once-occurring generator lies in that subgroup, so the test descends
-    # to depth 2, over the depth budget
-    p = parse_presentation("a,b | a^2baB")
-    w = parse_word("Ba^2ba", p.alphabet)
+    # the pinch B c A^2 C b of a B c A^2 C b in <a,b,c | A^2 C b a B c>
+    # asks whether c_0 a_0^-2 c_0^-1 lies in the base subgroup on every
+    # letter but a_0, which occurs twice in the base relator A_0^2 C_0 a_1
+    # c_0, so the test descends to depth 1; there c_0 is the stable letter
+    # and the pinch c_0 A_0^2 C_0 excludes the letter of a_0, which occurs
+    # twice in that node's base relator too, so its test descends to depth
+    # 2, over the depth budget
+    p = parse_presentation("a,b,c | A^2CbaBc")
+    w = parse_word("aBcA^2Cb", p.alphabet)
     with pytest.raises(ResourceExhausted) as info:
         solver.word_problem(p, w)
     assert info.value.budget == "max_depth"
     assert info.value.limit == 1 and info.value.depth == 2
     # the budget is not a verdict: a roomier solver still decides it
     assert Solver(SolverLimits(max_depth=2)).word_problem(
+        p, w) is Verdict.TRIVIAL
+    # the pinch B a^2 b of B a^2 b a in <a,b | a^2 b a B> descends to depth
+    # 1, where the base group <a_0, a_1 | a_0^2 a_1> embeds in <x,y | y x^-1
+    # y x>; its pinches exclude y_0 or y_1, each a Tietze generator of the
+    # base relator y_1 y_0, and fold with no further descent
+    p = parse_presentation("a,b | a^2baB")
+    w = parse_word("Ba^2ba", p.alphabet)
+    assert Solver(SolverLimits(max_depth=1)).word_problem(
         p, w) is Verdict.TRIVIAL
 
 
@@ -201,15 +236,25 @@ def test_word_length_budget_covers_the_fold():
 
 
 def test_word_length_overrun_reports_its_depth():
-    # the fifth pinch test of a^5 b a^-5 asks whether b_1^8 lies in <b_0>
-    # in the base group <b_0, b_1 | b_1 b_0^-2>; eliminating b_1 by a
-    # Tietze move gives b_0^16, over a 12-letter budget, one level below
-    # the top
+    # the pinch B a^6 b of <a,b | a^2 b a B> asks whether a_0^6 lies in
+    # <a_1> in the base group <a_0, a_1 | a_0^2 a_1>, where a_0 occurs
+    # twice, so the test descends; the Magnus embedding of the base maps
+    # a_0^6 to (y x^-1)^6, 12 letters, over an 8-letter budget, one level
+    # below the top
+    p = parse_presentation("a,b | a^2baB")
+    w = parse_word("Ba^6b", p.alphabet)
+    with pytest.raises(ResourceExhausted) as info:
+        Solver(SolverLimits(max_word_len=8)).word_problem(p, w)
+    assert (info.value.budget, info.value.limit) == ("max_word_len", 8)
+    assert info.value.depth == 1
+    # each pinch of a^5 b a^-5 in BS(1,2) excludes b_1, a Tietze generator
+    # of the base relator b_1 b_0^-2, so the pinches fold at the top node:
+    # the fifth fold, b_1^8 -> b_0^16, overruns a 12-letter budget there
     w = parse_word("a^5bA^5", BS12.alphabet)
     with pytest.raises(ResourceExhausted) as info:
         Solver(SolverLimits(max_word_len=12)).word_problem(BS12, w)
     assert (info.value.budget, info.value.limit) == ("max_word_len", 12)
-    assert info.value.depth == 1
+    assert info.value.depth == 0
 
 
 def test_embedding_relator_is_built_under_the_word_cap():
@@ -334,8 +379,10 @@ def test_pinch_hits_are_counted_apart_from_memo_hits():
     zd = breakdown.classify(2, BS12.relator)
     # the residue b_1 (letter id 6) in the base subgroup on b_0, where
     # b_1 = b_0^2
+    word, ids = breakdown.base_word(zd, (6,))
     for hits in (0, 1):
-        assert solver._base_member(zd, (6,), lambda a: a == 2, 0) == (2, 2)
+        assert solver._base_member(zd, word, ids, frozenset({0}),
+                                    0) == (2, 2)
         assert solver.stats["pinch_hits"] == hits
     assert solver.stats["pinch_tests"] == 2
     assert solver.stats["memo_hits"] == 0
@@ -344,14 +391,17 @@ def test_pinch_hits_are_counted_apart_from_memo_hits():
 def test_residue_over_the_kept_letters_is_its_own_witness():
     """A pinch subgroup misses a letter of the base relator, so it is free
     on its letters (Freiheitssatz) and a residue written in them is its own
-    witness: no test reaches the memo and nothing descends."""
+    witness: its pinch folds by table lookup, no test reaches the memo and
+    nothing descends."""
     solver = Solver()
     zd = breakdown.classify(2, BS12.relator)
-    # b_0^2 b_2 b_0^-1 in the subgroup on every letter but b_1 (id 6), as
-    # in a pinch a u a^-1; b_2 (id 10) lies outside the base's window
-    for u in ((2, 2, 10, -2), ()):
-        assert solver._base_member(zd, u, lambda a: a != 6, 0) == u
+    # the pinch a u a^-1 with u = b_0^2 b_2 b_0^-1 keeps every letter but
+    # b_1 (id 6); b_2 (id 10) lies outside the base's window.  It folds to
+    # u with each subscript raised by one, b_1^2 b_3 b_1^-1
+    assert solver._britton(zd, (1, 2, 2, 10, -2, -1), 0) == [6, 6, 14, -6]
+    assert solver._britton(zd, (1, -1), 0) == []
     assert solver.stats["pinch_tests"] == solver.stats["nodes"] == 0
+    assert solver.stats["tietze_folds"] == 0
     assert not solver._memo
     # a subset word of a node whose relator has a letter outside the subset
     res = solver.magnus_membership(BS12, (2, 2, 2), {1})
@@ -424,17 +474,20 @@ def test_exhausted_pinch_test_is_not_memoized():
     with pytest.raises(ResourceExhausted):
         solver._cached("memo_hits", exhausted)
     assert not solver._memo
-    # the case of test_word_length_overrun_reports_its_depth
-    w = parse_word("a^5bA^5", BS12.alphabet)
-    solver = Solver(SolverLimits(max_word_len=12))
+    # the case of test_word_length_overrun_reports_its_depth: the pinch
+    # test that overruns stores nothing
+    p = parse_presentation("a,b | a^2baB")
+    w = parse_word("Ba^6b", p.alphabet)
+    solver = Solver(SolverLimits(max_word_len=8))
     seen = []
     for _ in range(2):
         with pytest.raises(ResourceExhausted) as info:
-            solver.word_problem(BS12, w)
+            solver.word_problem(p, w)
         seen.append((info.value.budget, info.value.limit, info.value.depth,
                      len(solver._memo)))
     assert seen[0] == seen[1]
-    assert seen[0][:3] == ("max_word_len", 12, 1)
+    assert seen[0][:3] == ("max_word_len", 8, 1)
+    assert not any(key[0] is Solver._member for key in solver._memo)
 
 
 def test_answers_do_not_depend_on_the_solvers_history():
