@@ -22,11 +22,12 @@ subscripted letters are ordinary :mod:`.words` words and ``g_0`` is the
 plain letter of ``g``.  :func:`base_word` renumbers such a word onto the
 base group's ids when recursing.
 
-Each relator the hierarchy reaches is a :class:`Node`, built once: the
-zero node owns its base group's node, an embedding its image's node, and a
-node the node of its free-part core.  A zero node also owns the
-:class:`FoldTable` that folds its pinches closed by each sign of the
-stable letter, built on the first such pinch.
+Each relator the hierarchy reaches is a :class:`Node`, built once, and
+everything built from a relator is built by its node on first use and kept
+there: its zero node, the zero nodes on other pivots, its embeddings and
+its free-part core.  A zero node owns its base group's node and the two
+fold tables (:class:`FoldTable`) of its pinches, one per sign of the
+stable letter that closes them; an embedding owns its image's node.
 """
 
 from dataclasses import dataclass, field
@@ -63,12 +64,13 @@ def _shift(rank, w, delta):
 class FoldTable(dict):
     """Signed letter -> its image under a pinch's conjugation ``g_i ->
     g_{i+delta}``, one table per zero node and sign of the stable letter
-    that closes the pinch (:func:`_fold_table`).  A letter enters on its
-    first lookup, one off the zero node's window too.  The pinch's excluded
-    letter enters only when the base relator has a Tietze move for it, and
-    maps to the shifted Tietze value, a word (tuple): every other value is
-    a letter (int).  A lookup would enter any letter, so the excluded
-    letter is looked up only once the table holds it."""
+    that closes the pinch, built with the zero node
+    (:func:`rewrite_zero_case`).  A letter enters on its first lookup, one
+    off the zero node's window too.  The pinch's excluded letter enters
+    only when the base relator has a Tietze move for it, and maps to the
+    shifted Tietze value, a word (tuple): every other value is a letter
+    (int).  A lookup would enter any letter, so the excluded letter is
+    looked up only once the table holds it."""
 
     __slots__ = ("rank", "delta")
 
@@ -89,7 +91,8 @@ _UNBUILT = object()
 
 
 class Node:
-    """A relator of the hierarchy and what it fixes, built once per relator.
+    """A relator of the hierarchy and everything built from it, built once
+    per relator.
 
     The relator is cyclically reduced, as every relator in the hierarchy
     is: a presentation stores its cyclically reduced core, and the zero-case
@@ -102,20 +105,27 @@ class Node:
     * ``moves``: the Tietze moves, one ``(h, value)`` per generator ``h``
       that occurs once, in increasing ``h``.  From ``r = p h^e q`` the
       rotation ``h^e q p`` is trivial too, so ``h = ((q p)^-1)^e``, and
-      ``q p``, a piece of a cyclically reduced word's rotation, is reduced;
-    * ``zero``: :func:`classify` of a relator over ids ``0..k-1``, built on
-      first use;
+      ``q p``, a piece of a cyclically reduced word's rotation, is reduced.
+
+    The node builds the rest on first use and keeps it:
+
+    * ``zero``: for a relator over ids ``0..k-1``, the zero node
+      (:func:`rewrite_zero_case`) on the least generator of exponent sum
+      0, or None for a nonzero node;
+    * :meth:`_repivot`: a zero node's zero nodes on other pivots;
+    * :meth:`_embedding`: a nonzero node's embeddings
+      (:func:`embed_nonzero_case`), by pair ``(a, b)``;
     * ``core``: the node of the relator restricted to its support (the
       node itself when the support is ``0..k-1``), with the id map
-      (:func:`~.presentations.restrict_to_subalphabet`), built on first
-      use.
+      (:func:`~.presentations.restrict_to_subalphabet`).
 
-    Nodes with equal relators are equal, so a node in a memo key stands
-    for its relator.
+    A zero node has no embedding and a nonzero node no pivot, so both
+    live in one dict, keyed by pivot or by pair.  Nodes with equal
+    relators are equal, so a node in a memo key stands for its relator.
     """
 
     __slots__ = ("relator", "support", "exponents", "moves", "_hash",
-                 "_zero", "_core")
+                 "_zero", "_core", "_steps")
 
     def __init__(self, relator):
         letters = sorted(set(map(abs, relator)))
@@ -132,6 +142,7 @@ class Node:
         self.moves = tuple(moves)
         self._hash = hash(relator)
         self._zero = self._core = _UNBUILT
+        self._steps = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Node)
@@ -146,8 +157,28 @@ class Node:
     @property
     def zero(self):
         if self._zero is _UNBUILT:
-            self._zero = classify(len(self.support), self.relator)
+            e = self.exponents
+            self._zero = (rewrite_zero_case(self.relator, e.index(0))
+                          if 0 in e else None)
         return self._zero
+
+    def _repivot(self, pivot):
+        """The zero node on the same stable letter and another pivot."""
+        zd = self._steps.get(pivot)
+        if zd is None:
+            zd = self._steps[pivot] = rewrite_zero_case(
+                self.relator, self.zero.stable, pivot)
+        return zd
+
+    def _embedding(self, a, b, max_len):
+        """The embedding by ``(a, b)``, its image relator built under
+        ``max_len``.  The cap is no part of the key: a node is built and
+        reached by one solver, under one cap."""
+        emb = self._steps.get((a, b))
+        if emb is None:
+            emb = self._steps[a, b] = embed_nonzero_case(
+                len(self.support), self.relator, a, b, max_len)
+        return emb
 
     @property
     def core(self):
@@ -176,13 +207,13 @@ class ZeroCaseData:
     A pinch ``t^-s u t^s`` (``s`` = +-1) folds when ``u`` lies in the
     associated subgroup, on every base generator but the excluded letter
     ``pivot_ends[s < 0]``; the fold is ``u``'s witness shifted by ``-s``.
-    ``folds[s]`` is that sign's :class:`FoldTable`, built by
-    :func:`_fold_table` on the first such pinch.  When the excluded letter
-    occurs once in the base relator (it has a move in ``base.moves``), the
-    base group is free on the other generators, so every ``u`` is a member,
-    with ``u`` under the Tietze move as its witness: the table maps the
-    excluded letter to its shifted Tietze value, and the fold is one lookup
-    per letter and one free reduction.
+    ``folds[s < 0]`` is that sign's :class:`FoldTable`, built with the
+    zero node.  When the excluded letter occurs once in the base relator
+    (it has a move in ``base.moves``), the base group is free on the other
+    generators, so every ``u`` is a member, with ``u`` under the Tietze
+    move as its witness: the table maps the excluded letter to its shifted
+    Tietze value, and the fold is one lookup per letter and one free
+    reduction.
     """
 
     stable: int                 # generator t with exponent sum 0
@@ -196,26 +227,8 @@ class ZeroCaseData:
     base: Node                  # the rewritten relator over the base ids
     pivot_ends: tuple           # letter ids of the pivot's least and
                                 # greatest subscript
-    folds: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)  # sign -> FoldTable, on first use
-
-
-def _fold_table(zdata, sign):
-    """The :class:`FoldTable` of the pinches ``t^-sign u t^sign`` that a
-    stable letter of sign ``sign`` closes: it shifts by ``-sign``, and its
-    excluded letter is ``zdata.pivot_ends[sign < 0]``.  Built on the first
-    such pinch."""
-    table = zdata.folds.get(sign)
-    if table is None:
-        table = zdata.folds[sign] = FoldTable(zdata.rank, -sign)
-        excluded = zdata.pivot_ends[sign < 0]
-        value = dict(zdata.base.moves).get(zdata.index[excluded])
-        if value is not None:
-            ids = zdata.ids
-            image = tuple(table[ids[lt - 1] if lt > 0 else -ids[-lt - 1]]
-                          for lt in value)
-            table[excluded], table[-excluded] = image, words.invert(image)
-    return table
+    folds: tuple = field(repr=False, compare=False)  # the FoldTable
+                                # of each sign s, at folds[s < 0]
 
 
 @dataclass(frozen=True)
@@ -229,29 +242,6 @@ class EmbeddingData:
 # ---------------------------------------------------------------------------
 # operations
 
-def classify(rank, relator):
-    """Deterministic hierarchy classification of a relator that uses every
-    one of the ``rank >= 2`` generators (a single generator is the base
-    case, which needs no classification).
-
-    Returns the zero node on the least zero-exponent-sum generator, as
-    :func:`rewrite_zero_case` builds it, or None for a nonzero node.  A
-    nonzero node carries no embedding: callers build it with
-    :func:`embed_nonzero_case` on the pair they need, the two least ids
-    ``(0, 1)`` unless a subset keeps one of them.
-    """
-    if rank < 2:
-        raise PreconditionViolated("a single generator is the base case")
-    if words.support(relator) != set(range(rank)):
-        raise PreconditionViolated(
-            "relator must use every generator; split off the free part "
-            "first (restrict_to_subalphabet)")
-    for t in range(rank):
-        if words.exponent_sum(relator, t) == 0:
-            return rewrite_zero_case(relator, t)
-    return None
-
-
 def rewrite_zero_case(relator, t, pivot=None):
     """Rewrite the relator over subscripted generators ``g_i = t^i g t^-i``.
 
@@ -259,8 +249,10 @@ def rewrite_zero_case(relator, t, pivot=None):
     with initial height equal to the ``t``-exponent sum of the rotated-out
     prefix, and drops every ``t`` letter while stamping each other letter
     with the current height.  The base group is built here, once per node:
-    its generators are the rewritten relator's sorted pairs.  The relator
-    uses every generator, so its rank is one more than its largest id.
+    its generators are the rewritten relator's sorted pairs.  So are the
+    fold tables of both signs, each holding its excluded letter only when
+    the base relator has a move for it.  The relator uses every generator,
+    so its rank is one more than its largest id.
     """
     if words.exponent_sum(relator, t) != 0:
         raise PreconditionViolated("stable letter must have exponent sum 0")
@@ -296,9 +288,21 @@ def rewrite_zero_case(relator, t, pivot=None):
     base_relator = tuple(index[lt] + 1 if lt > 0 else -index[-lt] - 1
                          for lt in rewritten)
     pivot_ids = [a for a, (g, _) in zip(ids, pairs) if g == pivot]
+    pivot_ends = pivot_ids[0], pivot_ids[-1]
+    base = Node(base_relator)
+    moves = dict(base.moves)
+    # a stable letter of sign s closes pinches that shift by -s and
+    # exclude pivot_ends[s < 0]
+    folds = FoldTable(rank, -1), FoldTable(rank, 1)
+    for table, excluded in zip(folds, pivot_ends):
+        value = moves.get(index[excluded])
+        if value is not None:
+            image = tuple(table[ids[lt - 1] if lt > 0 else -ids[-lt - 1]]
+                          for lt in value)
+            table[excluded], table[-excluded] = image, words.invert(image)
     return ZeroCaseData(stable=t, pivot=pivot, rank=rank, pairs=pairs,
-                        ids=ids, index=index, base=Node(base_relator),
-                        pivot_ends=(pivot_ids[0], pivot_ids[-1]))
+                        ids=ids, index=index, base=base,
+                        pivot_ends=pivot_ends, folds=folds)
 
 
 def base_word(zdata, u):

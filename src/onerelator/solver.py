@@ -44,18 +44,18 @@ witness without a descent, and shifting subscripts realizes the conjugation.
 The recursion carries no generator names: a node is a rank and a
 :class:`.breakdown.Node`, a relator over ids below the rank with its
 support, exponent sums and Tietze moves, built once per relator.  The node
-builds its zero node (:func:`.breakdown.classify`) and its free-part core
-on first use and owns them; a zero node owns its base group's node, built
-once by :func:`.breakdown.rewrite_zero_case`, and one fold table per sign
+builds on first use, and owns, everything built from its relator: its zero
+node, its zero nodes on other pivots, its embeddings and its free-part
+core.  A zero node owns its base group's node and one fold table per sign
 of the stable letter that closes a pinch (:class:`.breakdown.FoldTable`),
-built on the first such pinch; an embedding owns its image's node.  Every
-descent into a base group maps its residue with
-:func:`.breakdown.base_word`.  Each node shape has one path, wherever the
-subset lies; a subset holding a zero node's stable letter ``t`` pulls its
-witness back as a tower of ``t``-conjugates (``t^i g t^-i`` times a power
-of ``t``).  Names are made only in :meth:`Solver._tree`, which names,
-prints and describes each node of the document that ``hierarchy_tree``
-returns in its one walk.
+both built with it by :func:`.breakdown.rewrite_zero_case`; an embedding
+owns its image's node.  Every descent into a base group maps its residue
+with :func:`.breakdown.base_word`.  Each node shape has one path, wherever
+the subset lies; a subset holding a zero node's stable letter ``t`` pulls
+its witness back as a tower of ``t``-conjugates (``t^i g t^-i`` times a
+power of ``t``).  Names are made only in :meth:`Solver._tree`, which
+names, prints and describes each node of the document that
+``hierarchy_tree`` returns in its one walk.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing.
@@ -66,7 +66,7 @@ from enum import Enum
 from itertools import chain, groupby, islice
 
 from . import breakdown, words
-from .breakdown import _decode, _fold_table, base_word
+from .breakdown import _decode, base_word
 from .errors import ResourceExhausted, UnknownGenerator
 from .presentations import abelian_obstruction, map_word, make_presentation
 from .textio import print_word
@@ -114,35 +114,34 @@ class Solver:
     :class:`MembershipVerdict`.  A word from outside is reduced and checked
     once, by :func:`.words.validate_word`, on the way in.
 
-    The memo holds the node of each presentation's relator, keyed by
-    ``(breakdown.Node, relator)``, and the results of
-    ``breakdown.rewrite_zero_case`` and ``breakdown.embed_nonzero_case``,
-    keyed by the function and its arguments (relator, generator ids and,
-    for an embedding, the word-length cap its image relator was built
-    under), so presentations that differ only in generator names share
-    entries; a hit is counted in ``stats["memo_hits"]``.  A top node enters
-    the memo only once a query or the hierarchy walk has classified it
-    (built its zero node or its free-part core), so a query decided at the
-    top by the own-witness, abelian or Tietze exit adds no entry.  The
-    nodes below it are reached through their owners, never through the
-    memo.  A subset holding a zero node's pivot and stable letter needs
-    another pivot, the one case in which :meth:`_member_zero` calls
-    ``rewrite_zero_case`` itself.  A pinch folds through its zero node's
-    fold table without a test when its residue misses the excluded letter
-    (the residue is its own witness) or when the base relator has a Tietze
-    move for that letter (the residue's image under it is the witness), a
-    fold counted in ``stats["tietze_folds"]``.  Any other pinch test, and
-    the base word of a zero node's residue, is a :meth:`_base_member`
-    descent that reaches the memo, keyed by the base group's node (equal
-    nodes have equal relators), its rank, the residue, the subset and the
-    depth, and counts in ``stats["pinch_tests"]``, a hit also in
-    ``stats["pinch_hits"]``.
-    The depth in the key means a hit stands for a computation under the
-    same budgets, and a test that raised stores nothing, so verdicts,
-    witnesses and :class:`~onerelator.errors.ResourceExhausted` do not
-    depend on the solver's history.  The memo keeps at most
-    :data:`MEMO_ENTRIES` entries, evicting the least recently used first,
-    so a stream of distinct presentations runs in bounded memory.
+    The memo holds two kinds of entry.  One is the node of each
+    presentation's relator, keyed by ``(breakdown.Node, relator)``, so
+    presentations that differ only in generator names share it; a hit is
+    counted in ``stats["memo_hits"]``.  A top node enters the memo only
+    once a query or the hierarchy walk has classified it (built its zero
+    node or its free-part core), so a query decided at the top by the
+    own-witness, abelian or Tietze exit adds no entry.  Everything below
+    it, zero nodes on other pivots and embeddings too, is reached through
+    its owner, never through the memo; a node is built by one solver and
+    reached only by it, so an embedding is built under that solver's
+    word-length cap.
+
+    The other kind is a pinch answer.  A pinch folds through its zero
+    node's fold table without a test when its residue misses the excluded
+    letter (the residue is its own witness) or when the base relator has
+    a Tietze move for that letter (the residue's image under it is the
+    witness), a fold counted in ``stats["tietze_folds"]``.  Any other
+    pinch test, and the base word of a zero node's residue, is a
+    :meth:`_base_member` descent whose answer the memo keeps, keyed by the
+    base group's node (equal nodes have equal relators), its rank, the
+    residue, the subset and the depth; it counts in
+    ``stats["pinch_tests"]``, a hit also in ``stats["pinch_hits"]``.  The
+    depth in the key means a hit stands for a computation under the same
+    budgets, and a test that raised stores nothing, so verdicts, witnesses
+    and :class:`~onerelator.errors.ResourceExhausted` do not depend on the
+    solver's history.  The memo keeps at most :data:`MEMO_ENTRIES`
+    entries, evicting the least recently used first, so a stream of
+    distinct presentations runs in bounded memory.
     Distinct instances are independent and may run in parallel.
     """
 
@@ -162,20 +161,6 @@ class Solver:
             raise ResourceExhausted(
                 f"hierarchy depth exceeds {self.limits.max_depth}",
                 budget="max_depth", limit=self.limits.max_depth, depth=depth)
-
-    def _cached(self, hits, fn, *args):
-        """``fn(*args)``, memoized; a hit bumps ``stats[hits]``, and a call
-        that raises stores nothing."""
-        # a bound method keys by its function, so the memo holds no
-        # reference back to its solver
-        key = (getattr(fn, "__func__", fn),) + args
-        out = self._memo.pop(key, _MISSING)
-        if out is _MISSING:
-            out = fn(*args)
-        else:
-            self.stats[hits] += 1
-        self._store(key, out)
-        return out
 
     def _store(self, key, value):
         self._memo[key] = value
@@ -265,7 +250,7 @@ class Solver:
             sign, u = (1 if w[k] > 0 else -1), w[k + 1:end]
             if len(out) > 1 and out[-2] == -sign:
                 top, excluded = out[-1], zdata.pivot_ends[sign < 0]
-                table = _fold_table(zdata, sign)
+                table = zdata.folds[sign < 0]
                 if excluded not in top and -excluded not in top:
                     folded = tuple(map(table.__getitem__, top))
                 elif excluded in table:
@@ -300,11 +285,16 @@ class Solver:
         subgroup on the base ids ``subset``: ``word`` and ``ids`` are the
         residue's :func:`.breakdown.base_word`, and the witness comes back
         over the residue's letter ids.  The descent's answer is memoized
-        under the depth it runs at.
+        under the depth it runs at; a descent that raises stores nothing.
         """
         self.stats["pinch_tests"] += 1
-        witness = self._cached("pinch_hits", self._member, zdata.base,
-                               len(ids), word, subset, depth + 1)
+        key = (zdata.base, len(ids), word, subset, depth + 1)
+        witness = self._memo.pop(key, _MISSING)
+        if witness is _MISSING:
+            witness = self._member(*key)
+        else:
+            self.stats["pinch_hits"] += 1
+        self._store(key, witness)
         if witness is None:
             return None
         return tuple(ids[lt - 1] if lt > 0 else -ids[-lt - 1]
@@ -423,9 +413,7 @@ class Solver:
         d = words.exponent_sum(w, t)
         if t in subset:
             if zd.pivot in subset:
-                zd = self._cached("memo_hits", breakdown.rewrite_zero_case,
-                                  node.relator, t,
-                                  min(set(range(rank)) - subset))
+                zd = node._repivot(min(set(range(rank)) - subset))
             keep = lambda a: _decode(zd.rank, a)[0] in subset
         else:
             # the subscript-0 letters are the plain letters 1..rank
@@ -470,8 +458,7 @@ class Solver:
         a = omitted[0]
         b = omitted[1] if len(omitted) > 1 else min(subset)
         cap = self.limits.max_word_len
-        emb = self._cached("memo_hits", breakdown.embed_nonzero_case, rank,
-                           node.relator, a, b, cap)
+        emb = node._embedding(a, b, cap)
         wprime = words.substitute(w, emb.substitution, cap)
         # x is the image's generator 0
         magnus = frozenset(emb.gen_map.get(s, 0) for s in subset)
@@ -513,9 +500,7 @@ class Solver:
         zd = node.zero
         if zd is None:
             try:
-                emb = self._cached("memo_hits", breakdown.embed_nonzero_case,
-                                   len(names), node.relator, 0, 1,
-                                   self.limits.max_word_len)
+                emb = node._embedding(0, 1, self.limits.max_word_len)
             except ResourceExhausted as exc:
                 # the image relator overran inside words, at this node
                 exc.depth = depth

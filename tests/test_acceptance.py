@@ -9,7 +9,7 @@ import time
 from collections import Counter
 
 from onerelator import oracles, words
-from onerelator.breakdown import classify
+from onerelator.breakdown import Node
 from onerelator.cli import main
 from onerelator.oracles import (
     MAT_A,
@@ -190,7 +190,7 @@ def test_criterion_8_hierarchy_strict_descent():
         if len(pres.relator) < len(r):
             continue
         checked += 1
-        zd = classify(2, pres.relator)
+        zd = Node(pres.relator).zero
         if zd is not None:
             assert len(zd.base.relator) < len(r)
             back = substitute_back(zd.base.relator, zd.pairs, zd.stable)

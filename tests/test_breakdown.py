@@ -10,10 +10,8 @@ from onerelator.breakdown import (
     Node,
     _decode,
     _encode,
-    _fold_table,
     _shift,
     base_word,
-    classify,
     embed_nonzero_case,
     rewrite_zero_case,
 )
@@ -49,26 +47,28 @@ def test_subscripted_letter_ids():
 def test_sub_alphabet_naming():
     # BS(1,2) = a b a^-1 b^-2: the base group is generated by b_0, b_1,
     # numbered in the sorted order of the rewritten relator's pairs
-    zd = classify(2, (1, 2, -1, -2, -2))
+    zd = Node((1, 2, -1, -2, -2)).zero
     assert zd.pairs == ((1, 0), (1, 1))
     assert zd.index[_encode(2, 1, 0)] == 0
     tree = Solver().hierarchy_tree(make_presentation(AB, (1, 2, -1, -2, -2)))
     assert tree["children"][0]["alphabet"] == ["b_0", "b_1"]
 
 
-def test_classify_cases():
-    assert classify(2, (1, 2, -1, -2)) is not None  # zero
-    assert classify(2, (1, 1, 2)) is None  # nonzero
-    # a single generator is the base case, which is not classified
-    with pytest.raises(PreconditionViolated):
-        classify(1, (1, 1, 1))
-    with pytest.raises(PreconditionViolated):
-        classify(2, (1, 1))
+def test_zero_node_cases():
+    """A node's zero node is built for a relator with a generator of
+    exponent sum 0, and is None for a nonzero node; it is built once."""
+    node = Node((1, 2, -1, -2))
+    assert node.zero is not None and node.zero is node.zero  # zero
+    assert Node((1, 1, 2)).zero is None  # nonzero
+    # a single generator has no exponent sum 0
+    assert Node((1, 1, 1)).zero is None
 
 
-def test_classify_picks_least_zero_generator():
+def test_zero_node_picks_least_zero_generator():
     # sigma_a = 0 and sigma_b = 0: the stable letter is a
-    assert classify(2, (1, 2, -1, -2)).stable == 0
+    assert Node((1, 2, -1, -2)).zero.stable == 0
+    # sigma_a = 1 and sigma_b = 0: the stable letter is b
+    assert Node((1, 1, 2, -1, -2)).zero.stable == 1
 
 
 def test_rewrite_zero_case_bs12():
@@ -186,7 +186,7 @@ def test_zero_case_strict_descent_exhaustive():
         p = make_presentation(AB, r)
         if len(p.relator) < len(r):
             continue  # cyclic reduction aliases another pool entry
-        zd = classify(2, p.relator)
+        zd = Node(p.relator).zero
         if zd is None:
             continue
         assert len(zd.base.relator) < len(r)
@@ -246,7 +246,7 @@ def test_reachable_nodes_are_free_on_what_they_keep():
         if rank == 1 or (rank, relator) in seen:
             continue
         seen.add((rank, relator))
-        zd = classify(rank, relator)
+        zd = Node(relator).zero
         if zd is None:
             pairs = [(a, b) for a in range(rank) for b in range(rank)
                      if a < b or b == min(set(range(rank)) - {a})]
@@ -347,32 +347,28 @@ def test_node_holds_what_its_relator_fixes():
 
 
 def test_fold_tables():
-    """A zero node builds one fold table per sign of the stable letter that
-    closes a pinch, on the first such pinch.  In BS(1,2), with base
-    relator b_1 b_0^-2: a pinch a^-1 u a shifts subscripts down and
-    excludes b_0, which occurs twice, so b_0 stays out of its table; a
-    pinch a u a^-1 shifts up and excludes b_1 = b_0^2, which its table maps
-    to the shifted Tietze value b_1^2.  Any other letter, one off the
-    window too, enters a table on its first lookup."""
+    """A zero node is built with one fold table per sign of the stable
+    letter that closes a pinch.  In BS(1,2), with base relator b_1 b_0^-2:
+    a pinch a^-1 u a shifts subscripts down and excludes b_0, which occurs
+    twice, so b_0 stays out of its table; a pinch a u a^-1 shifts up and
+    excludes b_1 = b_0^2, which its table maps to the shifted Tietze value
+    b_1^2.  Any other letter, one off the window too, enters a table on
+    its first lookup."""
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
     b = {i: _encode(2, 1, i) for i in (-1, 0, 1, 2, 3)}
-    assert not zd.folds
-    down = _fold_table(zd, 1)
-    assert zd.folds == {1: down} and not down
+    down, up = zd.folds
+    assert not down
     assert (down[b[1]], down[-b[1]]) == (b[0], -b[0])
     assert down[-b[2]] == -b[1] and down[b[2]] == b[1]
     assert b[0] not in down and -b[0] not in down
-    up = _fold_table(zd, -1)
     assert up[b[1]] == (b[1], b[1]) and up[-b[1]] == (-b[1], -b[1])
     assert up[b[0]] == b[1] and up[-b[-1]] == -b[0] and up[b[2]] == b[3]
-    assert _fold_table(zd, -1) is up and _fold_table(zd, 1) is down
-    assert zd.folds == {1: down, -1: up}
     # the Klein bottle a b a B: the base relator a_0 a_1 has a move for
     # both pivot ends, each the inverse of the other
-    zd = classify(2, (1, 2, 1, -2))
+    zd = Node((1, 2, 1, -2)).zero
     a0, a1 = zd.pivot_ends
-    assert _fold_table(zd, 1)[a0] == (-a0,)
-    assert _fold_table(zd, -1)[a1] == (-a1,)
+    assert zd.folds[0][a0] == (-a0,)
+    assert zd.folds[1][a1] == (-a1,)
 
 
 def wp_warm_zero_nodes():
@@ -414,7 +410,7 @@ def test_tietze_fold_agrees_with_the_descent():
                    for i in (-3, 4)]
         for sign in (1, -1):
             excluded = zd.pivot_ends[sign < 0]
-            if excluded not in _fold_table(zd, sign):
+            if excluded not in zd.folds[sign < 0]:
                 continue
             checked.add((zd.base.relator, sign))
             letters = [s * a for a in zd.ids + tuple(outside) for s in (1, -1)]

@@ -260,8 +260,8 @@ def test_word_length_overrun_reports_its_depth():
 def test_embedding_relator_is_built_under_the_word_cap():
     """The Magnus embedding of <a,b | a^7 b^7> has a 91-letter image
     relator, (y x^-7)^7 x^49 reduced; under a 50-letter cap it is not
-    built and the query overruns at the top node, and nothing built under
-    one cap is reused under another."""
+    built, the query overruns at the top node and the node keeps no
+    embedding, and a solver under a wider cap builds its own."""
     p = parse_presentation("a,b | a^7b^7")
     w = parse_word("abAB", p.alphabet)
     solver = Solver(SolverLimits(max_word_len=50))
@@ -269,8 +269,7 @@ def test_embedding_relator_is_built_under_the_word_cap():
         solver.word_problem(p, w)
     assert (info.value.budget, info.value.limit, info.value.depth) == \
         ("max_word_len", 50, 0)
-    assert not any(key[0] is breakdown.embed_nonzero_case
-                   for key in solver._memo)
+    assert not solver._memo[breakdown.Node, p.relator]._steps
     assert Solver(SolverLimits(max_word_len=91)).word_problem(p, w) is \
         Verdict.NONTRIVIAL
 
@@ -354,9 +353,9 @@ def test_pinch_answers_are_memoized():
 
 
 def test_memo_keys_do_not_keep_the_solver_alive():
-    """The pinch-test memo keys by the solver's function, not by a bound
-    method, so a solver that has run pinch tests is freed when its last
-    reference goes, without the cyclic garbage collector."""
+    """The pinch-test memo keys by the base group's node and the query,
+    never by a bound method, so a solver that has run pinch tests is freed
+    when its last reference goes, without the cyclic garbage collector."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -374,9 +373,9 @@ def test_memo_keys_do_not_keep_the_solver_alive():
 
 def test_pinch_hits_are_counted_apart_from_memo_hits():
     """A repeated pinch test is a hit in stats["pinch_hits"];
-    stats["memo_hits"] counts only breakdown-step hits."""
+    stats["memo_hits"] counts only top-node hits."""
     solver = Solver()
-    zd = breakdown.classify(2, BS12.relator)
+    zd = breakdown.Node(BS12.relator).zero
     # the residue b_1 (letter id 6) in the base subgroup on b_0, where
     # b_1 = b_0^2
     word, ids = breakdown.base_word(zd, (6,))
@@ -394,7 +393,7 @@ def test_residue_over_the_kept_letters_is_its_own_witness():
     witness: its pinch folds by table lookup, no test reaches the memo and
     nothing descends."""
     solver = Solver()
-    zd = breakdown.classify(2, BS12.relator)
+    zd = breakdown.Node(BS12.relator).zero
     # the pinch a u a^-1 with u = b_0^2 b_2 b_0^-1 keeps every letter but
     # b_1 (id 6); b_2 (id 10) lies outside the base's window.  It folds to
     # u with each subscript raised by one, b_1^2 b_3 b_1^-1
@@ -448,32 +447,40 @@ def test_relator_of_a39_b_a30_b_needs_two_pinch_tests():
 
 
 def test_memo_keeps_what_it_reuses():
-    """The memo evicts the least recently used entry: an entry hit between
-    inserts outlives MEMO_ENTRIES further inserts, which evict an entry
-    that was never hit."""
+    """The memo evicts the least recently used entry: a pinch answer hit
+    between inserts outlives MEMO_ENTRIES further inserts, which evict an
+    answer that was never hit."""
     solver = Solver()
-    hot, cold = (divmod, 7, 1), (divmod, 7, 2)
-    assert solver._cached("memo_hits", *hot) == (7, 0)
-    assert solver._cached("memo_hits", *cold) == (3, 1)
+    zd = breakdown.Node(BS12.relator).zero
+    # residues over the base ids in the subgroup on both: each is its own
+    # witness, over the window's letters b_0 (id 2) and b_1 (id 6)
+    full = frozenset({0, 1})
+
+    def ask(word):
+        return solver._base_member(zd, word, zd.ids, full, 0)
+
+    def key(word):
+        return (zd.base, 2, word, full, 1)
+
+    hot, cold = (1,), (2,)
+    assert ask(hot) == (2,) and ask(cold) == (6,)
     for k in range(solver_mod.MEMO_ENTRIES):
-        solver._cached("memo_hits", divmod, k, 3)
-        assert solver._cached("memo_hits", *hot) == (7, 0)
-    assert solver.stats["memo_hits"] == solver_mod.MEMO_ENTRIES
+        ask((2,) * (k + 2))
+        assert ask(hot) == (2,)
+    assert solver.stats["pinch_hits"] == solver_mod.MEMO_ENTRIES
     assert len(solver._memo) == solver_mod.MEMO_ENTRIES
-    assert hot in solver._memo and cold not in solver._memo
+    assert key(hot) in solver._memo and key(cold) not in solver._memo
 
 
 def test_exhausted_pinch_test_is_not_memoized():
-    """A call that raises stores nothing, so a query that ran out of budget
-    runs out again, at the same depth, on the same solver."""
-    solver = Solver()
-
-    def exhausted():
-        raise ResourceExhausted("out", budget="max_depth", limit=0)
-
+    """A pinch test that raises stores nothing, so a query that ran out of
+    budget runs out again, at the same depth, on the same solver."""
+    solver = Solver(SolverLimits(max_depth=1))
+    zd = breakdown.Node(BS12.relator).zero
+    # a test asked at depth 1 descends to depth 2, past the budget
     with pytest.raises(ResourceExhausted):
-        solver._cached("memo_hits", exhausted)
-    assert not solver._memo
+        solver._base_member(zd, (1,), zd.ids, frozenset({0, 1}), 1)
+    assert solver.stats["pinch_tests"] == 1 and not solver._memo
     # the case of test_word_length_overrun_reports_its_depth: the pinch
     # test that overruns stores nothing
     p = parse_presentation("a,b | a^2baB")
@@ -487,7 +494,7 @@ def test_exhausted_pinch_test_is_not_memoized():
                      len(solver._memo)))
     assert seen[0] == seen[1]
     assert seen[0][:3] == ("max_word_len", 8, 1)
-    assert not any(key[0] is Solver._member for key in solver._memo)
+    assert all(key[0] is breakdown.Node for key in solver._memo)
 
 
 def test_answers_do_not_depend_on_the_solvers_history():
@@ -512,7 +519,7 @@ def test_memo_is_name_free():
     ab = parse_presentation("a,b | abAB^2")
     xy = parse_presentation("x,y | xyXY^2")
     # the commutator has no abelian or Tietze shortcut at the top, so it is
-    # decided through classify and Britton reduction
+    # decided through its zero node and Britton reduction
     assert solver.word_problem(ab, parse_word("abAB", ab.alphabet)) is \
         Verdict.NONTRIVIAL
     entries, hits = set(solver._memo), solver.stats["memo_hits"]
@@ -532,7 +539,8 @@ def test_memoization_hits():
 
 def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
     """Repeated membership queries on one solver compute each breakdown
-    step once per (function, arguments)."""
+    step once per (function, arguments): the top nodes come from the
+    memo, and each step from the node that built it."""
     calls = collections.Counter()
 
     def counting(name):
@@ -544,7 +552,7 @@ def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
 
         monkeypatch.setattr(breakdown, name, wrapper)
 
-    for name in ("classify", "rewrite_zero_case", "embed_nonzero_case"):
+    for name in ("rewrite_zero_case", "embed_nonzero_case"):
         counting(name)
     # x vanishes from the image relator of ababc; it stays in a^2 b^-3's
     queries = [(make_presentation(ABC, (1, 2, 1, 2, 3)), {1, 2},
@@ -559,14 +567,15 @@ def test_memo_table_runs_each_breakdown_step_once(monkeypatch):
         assert solver.stats["memo_hits"] > before
     assert answers[0] == answers[1]
     assert {key[0] for key in calls} == {
-        "classify", "rewrite_zero_case", "embed_nonzero_case"}
+        "rewrite_zero_case", "embed_nonzero_case"}
     assert set(calls.values()) == {1}
 
 
 def test_word_problem_shares_the_embedding(monkeypatch):
     """The word problem, membership in the trivial subgroup and the
-    hierarchy tree fetch the trefoil's Magnus embedding from one memo
-    entry."""
+    hierarchy tree take the trefoil's Magnus embedding by (a, b) from its
+    node, and membership in <a> its embedding by (b, a): the node builds
+    each once, and keeps both."""
     calls = []
     embed = breakdown.embed_nonzero_case
 
@@ -580,14 +589,24 @@ def test_word_problem_shares_the_embedding(monkeypatch):
     assert solver.word_problem(TREFOIL, w) is Verdict.NONTRIVIAL
     assert not solver.magnus_membership(TREFOIL, w, set()).member
     assert solver.hierarchy_tree(TREFOIL)["case"] == "nonzero"
-    assert calls.count(
-        (2, TREFOIL.relator, 0, 1, solver.limits.max_word_len)) == 1
+    # b^3 = a^2 is a member of <a>, b a b^-1 is not
+    for _ in range(2):
+        assert solver.magnus_membership(TREFOIL, (2, 2, 2),
+                                        {0}).witness == (1, 1)
+        assert not solver.magnus_membership(TREFOIL, (2, 1, -2), {0}).member
+    cap = solver.limits.max_word_len
+    assert calls.count((2, TREFOIL.relator, 0, 1, cap)) == 1
+    assert calls.count((2, TREFOIL.relator, 1, 0, cap)) == 1
     assert len(set(calls)) == len(calls)
+    node = solver._memo[breakdown.Node, TREFOIL.relator]
+    assert set(node._steps) == {(0, 1), (1, 0)}
 
 
 def test_zero_node_base_group_built_once(monkeypatch):
     """A membership query whose subset holds the stable letter, but not
-    the pivot, reuses the base group that classify built for the node."""
+    the pivot, reuses the base group the node built for its zero node.  A
+    subset holding both needs the zero node on another pivot, which the
+    node builds once and keeps."""
     calls = []
     rewrite = breakdown.rewrite_zero_case
 
@@ -601,6 +620,54 @@ def test_zero_node_base_group_built_once(monkeypatch):
     res = solver.magnus_membership(BS12, (1, 1, 1), {0})
     assert res.member and res.witness == (1, 1, 1)
     assert len(calls) == 1
+    # <a,b,c | a b a^-1 b^-2 c^2>: the stable letter is a and the pivot b,
+    # so <a, b> takes the pivot c, and c^2 = b^2 a b^-1 a^-1
+    p = parse_presentation("a,b,c | abAB^2c^2")
+    for _ in range(2):
+        assert solver.magnus_membership(p, (3, 3), {0, 1}).witness == (
+            2, 2, 1, -2, -1)
+        assert not solver.magnus_membership(p, (3,), {0, 1}).member
+    assert [args for args in calls if args[0] == p.relator] == [
+        (p.relator, 0), (p.relator, 0, 2)]
+    node = solver._memo[breakdown.Node, p.relator]
+    assert node.zero.pivot == 1 and set(node._steps) == {2}
+
+
+def test_memo_holds_top_nodes_and_pinch_answers():
+    """After a mixed stream of word problems, membership queries and
+    hierarchy walks, every memo entry is a classified top node, keyed by
+    (breakdown.Node, relator), or a pinch answer, keyed by the base
+    group's node, its rank, the residue, the subset and the depth: the
+    zero nodes on other pivots and the embeddings stay with their
+    nodes."""
+    from test_acceptance import SEED, fuzz_queries
+
+    solver = Solver()
+    for pres, w, subset, _ in fuzz_queries(random.Random(SEED), 200, 4):
+        if subset is None:
+            solver.word_problem(pres, w)
+        else:
+            solver.magnus_membership(pres, w, subset)
+        solver.hierarchy_tree(pres)
+    kinds = collections.Counter()
+    for key, value in solver._memo.items():
+        if key[0] is breakdown.Node:
+            assert len(key) == 2 and value.relator == key[1]
+            assert value.classified
+            kinds["top"] += 1
+        else:
+            node, rank, word, subset, depth = key
+            assert isinstance(node, breakdown.Node) and rank >= len(
+                node.support)
+            assert isinstance(word, tuple) and subset <= set(range(rank))
+            assert depth >= 1 and (value is None or isinstance(value, tuple))
+            kinds["pinch"] += 1
+    assert kinds["top"] > 100 and kinds["pinch"] > 100, kinds
+    # the top nodes keep zero nodes on other pivots (keyed by pivot) and
+    # embeddings (keyed by pair)
+    assert {type(step) for key, node in solver._memo.items()
+            if key[0] is breakdown.Node for step in node._steps} == {
+                int, tuple}
 
 
 def test_is_root():
@@ -621,7 +688,7 @@ def test_hierarchy_tree_shapes():
     assert child["alphabet"] == ["b_0", "b_1"]
     assert child["relator"] == tree["rewritten"]
     # the base group of the zero node, which the child describes
-    zd = breakdown.classify(2, BS12.relator)
+    zd = breakdown.Node(BS12.relator).zero
     assert len(zd.pairs) == 2
     assert len(zd.base.relator) < len(BS12.relator)
 
