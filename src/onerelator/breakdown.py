@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 from . import words
 from .errors import PreconditionViolated
-from .presentations import restrict_to_subalphabet
 
 
 # ---------------------------------------------------------------------------
@@ -51,36 +50,30 @@ def _decode(rank, a):
     return g, (z // 2 if z % 2 == 0 else -(z + 1) // 2)
 
 
-def _shift(rank, w, delta):
-    """Image under the stable-letter conjugation ``g_i -> g_{i+delta}``."""
-    out = []
-    for lt in w:
-        g, i = _decode(rank, abs(lt))
-        a = _encode(rank, g, i + delta)
-        out.append(a if lt > 0 else -a)
-    return tuple(out)
-
-
 class FoldTable(dict):
-    """Signed letter -> its image under a pinch's conjugation ``g_i ->
-    g_{i+delta}``, one table per zero node and sign of the stable letter
-    that closes the pinch, built with the zero node
-    (:func:`rewrite_zero_case`).  A letter enters on its first lookup, one
-    off the zero node's window too.  The pinch's excluded letter enters
-    only when the base relator has a Tietze move for it, and maps to the
-    shifted Tietze value, a word (tuple): every other value is a letter
-    (int).  A lookup would enter any letter, so the excluded letter is
-    looked up only once the table holds it."""
+    """Signed letter -> its image under the conjugation ``g_i ->
+    g_{i+delta}``: a zero node's pinches fold through one table per sign
+    of the stable letter that closes them, built with the zero node
+    (:func:`rewrite_zero_case`).  A letter enters on its first lookup when
+    its subscript lies in ``lo..hi``, the zero node's window widened by
+    one each way, so the table's size is fixed by its zero node; any other
+    letter is shifted on each lookup (an empty range stores nothing).  The
+    pinch's excluded letter enters only when the base relator has a
+    Tietze move for it, and maps to the shifted Tietze value, a word
+    (tuple): every other value is a letter (int).  A lookup would enter
+    the excluded letter, so it is looked up only once the table holds
+    it."""
 
-    __slots__ = ("rank", "delta")
+    __slots__ = ("rank", "delta", "lo", "hi")
 
-    def __init__(self, rank, delta):
-        self.rank, self.delta = rank, delta
+    def __init__(self, rank, delta, lo, hi):
+        self.rank, self.delta, self.lo, self.hi = rank, delta, lo, hi
 
     def __missing__(self, lt):
         g, i = _decode(self.rank, abs(lt))
         b = _encode(self.rank, g, i + self.delta)
-        self[abs(lt)], self[-abs(lt)] = b, -b
+        if self.lo <= i <= self.hi:
+            self[abs(lt)], self[-abs(lt)] = b, -b
         return b if lt > 0 else -b
 
 
@@ -115,9 +108,10 @@ class Node:
     * :meth:`_repivot`: a zero node's zero nodes on other pivots;
     * :meth:`_embedding`: a nonzero node's embeddings
       (:func:`embed_nonzero_case`), by pair ``(a, b)``;
-    * ``core``: the node of the relator restricted to its support (the
-      node itself when the support is ``0..k-1``), with the id map
-      (:func:`~.presentations.restrict_to_subalphabet`).
+    * ``core``: ``(core, into, out)``, the node of the relator with its
+      support renumbered ``0..k-1`` in increasing order (the node itself
+      when the support is ``0..k-1``), the table from each signed letter
+      of the support to its core letter, and the table back.
 
     A zero node has no embedding and a nonzero node no pivot, so both
     live in one dict, keyed by pivot or by pair.  Nodes with equal
@@ -183,11 +177,13 @@ class Node:
     @property
     def core(self):
         if self._core is _UNBUILT:
-            relator, old_to_new = restrict_to_subalphabet(self.relator,
-                                                          self.support)
+            into = {}
+            for k, g in enumerate(sorted(self.support), 1):
+                into[g + 1], into[-g - 1] = k, -k
+            relator = tuple(map(into.__getitem__, self.relator))
             # a base group's relator uses ids 0..k-1 and is its own core
             core = self if relator == self.relator else Node(relator)
-            self._core = core, old_to_new
+            self._core = core, into, {b: a for a, b in into.items()}
         return self._core
 
     @property
@@ -233,9 +229,15 @@ class ZeroCaseData:
 
 @dataclass(frozen=True)
 class EmbeddingData:
+    """The Magnus embedding of a nonzero node by a pair ``(a, b)``: the
+    image's letters ``x`` and ``y`` are ids 0 and 1, and every other
+    generator keeps its order after them."""
+
     alpha: int                  # exponent sum of a in the relator
     image: Node                 # over the same number of generators, x is 0
     gen_map: dict               # other old gen id -> image gen id
+    back: dict = field(repr=False)  # signed image letter but x, y -> its
+                                # old letter, pulling witnesses back
     substitution: dict = field(repr=False)  # old gen id -> image word
 
 
@@ -281,7 +283,8 @@ def rewrite_zero_case(relator, t, pivot=None):
     # normalize to the relator copy whose pivot window starts at subscript 0:
     # queries enter the HNN form at level 0, so the base must own the
     # pivot's zero subscript
-    rewritten = _shift(rank, rewritten, -min(heights))
+    rewritten = tuple(map(
+        FoldTable(rank, -min(heights), 0, -1).__getitem__, rewritten))
     pairs = tuple(sorted({_decode(rank, abs(lt)) for lt in rewritten}))
     ids = tuple(_encode(rank, g, i) for g, i in pairs)
     index = {a: k for k, a in enumerate(ids)}
@@ -293,7 +296,9 @@ def rewrite_zero_case(relator, t, pivot=None):
     moves = dict(base.moves)
     # a stable letter of sign s closes pinches that shift by -s and
     # exclude pivot_ends[s < 0]
-    folds = FoldTable(rank, -1), FoldTable(rank, 1)
+    lo = min(i for _, i in pairs) - 1
+    hi = max(i for _, i in pairs) + 1
+    folds = FoldTable(rank, -1, lo, hi), FoldTable(rank, 1, lo, hi)
     for table, excluded in zip(folds, pivot_ends):
         value = moves.get(index[excluded])
         if value is not None:
@@ -341,15 +346,16 @@ def embed_nonzero_case(rank, relator, a, b,
     if alpha == 0 or beta == 0 or a == b:
         raise PreconditionViolated("embedding needs two distinct generators "
                                    "with nonzero exponent sums")
-    others = [g for g in range(rank) if g not in (a, b)]
     # x is id 0 and y id 1
-    gen_map = {g: 2 + k for k, g in enumerate(others)}
-    substitution = {g: (gen_map[g] + 1,) for g in others}
+    gen_map, back, substitution = {}, {}, {}
+    for k, g in enumerate((g for g in range(rank) if g not in (a, b)), 2):
+        gen_map[g], substitution[g] = k, (k + 1,)
+        back[k + 1], back[-k - 1] = g + 1, -g - 1
     substitution[a] = words.reduce(
         (2,) + tuple([-1] * beta if beta > 0 else [1] * (-beta)))
     substitution[b] = tuple([1] * alpha if alpha > 0 else [-1] * (-alpha))
     core = words.cyclic_reduce(words.substitute(relator, substitution,
                                                 max_len))
     return EmbeddingData(alpha=alpha, image=Node(core), gen_map=gen_map,
-                         substitution=substitution)
+                         back=back, substitution=substitution)
 

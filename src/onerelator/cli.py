@@ -257,7 +257,9 @@ def main(argv=None):
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceExhausted as exc:
-        info = {"budget": exc.budget, "limit": exc.limit, "depth": exc.depth}
+        info = {"budget": exc.budget, "limit": exc.limit, "depth": exc.depth,
+                "rank": exc.rank,
+                "relator": exc.relator and list(exc.relator)}
         fields = ", ".join(f"{k} {v}" for k, v in info.items()
                            if v is not None)
         suffix = f" ({fields})" if fields else ""

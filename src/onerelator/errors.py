@@ -27,8 +27,9 @@ class ResourceExhausted(OneRelatorError):
     This is never a verdict: the procedure is total in theory, so running
     out of budget is reported honestly instead of guessing.  ``budget`` names
     the :class:`~onerelator.solver.SolverLimits` field that ran out
-    (``"max_depth"`` or ``"max_word_len"``), ``limit`` its value and
-    ``depth`` that of the innermost node it left (None outside the hierarchy).
+    (``"max_depth"`` or ``"max_word_len"``), ``limit`` its value, and
+    ``depth``, ``rank`` and ``relator`` (a word over ids) those of the
+    innermost hierarchy node it left (None outside the hierarchy).
     """
 
     def __init__(self, message, budget=None, limit=None, depth=None):
@@ -36,6 +37,7 @@ class ResourceExhausted(OneRelatorError):
         self.budget = budget
         self.limit = limit
         self.depth = depth
+        self.rank = self.relator = None
 
 
 class WordSyntaxError(OneRelatorError):

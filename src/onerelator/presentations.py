@@ -1,11 +1,11 @@
-"""One-relator presentations: normalization, the abelian obstruction to
-Magnus-subgroup membership and sub-alphabet restriction."""
+"""One-relator presentations: normalization and the abelian obstruction to
+Magnus-subgroup membership."""
 
 from dataclasses import dataclass
 from itertools import zip_longest
 
 from . import words
-from .errors import EmptyRelator, UnknownGenerator
+from .errors import EmptyRelator
 from .words import Alphabet
 
 
@@ -53,22 +53,3 @@ def abelian_obstruction(rank, exponents, w, subset=frozenset()):
             return True
     return False
 
-
-def restrict_to_subalphabet(relator, gens):
-    """The relator of ``<gens | relator>`` with ``gens`` reindexed 0..k-1
-    in increasing order.
-
-    ``gens`` must contain the relator's support.  Returns the new relator
-    and the id map ``old_to_new``.
-    """
-    old_to_new = {g: i for i, g in enumerate(sorted(gens))}
-    if not words.support(relator) <= old_to_new.keys():
-        raise UnknownGenerator("subalphabet misses relator letters")
-    return map_word(relator, old_to_new), old_to_new
-
-
-def map_word(w, old_to_new):
-    """Reindex a word's generator ids through ``old_to_new``."""
-    return tuple(
-        words.letter_sign(lt) * (old_to_new[words.letter_gen(lt)] + 1)
-        for lt in w)

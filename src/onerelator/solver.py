@@ -29,8 +29,10 @@ subgroup on no generators, with witness ``()``:
   base relator, the base group is free on the other letters, so every
   residue is a member with its image under that Tietze move as witness,
   and the pinch folds through the zero node's fold table without a test
-  (``stats["tietze_folds"]`` counts these folds); any other test's answer
-  depends only on the base group, the residue and the subset (memoized),
+  (``stats["tietze_folds"]`` counts these folds); any other test
+  (``stats["pinch_tests"]``), and the test of the final residue
+  (``stats["residue_tests"]``), depends only on the base group, the
+  residue and the subset (memoized),
 * otherwise an injective substitution creates such a generator and maps
   the queried subset into a Magnus subgroup of the image, which the same
   recursion decides at the same depth (:meth:`Solver._member_nonzero`).
@@ -49,16 +51,20 @@ node, its zero nodes on other pivots, its embeddings and its free-part
 core.  A zero node owns its base group's node and one fold table per sign
 of the stable letter that closes a pinch (:class:`.breakdown.FoldTable`),
 both built with it by :func:`.breakdown.rewrite_zero_case`; an embedding
-owns its image's node.  Every descent into a base group maps its residue
-with :func:`.breakdown.base_word`.  Each node shape has one path, wherever
-the subset lies; a subset holding a zero node's stable letter ``t`` pulls
-its witness back as a tower of ``t``-conjugates (``t^i g t^-i`` times a
-power of ``t``).  Names are made only in :meth:`Solver._tree`, which
+owns its image's node.  Each edge renumbers a word through a dict from
+signed letter to signed letter that its owner built once: the core's
+tables into and out of its support, the embedding's table back from its
+image and the fold tables.  Every descent into a base group maps its
+residue with :func:`.breakdown.base_word`.  Each node shape has one path,
+wherever the subset lies; a subset holding a zero node's stable letter
+``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
+t^-i`` times a power of ``t``).  Names are made only in :meth:`Solver._tree`, which
 names, prints and describes each node of the document that
 ``hierarchy_tree`` returns in its one walk.
 
 All procedures run under explicit budgets and raise
-:class:`~onerelator.errors.ResourceExhausted` instead of guessing.
+:class:`~onerelator.errors.ResourceExhausted` instead of guessing, naming
+the depth, rank and relator of the innermost node the overrun left.
 """
 
 from dataclasses import dataclass
@@ -68,7 +74,7 @@ from itertools import chain, groupby, islice
 from . import breakdown, words
 from .breakdown import _decode, base_word
 from .errors import ResourceExhausted, UnknownGenerator
-from .presentations import abelian_obstruction, map_word, make_presentation
+from .presentations import abelian_obstruction, make_presentation
 from .textio import print_word
 from .words import Alphabet
 
@@ -134,8 +140,10 @@ class Solver:
     pinch test, and the base word of a zero node's residue, is a
     :meth:`_base_member` descent whose answer the memo keeps, keyed by the
     base group's node (equal nodes have equal relators), its rank, the
-    residue, the subset and the depth; it counts in
-    ``stats["pinch_tests"]``, a hit also in ``stats["pinch_hits"]``.  The
+    residue, the subset and the depth; a pinch test counts in
+    ``stats["pinch_tests"]``, the test of a final residue in
+    ``stats["residue_tests"]``, and a hit of either also in
+    ``stats["pinch_hits"]``.  The
     depth in the key means a hit stands for a computation under the same
     budgets, and a test that raised stores nothing, so verdicts, witnesses
     and :class:`~onerelator.errors.ResourceExhausted` do not depend on the
@@ -150,7 +158,7 @@ class Solver:
         self._memo = {}
         self.stats = {"memo_hits": 0, "pinch_hits": 0, "nodes": 0,
                       "max_depth": 0, "eliminations": 0, "pinch_tests": 0,
-                      "tietze_folds": 0}
+                      "residue_tests": 0, "tietze_folds": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -263,6 +271,7 @@ class Solver:
                             letters.append(v)
                     folded = words.reduce(letters, cap)
                 else:
+                    self.stats["pinch_tests"] += 1
                     word, ids = base_word(zdata, top)
                     witness = self._base_member(
                         zdata, word, ids,
@@ -287,7 +296,6 @@ class Solver:
         over the residue's letter ids.  The descent's answer is memoized
         under the depth it runs at; a descent that raises stores nothing.
         """
-        self.stats["pinch_tests"] += 1
         key = (zdata.base, len(ids), word, subset, depth + 1)
         witness = self._memo.pop(key, _MISSING)
         if witness is _MISSING:
@@ -344,10 +352,10 @@ class Solver:
                 return self._member_zero(node, rank, w, subset, zd, depth)
             return self._member_nonzero(node, rank, w, subset, depth)
         except ResourceExhausted as exc:
-            # an overrun inside words has no depth: this is the innermost
+            # an overrun inside words names no node: this is the innermost
             # node it leaves
-            if exc.depth is None:
-                exc.depth = depth
+            if exc.relator is None:
+                exc.depth, exc.rank, exc.relator = depth, rank, node.relator
             raise
 
     def _member_free_split(self, node, w, subset, depth):
@@ -363,19 +371,16 @@ class Solver:
         it, so above one only the word problem is asked.  ``w`` is a member
         iff every syllable left has a witness.
         """
-        core, old_to_new = node.core
-        # the support is numbered in increasing order
-        new_to_old = tuple(old_to_new)
-        rank = len(old_to_new)
-        sub_active = frozenset(old_to_new[g] for g in subset
-                               if g in old_to_new)
+        core, into, out = node.core
+        rank = len(node.support)
+        sub_active = frozenset(into[g + 1] - 1 for g in subset
+                               if g + 1 in into)
         full = len(sub_active) == rank
         cap = self.limits.max_word_len
         # (is_active, word, witness), the witness None from the first
         # syllable that lacks one upwards
         syls = []
-        for is_act, run in groupby(
-                w, lambda lt: words.letter_gen(lt) in old_to_new):
+        for is_act, run in groupby(w, into.__contains__):
             u = tuple(run)
             if syls and syls[-1][0] == is_act:
                 u = words.multiply(syls.pop()[1], u, cap)
@@ -386,12 +391,12 @@ class Solver:
                 witness = u if words.support(u) <= subset else None
             else:
                 found = self._member(
-                    core, rank, map_word(u, old_to_new),
+                    core, rank, tuple(map(into.__getitem__, u)),
                     sub_active if hope and not full else frozenset(), depth)
                 if found == ():
                     continue
                 witness = u if full else (
-                    found and map_word(found, new_to_old))
+                    found and tuple(map(out.__getitem__, found)))
             syls.append((is_act, u, witness if hope else None))
         if syls and syls[-1][2] is None:
             return None
@@ -428,6 +433,7 @@ class Solver:
             # and a residue over its letters is its own witness
             witness = tuple(residue)
         else:
+            self.stats["residue_tests"] += 1
             word, ids = base_word(zd, residue)
             witness = self._base_member(
                 zd, word, ids,
@@ -465,12 +471,11 @@ class Solver:
         witness = self._member(emb.image, rank, wprime, magnus, depth)
         if witness is None:
             return None
-        back = {v: k for k, v in emb.gen_map.items()}
         parts = []
         for is_x, run in groupby(witness, lambda lt: abs(lt) == 1):
             run = tuple(run)
             if not is_x:
-                parts.append(map_word(run, back))
+                parts.append(tuple(map(emb.back.__getitem__, run)))
                 continue
             # the witness is reduced, so a run of x letters has one sign
             e = words.letter_sign(run[0]) * len(run)
@@ -485,31 +490,31 @@ class Solver:
         """The document of the hierarchy below ``<names | node.relator>``:
         the one place where the generators of base groups and embedding
         images get names."""
-        self._bump(depth)
         free_part = [n for g, n in enumerate(names) if g not in node.support]
         if free_part:
             names = tuple(n for g, n in enumerate(names) if g in node.support)
-            node, _ = node.core
+            node = node.core[0]
+        try:
+            self._bump(depth)
+            zd = node.zero if len(names) > 1 else None
+            emb = (node._embedding(0, 1, self.limits.max_word_len)
+                   if zd is None and len(names) > 1 else None)
+        except ResourceExhausted as exc:
+            # the depth budget, or the image relator overran inside words,
+            # at this node
+            exc.depth, exc.rank, exc.relator = depth, len(names), node.relator
+            raise
         doc = {"case": "base_single", "alphabet": list(names),
                "relator": print_word(node.relator, Alphabet(names)),
                "children": []}
         if free_part:
             doc["free_part"] = free_part
-        if len(names) == 1:
-            return doc
-        zd = node.zero
-        if zd is None:
-            try:
-                emb = node._embedding(0, 1, self.limits.max_word_len)
-            except ResourceExhausted as exc:
-                # the image relator overran inside words, at this node
-                exc.depth = depth
-                raise
+        if emb is not None:
             child_names = fresh_names(names, 2) + [
                 names[g] for g in sorted(emb.gen_map)]
             child = self._tree(emb.image, child_names, depth + 1)
             doc["case"] = "nonzero"
-        else:
+        elif zd is not None:
             child = self._tree(zd.base,
                                [f"{names[g]}_{i}" for g, i in zd.pairs],
                                depth + 1)
@@ -521,6 +526,8 @@ class Solver:
             doc.update(case="zero", stable=names[zd.stable],
                        pivot=names[zd.pivot], ranges=ranges,
                        rewritten=child["relator"])
+        else:
+            return doc
         doc["children"].append(child)
         return doc
 

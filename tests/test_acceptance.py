@@ -22,7 +22,7 @@ from onerelator.oracles import (
     random_cyclically_reduced_word,
     random_reduced_word,
 )
-from onerelator.presentations import make_presentation, map_word
+from onerelator.presentations import make_presentation
 from onerelator.solver import Solver, Verdict
 from onerelator.textio import parse_presentation, parse_word, print_word
 from onerelator.words import Alphabet
@@ -301,6 +301,12 @@ def splice_conjugates(rng, w, relator, num_gens):
     return words.reduce(w)
 
 
+def over_gens(w, gens):
+    """``w`` over ids ``0..k-1`` with id ``k`` renamed ``gens[k]``."""
+    return tuple(gens[lt - 1] + 1 if lt > 0 else -gens[-lt - 1] - 1
+                 for lt in w)
+
+
 def fuzz_queries(rng, relators, per_relator):
     """Seeded ``(pres, w, subset, witness)`` draws: ``subset`` None for a
     word-problem query with a trivial answer, else a proper generator
@@ -311,9 +317,8 @@ def fuzz_queries(rng, relators, per_relator):
         for _ in range(per_relator):
             yield pres, splice_conjugates(rng, (), r, n), None, None
             gens = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
-            v = map_word(random_reduced_word(rng, len(gens),
-                                             rng.randint(1, 6)),
-                         dict(enumerate(gens)))
+            v = over_gens(random_reduced_word(rng, len(gens),
+                                              rng.randint(1, 6)), gens)
             yield pres, splice_conjugates(rng, v, r, n), frozenset(gens), v
 
 

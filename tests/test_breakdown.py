@@ -7,16 +7,16 @@ import pytest
 
 from onerelator import words
 from onerelator.breakdown import (
+    FoldTable,
     Node,
     _decode,
     _encode,
-    _shift,
     base_word,
     embed_nonzero_case,
     rewrite_zero_case,
 )
 from onerelator.errors import PreconditionViolated
-from onerelator.presentations import make_presentation, restrict_to_subalphabet
+from onerelator.presentations import make_presentation
 from onerelator.solver import Solver, fresh_names
 from onerelator.textio import parse_presentation
 from onerelator.words import Alphabet
@@ -37,11 +37,13 @@ def test_subscripted_letter_ids():
         # g_0 is the plain letter of g
         assert [_encode(rank, g, 0) for g in range(rank)] == list(
             range(1, rank + 1))
-    # shifting crosses the 0/-1 boundary both ways and keeps signs
+    # a fold table shifts across the 0/-1 boundary both ways and keeps
+    # signs; over an empty range it keeps nothing
     b = [_encode(3, 1, i) for i in (-2, -1, 0, 1)]
-    assert _shift(3, (b[1], -b[2]), 1) == (b[2], -b[3])
-    assert _shift(3, (b[2], -b[1]), -1) == (b[1], -b[0])
-    assert _shift(3, (), 5) == ()
+    up, down = FoldTable(3, 1, 0, -1), FoldTable(3, -1, 0, -1)
+    assert (up[b[1]], up[-b[2]]) == (b[2], -b[3])
+    assert (down[b[2]], down[-b[1]]) == (b[1], -b[0])
+    assert not up and not down
 
 
 def test_sub_alphabet_naming():
@@ -241,7 +243,7 @@ def test_reachable_nodes_are_free_on_what_they_keep():
         rank, relator = todo.pop()
         assert cyclically_reduced(relator), (rank, relator)
         active = words.support(relator)
-        relator, _ = restrict_to_subalphabet(relator, active)
+        relator = Node(relator).core[0].relator
         rank = len(active)
         if rank == 1 or (rank, relator) in seen:
             continue
@@ -324,18 +326,27 @@ def test_every_node_relator_is_cyclically_reduced(monkeypatch):
 
 def test_node_holds_what_its_relator_fixes():
     """A node's support, exponent sums (up to its greatest id) and moves;
-    its core renumbers the support in increasing order; nodes with equal
-    relators are equal and hash alike, whoever built them."""
+    its core renumbers the support in increasing order, through a table
+    of signed letters into it and one back out; nodes with equal relators
+    are equal and hash alike, whoever built them."""
     node = Node((1, 3, 1, -3))
     assert node.support == {0, 2}
     assert node.exponents == (2, 0, 0)
     assert node.moves == ()
-    core, old_to_new = node.core
-    assert core.relator == (1, 2, 1, -2) and old_to_new == {0: 0, 2: 1}
+    core, into, out = node.core
+    assert core.relator == (1, 2, 1, -2)
+    assert into == {1: 1, -1: -1, 3: 2, -3: -2}
+    assert out == {1: 1, -1: -1, 2: 3, -2: -3}
     assert node.core[0] is core
     # a relator over ids 0..k-1, as a base group's is, is its own core
-    assert core.core == (core, {0: 0, 1: 1})
+    same = {1: 1, -1: -1, 2: 2, -2: -2}
+    assert core.core == (core, same, same)
     assert core.zero.stable == 1
+    # a word over the support goes into the core and back
+    core, into, out = Node((2, 3, -2, -3)).core
+    assert core.relator == (1, 2, -1, -2)
+    assert tuple(map(into.__getitem__, (2, -3))) == (1, -2)
+    assert tuple(map(out.__getitem__, (1, -2))) == (2, -3)
     assert Node((1, 3, 1, -3)) == node and hash(Node(node.relator)) == \
         hash(node)
     assert Node((1, 2)) != node
@@ -353,9 +364,9 @@ def test_fold_tables():
     twice, so b_0 stays out of its table; a pinch a u a^-1 shifts up and
     excludes b_1 = b_0^2, which its table maps to the shifted Tietze value
     b_1^2.  Any other letter, one off the window too, enters a table on
-    its first lookup."""
+    its first lookup; a letter two off is shifted but not kept."""
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
-    b = {i: _encode(2, 1, i) for i in (-1, 0, 1, 2, 3)}
+    b = {i: _encode(2, 1, i) for i in range(-3, 5)}
     down, up = zd.folds
     assert not down
     assert (down[b[1]], down[-b[1]]) == (b[0], -b[0])
@@ -363,6 +374,10 @@ def test_fold_tables():
     assert b[0] not in down and -b[0] not in down
     assert up[b[1]] == (b[1], b[1]) and up[-b[1]] == (-b[1], -b[1])
     assert up[b[0]] == b[1] and up[-b[-1]] == -b[0] and up[b[2]] == b[3]
+    # the window b_0..b_1 widened by one is b_-1..b_2
+    assert up[b[3]] == b[4] and down[-b[-2]] == -b[-3]
+    assert b[3] not in up and b[-2] not in down
+    assert len(up) == 8 and len(down) == 4
     # the Klein bottle a b a B: the base relator a_0 a_1 has a move for
     # both pivot ends, each the inverse of the other
     zd = Node((1, 2, 1, -2)).zero
@@ -383,7 +398,7 @@ def wp_warm_zero_nodes():
             for text in gen.catalogue("wp-warm")]
     out = []
     while todo:
-        node, _ = todo.pop().core
+        node = todo.pop().core[0]
         if len(node.support) == 1:
             continue
         zd = node.zero
@@ -430,6 +445,7 @@ def test_tietze_fold_agrees_with_the_descent():
                 word, ids = base_word(zd, u)
                 subset = frozenset(range(len(ids))) - {zd.index[excluded]}
                 witness = solver._base_member(zd, word, ids, subset, 0)
-                assert folded == list(_shift(zd.rank, witness, -sign)), (
+                shift = FoldTable(zd.rank, -sign, 0, -1)
+                assert folded == list(map(shift.__getitem__, witness)), (
                     zd.base, sign, u)
     assert len(checked) >= 20

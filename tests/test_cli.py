@@ -307,10 +307,25 @@ def test_exhaustion_json(capsys):
                  "aBcA^2Cb"])
     assert code == 3
     out = capsys.readouterr()
+    # the node at depth 2 has two generators and relator g_0^-2 g_1
     assert json.loads(out.out) == {"command": "solve", "exhausted": True,
                                    "budget": "max_depth", "limit": 1,
-                                   "depth": 2}
+                                   "depth": 2, "rank": 2,
+                                   "relator": [-1, -1, 2]}
     assert "resource exhausted" in out.err
+
+
+def test_exhaustion_names_its_node(capsys):
+    # the pinch test of B a^6 b overruns in the base group <a_0, a_1 |
+    # a_0^2 a_1>, one level below the top
+    # (test_solver.py::test_word_length_overrun_reports_its_depth)
+    argv = ["--max-word-len", "8", "solve", "a,b | a^2baB", "Ba^6b"]
+    assert main(argv) == 3
+    assert ("budget max_word_len, limit 8, depth 1, rank 2, "
+            "relator [1, 1, 2]") in capsys.readouterr().err
+    assert main(["--json", *argv]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["depth"], doc["rank"], doc["relator"]) == (1, 2, [1, 1, 2])
 
 
 def test_exit_code_3_on_oversized_power(capsys):

@@ -155,15 +155,17 @@ def test_pinches_with_a_tietze_excluded_letter_fold_without_a_test(
     """In BS(1,2) each pinch a u a^-1 excludes b_1, which occurs once in
     the base relator b_1 b_0^-2: the pinches of a^5 b a^-5 fold through
     the zero node's table (b_1 -> b_0^2, shifted) with no test and no
-    descent; the one test left is the word problem of the residue b_1^16
-    in the base group."""
+    descent, so stats["pinch_tests"] reads 0; the one descent left is the
+    word problem of the residue b_1^16 in the base group, counted in
+    stats["residue_tests"]."""
     calls = count_base_members(monkeypatch)
     solver = Solver()
     w = parse_word("a^5bA^5", BS12.alphabet)
     assert solver.word_problem(BS12, w) is Verdict.NONTRIVIAL
     assert [args[1] for args in calls] == [(2,) * 16]
     assert solver.stats["tietze_folds"] == 4
-    assert solver.stats["pinch_tests"] == 1
+    assert solver.stats["pinch_tests"] == 0
+    assert solver.stats["residue_tests"] == 1
     assert solver.stats["nodes"] == 2
 
 
@@ -240,13 +242,14 @@ def test_word_length_overrun_reports_its_depth():
     # <a_1> in the base group <a_0, a_1 | a_0^2 a_1>, where a_0 occurs
     # twice, so the test descends; the Magnus embedding of the base maps
     # a_0^6 to (y x^-1)^6, 12 letters, over an 8-letter budget, one level
-    # below the top
+    # below the top, at the base group's node, which the exception names
     p = parse_presentation("a,b | a^2baB")
     w = parse_word("Ba^6b", p.alphabet)
     with pytest.raises(ResourceExhausted) as info:
         Solver(SolverLimits(max_word_len=8)).word_problem(p, w)
     assert (info.value.budget, info.value.limit) == ("max_word_len", 8)
     assert info.value.depth == 1
+    assert (info.value.rank, info.value.relator) == (2, (1, 1, 2))
     # each pinch of a^5 b a^-5 in BS(1,2) excludes b_1, a Tietze generator
     # of the base relator b_1 b_0^-2, so the pinches fold at the top node:
     # the fifth fold, b_1^8 -> b_0^16, overruns a 12-letter budget there
@@ -255,6 +258,23 @@ def test_word_length_overrun_reports_its_depth():
         Solver(SolverLimits(max_word_len=12)).word_problem(BS12, w)
     assert (info.value.budget, info.value.limit) == ("max_word_len", 12)
     assert info.value.depth == 0
+
+
+def test_fold_tables_do_not_grow_with_the_query():
+    """C^N b c^N on {b} in <a,b,c | a^2 b^2 c a C> folds N pinches, whose
+    residues run b_0, b_-1, ..., b_-N far off the zero node's window
+    a_0, a_1, b_0: a fold table keeps only letters at most one subscript
+    off the window, so the tables the memoized node keeps are the same
+    size for every N."""
+    p = parse_presentation("a,b,c | a^2b^2caC")
+    sizes = []
+    for n in (10, 1000):
+        solver = Solver()
+        w = parse_word(f"C^{n}bc^{n}", p.alphabet)
+        assert not solver.magnus_membership(p, w, {1}).member
+        zd = solver._memo[breakdown.Node, p.relator].zero
+        sizes.append([len(table) for table in zd.folds])
+    assert sizes[0] == sizes[1] == [4, 6]
 
 
 def test_embedding_relator_is_built_under_the_word_cap():
@@ -362,7 +382,7 @@ def test_memo_keys_do_not_keep_the_solver_alive():
         solver = Solver()
         w = parse_word("a^2bA^2B^4", BS12.alphabet)
         assert solver.word_problem(BS12, w) is Verdict.TRIVIAL
-        assert solver.stats["pinch_tests"] > 0
+        assert solver.stats["residue_tests"] > 0
         ref = weakref.ref(solver)
         del solver
         assert ref() is None
@@ -373,7 +393,9 @@ def test_memo_keys_do_not_keep_the_solver_alive():
 
 def test_pinch_hits_are_counted_apart_from_memo_hits():
     """A repeated pinch test is a hit in stats["pinch_hits"];
-    stats["memo_hits"] counts only top-node hits."""
+    stats["memo_hits"] counts only top-node hits.  A descent counts as a
+    pinch test or a residue test where it is asked, in _britton or
+    _member_zero, so one asked directly counts as neither."""
     solver = Solver()
     zd = breakdown.Node(BS12.relator).zero
     # the residue b_1 (letter id 6) in the base subgroup on b_0, where
@@ -383,7 +405,7 @@ def test_pinch_hits_are_counted_apart_from_memo_hits():
         assert solver._base_member(zd, word, ids, frozenset({0}),
                                     0) == (2, 2)
         assert solver.stats["pinch_hits"] == hits
-    assert solver.stats["pinch_tests"] == 2
+    assert solver.stats["pinch_tests"] == solver.stats["residue_tests"] == 0
     assert solver.stats["memo_hits"] == 0
 
 
@@ -438,11 +460,12 @@ def test_abelian_test_refuses_before_the_tietze_move():
 def test_relator_of_a39_b_a30_b_needs_two_pinch_tests():
     """The relator of <a,b | a^39 b^-1 a^30 b> asked as a word: the one
     pinch at the top holds the excluded letter, and every residue below it
-    is over the kept letters, so at most 2 pinch tests and 4 nodes."""
+    is over the kept letters, so at most 2 descents (pinch and residue
+    tests) and 4 nodes."""
     p = parse_presentation("a,b | a^39Ba^30b")
     solver = Solver()
     assert solver.word_problem(p, p.relator) is Verdict.TRIVIAL
-    assert solver.stats["pinch_tests"] <= 2
+    assert solver.stats["pinch_tests"] + solver.stats["residue_tests"] <= 2
     assert solver.stats["nodes"] <= 4
 
 
@@ -480,7 +503,7 @@ def test_exhausted_pinch_test_is_not_memoized():
     # a test asked at depth 1 descends to depth 2, past the budget
     with pytest.raises(ResourceExhausted):
         solver._base_member(zd, (1,), zd.ids, frozenset({0, 1}), 1)
-    assert solver.stats["pinch_tests"] == 1 and not solver._memo
+    assert solver.stats["nodes"] == 1 and not solver._memo
     # the case of test_word_length_overrun_reports_its_depth: the pinch
     # test that overruns stores nothing
     p = parse_presentation("a,b | a^2baB")
