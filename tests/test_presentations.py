@@ -1,6 +1,7 @@
 import pytest
 
 from onerelator import words
+from onerelator.breakdown import Node
 from onerelator.errors import EmptyRelator, UnknownGenerator
 from onerelator.presentations import abelian_obstruction, make_presentation
 from onerelator.words import Alphabet
@@ -48,6 +49,16 @@ def test_abelian_obstruction():
     # a vector shorter than the rank: the later relator sums are 0
     assert not abelian_obstruction(3, (2,), (1, 1, 3, -3))
     assert abelian_obstruction(3, (2,), (1, 1, 3))
+
+
+def test_restrict_to_subalphabet():
+    # a relator's core renumbers its support in increasing order, and a
+    # word over the support goes into the core and back
+    core, into, out = Node((2, 3, -2, -3)).core
+    assert core.relator == (1, 2, -1, -2)
+    assert into == {2: 1, -2: -1, 3: 2, -3: -2}
+    assert tuple(map(into.__getitem__, (2, -3))) == (1, -2)
+    assert tuple(map(out.__getitem__, (1, -2))) == (2, -3)
 
 
 def test_presentation_hashable_for_memo_keys():
