@@ -4,8 +4,12 @@ Magnus-subgroup membership is decided by one recursion over the hierarchy
 produced in :mod:`.breakdown`; the word problem is membership in the
 subgroup on no generators, with witness ``()``:
 
+* when the subset and the word's letters miss a relator generator, they
+  are free on themselves (Freiheitssatz): the reduced word is a member
+  exactly when it is over the subset, and then its own witness
+  (``stats["free_exits"]`` counts the nodes this exit decides),
 * a word whose exponent sums outside the subset are not one multiple of
-  the relator's is refused first (:func:`.presentations.abelian_obstruction`,
+  the relator's is refused next (:func:`.presentations.abelian_obstruction`,
   the recursion's one exponent-sum test),
 * a generator ``h`` that occurs once in the relator is eliminated by a
   Tietze move (one of the node's ``moves``, the least ``h`` outside the
@@ -40,8 +44,9 @@ subgroup on no generators, with witness ``()``:
 Membership queries return witnesses (words over the queried subset), which
 is what makes the pinch elimination effective: a subset that misses a letter
 of a cyclically reduced relator is free on itself (Freiheitssatz), so the
-witness is the unique normal form, a word already over the subset is its own
-witness without a descent, and shifting subscripts realizes the conjugation.
+witness is the unique normal form, a word whose letters and subset miss a
+relator letter is decided without a descent (its own witness when it is over
+the subset), and shifting subscripts realizes the conjugation.
 
 The recursion carries no generator names: a node is a rank and a
 :class:`.breakdown.Node`, a relator over ids below the rank with its
@@ -126,7 +131,7 @@ class Solver:
     counted in ``stats["memo_hits"]``.  A top node enters the memo only
     once a query or the hierarchy walk has classified it (built its zero
     node or its free-part core), so a query decided at the top by the
-    own-witness, abelian or Tietze exit adds no entry.  Everything below
+    Freiheitssatz, abelian or Tietze exit adds no entry.  Everything below
     it, zero nodes on other pivots and embeddings too, is reached through
     its owner, never through the memo; a node is built by one solver and
     reached only by it, so an embedding is built under that solver's
@@ -158,7 +163,7 @@ class Solver:
         self._memo = {}
         self.stats = {"memo_hits": 0, "pinch_hits": 0, "nodes": 0,
                       "max_depth": 0, "eliminations": 0, "pinch_tests": 0,
-                      "residue_tests": 0, "tietze_folds": 0}
+                      "residue_tests": 0, "tietze_folds": 0, "free_exits": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -313,11 +318,14 @@ class Solver:
     def _member(self, node, rank, w, subset, depth):
         try:
             self._bump(depth)
-            # w over all generators, or over a free subset, is its own witness
-            if len(subset) == rank or (
-                    not node.support <= subset
-                    and all(words.letter_gen(lt) in subset for lt in w)):
+            if len(subset) == rank:
                 return w
+            for g in node.support - subset:
+                if g + 1 not in w and -g - 1 not in w:
+                    # the subset and w miss g: free on their letters
+                    self.stats["free_exits"] += 1
+                    return w if all(words.letter_gen(lt) in subset
+                                    for lt in w) else None
             if abelian_obstruction(rank, node.exponents, w, subset):
                 return None
             if node.moves:

@@ -261,17 +261,18 @@ def test_word_length_overrun_reports_its_depth():
 
 
 def test_fold_tables_do_not_grow_with_the_query():
-    """C^N b c^N on {b} in <a,b,c | a^2 b^2 c a C> folds N pinches, whose
+    """C^N b c^N on {a, b} in <a,b,c | a^2 b^2 c a C> folds N pinches, whose
     residues run b_0, b_-1, ..., b_-N far off the zero node's window
     a_0, a_1, b_0: a fold table keeps only letters at most one subscript
     off the window, so the tables the memoized node keeps are the same
-    size for every N."""
+    size for every N.  (On {b} alone the subset and the word miss a, and
+    the Freiheitssatz exit decides the query at the top.)"""
     p = parse_presentation("a,b,c | a^2b^2caC")
     sizes = []
     for n in (10, 1000):
         solver = Solver()
         w = parse_word(f"C^{n}bc^{n}", p.alphabet)
-        assert not solver.magnus_membership(p, w, {1}).member
+        assert not solver.magnus_membership(p, w, {0, 1}).member
         zd = solver._memo[breakdown.Node, p.relator].zero
         sizes.append([len(table) for table in zd.folds])
     assert sizes[0] == sizes[1] == [4, 6]
@@ -312,7 +313,8 @@ def test_wp_tietze_positive_occurrence():
     p = make_presentation(ABC, (1, 2, 1, 3))
     solver = Solver()
     assert solver.word_problem(p, (2, 1, 3, 1)) is Verdict.TRIVIAL
-    assert solver.word_problem(p, (2, 3, -2, -3)) is Verdict.NONTRIVIAL
+    # [b, ca] holds every relator letter, so no Freiheitssatz exit takes it
+    assert solver.word_problem(p, (2, 3, 1, -2, -1, -3)) is Verdict.NONTRIVIAL
     assert solver.stats["eliminations"] == solver.stats["nodes"] == 2
     # the Tietze move is not memoized
     assert not solver._memo
@@ -323,7 +325,8 @@ def test_wp_tietze_negative_occurrence():
     p = make_presentation(ABC, (1, 2, 1, -2, -3))
     solver = Solver()
     assert solver.word_problem(p, (3, 2, -1, -2, -1)) is Verdict.TRIVIAL
-    assert solver.word_problem(p, (3, 1, -3, -1)) is Verdict.NONTRIVIAL
+    # [c, ab] holds every relator letter, so no Freiheitssatz exit takes it
+    assert solver.word_problem(p, (3, 1, 2, -3, -2, -1)) is Verdict.NONTRIVIAL
     assert solver.stats["eliminations"] == solver.stats["nodes"] == 2
     # <a,b | a^-1 b^3> is infinite cyclic on b, so a commutes with b
     p = make_presentation(AB, (-1, 2, 2, 2))
@@ -428,6 +431,89 @@ def test_residue_over_the_kept_letters_is_its_own_witness():
     res = solver.magnus_membership(BS12, (2, 2, 2), {1})
     assert res.member and res.witness == (2, 2, 2)
     assert solver.stats["nodes"] == 1 and not solver._memo
+
+
+@pytest.mark.parametrize("text, w", [
+    # [a, b] misses c: nontrivial by the Freiheitssatz alone
+    ("a,b,c | a^2b^2c^2", "abAB"),
+    ("a,b | abaB", "a^2"),
+])
+def test_freiheitssatz_exit_decides_a_word_at_its_node(text, w):
+    """A word whose letters miss a relator letter is a nontrivial element
+    of a free subgroup: it is decided at the top node, with no zero node,
+    embedding or memo entry."""
+    p = parse_presentation(text)
+    solver = Solver()
+    assert solver.word_problem(p, parse_word(w, p.alphabet)) is \
+        Verdict.NONTRIVIAL
+    assert solver.stats["nodes"] == solver.stats["free_exits"] == 1
+    assert solver.stats["max_depth"] == 0
+    assert not solver._memo
+
+
+def test_freiheitssatz_exit_needs_a_missed_relator_letter():
+    """<a, b> is free in <a,b,c | abcABC> and [a, b] is no word over {a}:
+    a non-member at the top node.  With the subset {c} the subset and the
+    word hold every relator letter, so the query descends to its residue
+    (where the exit then decides it)."""
+    p = parse_presentation("a,b,c | abcABC")
+    w = parse_word("abAB", p.alphabet)
+    solver = Solver()
+    assert not solver.magnus_membership(p, w, {0}).member
+    assert solver.stats["nodes"] == solver.stats["free_exits"] == 1
+    assert not solver._memo
+    solver = Solver()
+    assert not solver.magnus_membership(p, w, {2}).member
+    assert solver.stats["nodes"] == 2 and solver.stats["max_depth"] == 1
+    assert solver.stats["residue_tests"] == 1
+
+
+def test_freiheitssatz_exit_agrees_with_the_descent():
+    """Over the benchmark relators, a word w over letters T that miss a
+    relator letter is asked in a subgroup on S within T, and so is w with a
+    relator conjugate u r^(+-1) u^-1 spliced in.  The two are equal in the
+    group, but the spliced word (almost always) holds every relator letter,
+    so the exit cannot take it and the abelian test, a Tietze move or a
+    descent decides it.  Fresh solvers give both the same witness (the
+    Freiheitssatz makes it unique), and a floor of the spliced queries go
+    below the top node."""
+    from test_acceptance import SEED
+    from test_breakdown import benchmark_relators
+
+    rng = random.Random(SEED)
+
+    def random_word(gens, length):
+        out = []
+        while len(out) < length:
+            lt = rng.choice(gens) + 1
+            lt = lt if rng.random() < 0.5 else -lt
+            if not out or out[-1] != -lt:
+                out.append(lt)
+        return tuple(out)
+
+    relators = sorted(set(benchmark_relators()))
+    below = 0
+    for _ in range(600):
+        rank, r = rng.choice(relators)
+        missed = rng.choice(sorted(words.support(r)))
+        others = [g for g in range(rank) if g != missed]
+        T = [g for g in others if rng.random() < 0.7] or [rng.choice(others)]
+        S = frozenset(g for g in T if rng.random() < 0.5)
+        w = random_word(T, rng.randint(0, 8))
+        k = rng.randint(0, len(w))
+        u = random_word(range(rank), rng.randint(0, 3))
+        conj = u + (r if rng.random() < 0.5 else words.invert(r)) + \
+            words.invert(u)
+        spliced = words.reduce(w[:k] + conj + w[k:])
+        p = make_presentation(Alphabet(tuple("abc"[:rank])), r)
+        exit_solver, descent = Solver(), Solver()
+        witness = exit_solver.magnus_membership(p, w, S).witness
+        assert exit_solver.stats["nodes"] == \
+            exit_solver.stats["free_exits"] == 1
+        assert descent.magnus_membership(p, spliced, S).witness == \
+            witness, (p, w, spliced, S)
+        below += descent.stats["nodes"] > 1
+    assert below >= 80
 
 
 @pytest.mark.parametrize("text, subset, w", [
