@@ -20,7 +20,7 @@ letter id ``1 + g + rank*z(i)``, where ``z`` zigzags the subscript
 (``z(i) = 2i`` for ``i >= 0``, ``-2i-1`` otherwise), so words over
 subscripted letters are ordinary :mod:`.words` words and ``g_0`` is the
 plain letter of ``g``.  :func:`base_word` renumbers such a word onto the
-base group's ids when recursing.
+base group's ids, and picks the subset a descent asks for.
 
 Each relator the hierarchy reaches is a :class:`Node`, built once, and
 everything built from a relator is built by its node on first use and kept
@@ -57,12 +57,11 @@ class FoldTable(dict):
     (:func:`rewrite_zero_case`).  A letter enters on its first lookup when
     its subscript lies in ``lo..hi``, the zero node's window widened by
     one each way, so the table's size is fixed by its zero node; any other
-    letter is shifted on each lookup (an empty range stores nothing).  The
-    pinch's excluded letter enters only when the base relator has a
-    Tietze move for it, and maps to the shifted Tietze value, a word
-    (tuple): every other value is a letter (int).  A lookup would enter
-    the excluded letter, so it is looked up only once the table holds
-    it."""
+    letter is shifted on each lookup.  The pinch's excluded letter enters
+    only when the base relator has a Tietze move for it, and maps to the
+    shifted Tietze value, a word (tuple): every other value is a letter
+    (int).  A lookup would enter the excluded letter, so it is looked up
+    only once the table holds it."""
 
     __slots__ = ("rank", "delta", "lo", "hi")
 
@@ -247,14 +246,17 @@ class EmbeddingData:
 def rewrite_zero_case(relator, t, pivot=None):
     """Rewrite the relator over subscripted generators ``g_i = t^i g t^-i``.
 
-    The scan starts at the least rotation beginning with a non-``t`` letter,
-    with initial height equal to the ``t``-exponent sum of the rotated-out
-    prefix, and drops every ``t`` letter while stamping each other letter
-    with the current height.  The base group is built here, once per node:
-    its generators are the rewritten relator's sorted pairs.  So are the
-    fold tables of both signs, each holding its excluded letter only when
-    the base relator has a move for it.  The relator uses every generator,
-    so its rank is one more than its largest id.
+    One scan from height 0 drops each ``t`` letter, moving the height by
+    its sign, and stamps every other letter with its sign, generator and
+    height.  No rotation is needed, as another start only adds a constant
+    to every height, which the shift to the pivot's least height 0 removes
+    (queries enter at height 0, so the base owns the pivot's ``g_0``); nor
+    a free reduction, as two stamps that cancel, at one height with no
+    ``t`` between them, would be adjacent in the cyclically reduced
+    relator.  The base group on the sorted pairs and both fold tables,
+    each holding its excluded letter only when the base relator has a move
+    for it, are built from the stamps, once per node.  The relator uses
+    every generator, so its rank is one more than its largest id.
     """
     if words.exponent_sum(relator, t) != 0:
         raise PreconditionViolated("stable letter must have exponent sum 0")
@@ -262,42 +264,29 @@ def rewrite_zero_case(relator, t, pivot=None):
     if t not in sup or len(sup) < 2:
         raise PreconditionViolated("stable letter must occur with company")
     rank = max(sup) + 1
-    rot = 0
-    while words.letter_gen(relator[rot]) == t:
-        rot += 1
-    height = words.exponent_sum(relator[:rot], t)
-    out = []
-    for lt in relator[rot:] + relator[:rot]:
+    if pivot is None:
+        pivot = min(g for g in sup if g != t)
+    stamps, height = [], 0
+    for lt in relator:
         g = words.letter_gen(lt)
         if g == t:
             height += words.letter_sign(lt)
         else:
-            out.append(words.letter_sign(lt) * _encode(rank, g, height))
-    rewritten = words.reduce(out)
-    if pivot is None:
-        pivot = min(g for g in sup if g != t)
-    heights = [i for g, i in (_decode(rank, abs(lt)) for lt in rewritten)
-               if g == pivot]
+            stamps.append((words.letter_sign(lt), g, height))
+    heights = [i for _, g, i in stamps if g == pivot]
     if not heights:
         raise PreconditionViolated("pivot must be a non-stable relator letter")
-    # normalize to the relator copy whose pivot window starts at subscript 0:
-    # queries enter the HNN form at level 0, so the base must own the
-    # pivot's zero subscript
-    rewritten = tuple(map(
-        FoldTable(rank, -min(heights), 0, -1).__getitem__, rewritten))
-    pairs = tuple(sorted({_decode(rank, abs(lt)) for lt in rewritten}))
+    low = min(heights)
+    pairs = tuple(sorted({(g, i - low) for _, g, i in stamps}))
     ids = tuple(_encode(rank, g, i) for g, i in pairs)
     index = {a: k for k, a in enumerate(ids)}
-    base_relator = tuple(index[lt] + 1 if lt > 0 else -index[-lt] - 1
-                         for lt in rewritten)
-    pivot_ids = [a for a, (g, _) in zip(ids, pairs) if g == pivot]
-    pivot_ends = pivot_ids[0], pivot_ids[-1]
-    base = Node(base_relator)
+    base_id = {pair: k + 1 for k, pair in enumerate(pairs)}
+    base = Node(tuple(s * base_id[g, i - low] for s, g, i in stamps))
+    pivot_ends = pivot + 1, _encode(rank, pivot, max(heights) - low)
     moves = dict(base.moves)
     # a stable letter of sign s closes pinches that shift by -s and
     # exclude pivot_ends[s < 0]
-    lo = min(i for _, i in pairs) - 1
-    hi = max(i for _, i in pairs) + 1
+    lo, hi = min(i for _, i in pairs) - 1, max(i for _, i in pairs) + 1
     folds = FoldTable(rank, -1, lo, hi), FoldTable(rank, 1, lo, hi)
     for table, excluded in zip(folds, pivot_ends):
         value = moves.get(index[excluded])
@@ -310,25 +299,27 @@ def rewrite_zero_case(relator, t, pivot=None):
                         pivot_ends=pivot_ends, folds=folds)
 
 
-def base_word(zdata, u):
+def base_word(zdata, u, keep):
     """A residue word as a word over a zero node's base group.
 
     Base generator ``k < len(zdata.ids)`` is the letter ``zdata.ids[k]``;
     the residue's letters outside that window are numbered after it, in
     order of first occurrence, and are free generators (the relator misses
-    them).  Returns the word and the letter ids of all base generators,
-    window first: their count is the base group's rank for this residue.
+    them).  Returns the word, the letter ids of all base generators,
+    window first (their count is the base group's rank for this residue),
+    and the subset of base generators whose letter ids ``keep`` accepts.
     """
     index, n = zdata.index, len(zdata.ids)
-    outside = {}
-    out = []
+    outside, out = {}, []
     for lt in u:
         a = abs(lt)
         k = index.get(a)
         if k is None:
             k = outside.setdefault(a, n + len(outside))
         out.append(k + 1 if lt > 0 else -k - 1)
-    return tuple(out), zdata.ids + tuple(outside)
+    ids = zdata.ids + tuple(outside)
+    return (tuple(out), ids,
+            frozenset(k for k, a in enumerate(ids) if keep(a)))
 
 
 def embed_nonzero_case(rank, relator, a, b,
@@ -351,8 +342,7 @@ def embed_nonzero_case(rank, relator, a, b,
     for k, g in enumerate((g for g in range(rank) if g not in (a, b)), 2):
         gen_map[g], substitution[g] = k, (k + 1,)
         back[k + 1], back[-k - 1] = g + 1, -g - 1
-    substitution[a] = words.reduce(
-        (2,) + tuple([-1] * beta if beta > 0 else [1] * (-beta)))
+    substitution[a] = (2,) + tuple([-1] * beta if beta > 0 else [1] * (-beta))
     substitution[b] = tuple([1] * alpha if alpha > 0 else [-1] * (-alpha))
     core = words.cyclic_reduce(words.substitute(relator, substitution,
                                                 max_len))

@@ -444,10 +444,14 @@ def random_cyclically_reduced_word(rng, num_gens, length,
 
 def check_freiheitssatz(relators=200, words_per_relator=50, relator_len=6,
                         word_len=10, seed=0, solver=None):
-    """Nonempty reduced words over a proper generator subset stay nontrivial.
+    """Nontrivial elements of the subgroup on a, b stay nontrivial.
 
-    Relators range over random cyclically reduced words using all three of
-    a, b, c; the probe words live in the free group on a, b.
+    Relators ``r`` are random cyclically reduced words on all of a, b, c.
+    A probe is a nontrivial commutator of random reduced words over a, b of
+    length 1..``word_len`` with ``g r^+-1 g^-1`` (``|g| <= 2``) spliced in:
+    the same element, but holding c and with the exponent sums of
+    ``r^+-1``, so neither the solver's Freiheitssatz exit nor its abelian
+    test can answer it at the top node.
     """
     rng = random.Random(seed)
     solver = solver or Solver()
@@ -459,7 +463,15 @@ def check_freiheitssatz(relators=200, words_per_relator=50, relator_len=6,
             rng, 3, rng.randint(3, relator_len), require_full_support=True)
         pres = make_presentation(alphabet, r)
         for _ in range(words_per_relator):
-            w = random_reduced_word(rng, 2, rng.randint(1, word_len))
+            comm = ()
+            while not comm:
+                u = random_reduced_word(rng, 2, rng.randint(1, word_len))
+                v = random_reduced_word(rng, 2, rng.randint(1, word_len))
+                comm = concat((u, v, invert(u), invert(v)))
+            g = random_reduced_word(rng, 3, rng.randint(0, 2))
+            k = rng.randint(0, len(comm))
+            w = concat((comm[:k], g, rng.choice((r, invert(r))), invert(g),
+                        comm[k:]))
             report.checked += 1
             try:
                 verdict = solver.word_problem(pres, w)

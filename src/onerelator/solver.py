@@ -59,13 +59,14 @@ both built with it by :func:`.breakdown.rewrite_zero_case`; an embedding
 owns its image's node.  Each edge renumbers a word through a dict from
 signed letter to signed letter that its owner built once: the core's
 tables into and out of its support, the embedding's table back from its
-image and the fold tables.  Every descent into a base group maps its
-residue with :func:`.breakdown.base_word`.  Each node shape has one path,
+image and the fold tables.  Every descent into a base group enters it by
+one call of :func:`.breakdown.base_word`, which maps the residue and picks
+the subset by a test of the letters to keep.  Each node shape has one path,
 wherever the subset lies; a subset holding a zero node's stable letter
 ``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
-t^-i`` times a power of ``t``).  Names are made only in :meth:`Solver._tree`, which
-names, prints and describes each node of the document that
-``hierarchy_tree`` returns in its one walk.
+t^-i`` times a power of ``t``).  Names are made only in
+:meth:`Solver._tree`, which names, prints and describes each node of the
+document that ``hierarchy_tree`` returns in its one walk.
 
 All procedures run under explicit budgets and raise
 :class:`~onerelator.errors.ResourceExhausted` instead of guessing, naming
@@ -277,11 +278,8 @@ class Solver:
                     folded = words.reduce(letters, cap)
                 else:
                     self.stats["pinch_tests"] += 1
-                    word, ids = base_word(zdata, top)
                     witness = self._base_member(
-                        zdata, word, ids,
-                        frozenset(range(len(ids))) - {zdata.index[excluded]},
-                        depth)
+                        zdata, *base_word(zdata, top, excluded.__ne__), depth)
                     folded = None if witness is None else tuple(
                         map(table.__getitem__, witness))
                 if folded is not None:
@@ -295,11 +293,11 @@ class Solver:
         return out[0] if len(out) == 1 else None
 
     def _base_member(self, zdata, word, ids, subset, depth):
-        """Membership of a residue in the zero node's base group, in the
-        subgroup on the base ids ``subset``: ``word`` and ``ids`` are the
-        residue's :func:`.breakdown.base_word`, and the witness comes back
-        over the residue's letter ids.  The descent's answer is memoized
-        under the depth it runs at; a descent that raises stores nothing.
+        """Membership of a residue, given as its :func:`.breakdown.base_word`
+        ``word``, ``ids`` and ``subset``, in the zero node's base group, in
+        the subgroup on the base ids ``subset``; the witness comes back over
+        the residue's letter ids.  The descent's answer is memoized under
+        the depth it runs at; a descent that raises stores nothing.
         """
         key = (zdata.base, len(ids), word, subset, depth + 1)
         witness = self._memo.pop(key, _MISSING)
@@ -442,10 +440,8 @@ class Solver:
             witness = tuple(residue)
         else:
             self.stats["residue_tests"] += 1
-            word, ids = base_word(zd, residue)
             witness = self._base_member(
-                zd, word, ids,
-                frozenset(k for k, a in enumerate(ids) if keep(a)), depth)
+                zd, *base_word(zd, residue, keep), depth)
         if witness is None or t not in subset:
             return witness
         out, height = [], 0

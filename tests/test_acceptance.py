@@ -74,16 +74,21 @@ def test_criterion_2_bs12_oracle_equivalence():
 
 
 def test_criterion_3_freiheitssatz():
-    """200 random full-support relators over {a,b,c}, 50 words over {a,b}
-    each: nonempty reduced words over a proper subset never die."""
+    """200 random full-support relators over {a,b,c}, 50 probes each:
+    nontrivial elements of the subgroup on {a,b} never die.  Each probe
+    holds a spliced-in relator conjugate, so the hierarchy below the top
+    node answers some of them: the solver visits more nodes than there
+    are probes."""
+    solver = Solver()
     t0 = time.perf_counter()
     report = oracles.check_freiheitssatz(
         relators=200, words_per_relator=50, relator_len=6, word_len=10,
-        seed=SEED)
+        seed=SEED, solver=solver)
     elapsed = time.perf_counter() - t0
     assert report.passed
     assert not report.exhausted
     assert report.checked == 200 * 50
+    assert solver.stats["nodes"] > report.checked
     print(f"criterion 3: {report.checked} cases, 0 violations, "
           f"{elapsed:.2f}s PASS")
 

@@ -156,13 +156,15 @@ def test_zero_case_presentation():
     assert zd.ids == (b[0], b[1])
     assert zd.index == {b[0]: 0, b[1]: 1}
     assert zd.base.relator == (2, -1, -1)
-    assert base_word(zd, ()) == ((), (b[0], b[1]))
+    assert base_word(zd, (), b[1].__ne__) == ((), (b[0], b[1]), {0})
     # window letters keep their ids; the residue's letters outside the
     # window follow, in order of first occurrence, and the relator is
-    # untouched
-    word, ids = base_word(zd, (-b[2], b[0], b[-1], b[2], b[1]))
+    # untouched; the subset holds the base ids whose letters keep accepts
+    word, ids, subset = base_word(zd, (-b[2], b[0], b[-1], b[2], b[1]),
+                                  b[0].__ne__)
     assert ids == (b[0], b[1], b[2], b[-1])
     assert word == (-3, 1, 4, 3, 2)
+    assert subset == {1, 2, 3}
 
 
 def exhaustive_relators(max_len):
@@ -276,6 +278,30 @@ def cyclically_reduced_words(rank, max_len):
                     if not w or w[-1] != -lt]
         out.extend(w for w in frontier if cyclically_reduced(w))
     return out
+
+
+def test_rewrite_zero_case_is_rotation_invariant():
+    """The zero-case rewrite scans the relator once from height 0, with no
+    rotation: every cyclic rotation of a relator gives the same pairs and
+    pivot, and a base relator that is a cyclic rotation of the unrotated
+    relator's.  Every cyclically reduced relator of length <= 8 over a,b
+    and <= 6 over a,b,c, with each generator of exponent sum 0 in it."""
+    checked = 0
+    for rank, max_len in ((2, 8), (3, 6)):
+        for r in cyclically_reduced_words(rank, max_len):
+            for t in words.support(r):
+                if words.exponent_sum(r, t) != 0:
+                    continue
+                zd = rewrite_zero_case(r, t)
+                base = zd.base.relator
+                turns = {base[k:] + base[:k] for k in range(len(base))}
+                for k in range(1, len(r)):
+                    rot = rewrite_zero_case(r[k:] + r[:k], t)
+                    assert (rot.pairs, rot.pivot) == (zd.pairs, zd.pivot), (
+                        r, t, k)
+                    assert rot.base.relator in turns, (r, t, k)
+                    checked += 1
+    assert checked == 63488
 
 
 def test_every_node_relator_is_cyclically_reduced(monkeypatch):
@@ -438,9 +464,8 @@ def test_tietze_fold_agrees_with_the_descent():
                                          0)
                 assert solver.stats["tietze_folds"] == 1
                 assert solver.stats["pinch_tests"] == 0
-                word, ids = base_word(zd, u)
-                subset = frozenset(range(len(ids))) - {zd.index[excluded]}
-                witness = solver._base_member(zd, word, ids, subset, 0)
+                witness = solver._base_member(
+                    zd, *base_word(zd, u, excluded.__ne__), 0)
                 shift = FoldTable(zd.rank, -sign, 0, -1)
                 assert folded == list(map(shift.__getitem__, witness)), (
                     zd.base, sign, u)

@@ -402,11 +402,11 @@ def test_pinch_hits_are_counted_apart_from_memo_hits():
     solver = Solver()
     zd = breakdown.Node(BS12.relator).zero
     # the residue b_1 (letter id 6) in the base subgroup on b_0, where
-    # b_1 = b_0^2
-    word, ids = breakdown.base_word(zd, (6,))
+    # b_1 = b_0^2 (b_0 is letter id 2)
+    word, ids, subset = breakdown.base_word(zd, (6,), (2).__eq__)
+    assert subset == frozenset({0})
     for hits in (0, 1):
-        assert solver._base_member(zd, word, ids, frozenset({0}),
-                                    0) == (2, 2)
+        assert solver._base_member(zd, word, ids, subset, 0) == (2, 2)
         assert solver.stats["pinch_hits"] == hits
     assert solver.stats["pinch_tests"] == solver.stats["residue_tests"] == 0
     assert solver.stats["memo_hits"] == 0
