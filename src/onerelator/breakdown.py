@@ -25,9 +25,12 @@ base group's ids, and picks the subset a descent asks for.
 Each relator the hierarchy reaches is a :class:`Node`, built once, and
 everything built from a relator is built by its node on first use and kept
 there: its zero node, the zero nodes on other pivots, its embeddings and
-its free-part core.  A zero node owns its base group's node and the two
-fold tables (:class:`FoldTable`) of its pinches, one per sign of the
-stable letter that closes them; an embedding owns its image's node.
+its free-part core.  A zero node owns its base group's node and, per sign
+of the stable letter that closes its pinches, a fold table
+(:class:`FoldTable`) from letter to letter and the excluded letter's
+Tietze table; an embedding owns its image's node.  Every word map, a
+Tietze move or an embedding's substitution too, is a table from signed
+letter to reduced word, built once and applied by :func:`.words.substitute`.
 """
 
 from dataclasses import dataclass, field
@@ -51,17 +54,13 @@ def _decode(rank, a):
 
 
 class FoldTable(dict):
-    """Signed letter -> its image under the conjugation ``g_i ->
-    g_{i+delta}``: a zero node's pinches fold through one table per sign
-    of the stable letter that closes them, built with the zero node
-    (:func:`rewrite_zero_case`).  A letter enters on its first lookup when
-    its subscript lies in ``lo..hi``, the zero node's window widened by
-    one each way, so the table's size is fixed by its zero node; any other
-    letter is shifted on each lookup.  The pinch's excluded letter enters
-    only when the base relator has a Tietze move for it, and maps to the
-    shifted Tietze value, a word (tuple): every other value is a letter
-    (int).  A lookup would enter the excluded letter, so it is looked up
-    only once the table holds it."""
+    """Signed letter -> the letter of its image under the conjugation
+    ``g_i -> g_{i+delta}``: a zero node's pinches fold through one table
+    per sign of the stable letter that closes them, built with the zero
+    node (:func:`rewrite_zero_case`).  A letter enters on its first lookup
+    when its subscript lies in ``lo..hi``, the zero node's window widened
+    by one each way, so the table's size is fixed by its zero node; any
+    other letter is shifted on each lookup."""
 
     __slots__ = ("rank", "delta", "lo", "hi")
 
@@ -94,10 +93,11 @@ class Node:
 
     * ``support``: the generator ids of the relator;
     * ``exponents``: the exponent sums of ids ``0..max(support)``;
-    * ``moves``: the Tietze moves, one ``(h, value)`` per generator ``h``
-      that occurs once, in increasing ``h``.  From ``r = p h^e q`` the
-      rotation ``h^e q p`` is trivial too, so ``h = ((q p)^-1)^e``, and
-      ``q p``, a piece of a cyclically reduced word's rotation, is reduced.
+    * ``moves``: the Tietze moves, one ``(h, {h: v, h^-1: v^-1})`` per
+      generator ``h`` that occurs once, in increasing ``h``.  From ``r = p
+      h^e q`` the rotation ``h^e q p`` is trivial too, so ``v = ((q
+      p)^-1)^e``, and ``q p``, a piece of a cyclically reduced word's
+      rotation, is reduced.
 
     The node builds the rest on first use and keeps it:
 
@@ -130,8 +130,9 @@ class Node:
             if relator.count(a) + relator.count(-a) == 1:
                 k = relator.index(a) if a in relator else relator.index(-a)
                 qp = relator[k + 1:] + relator[:k]
-                moves.append((a - 1, qp if relator[k] < 0 else
-                              words.invert(qp)))
+                pq = words.invert(qp)
+                moves.append((a - 1, {a: qp, -a: pq} if relator[k] < 0
+                              else {a: pq, -a: qp}))
         self.moves = tuple(moves)
         self._hash = hash(relator)
         self._zero = self._core = _UNBUILT
@@ -195,20 +196,20 @@ class Node:
 # ---------------------------------------------------------------------------
 # breakdown step data
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroCaseData:
     """The HNN form of a relator whose generator ``t`` has exponent sum 0.
 
     A pinch ``t^-s u t^s`` (``s`` = +-1) folds when ``u`` lies in the
     associated subgroup, on every base generator but the excluded letter
-    ``pivot_ends[s < 0]``; the fold is ``u``'s witness shifted by ``-s``.
-    ``folds[s < 0]`` is that sign's :class:`FoldTable`, built with the
-    zero node.  When the excluded letter occurs once in the base relator
-    (it has a move in ``base.moves``), the base group is free on the other
-    generators, so every ``u`` is a member, with ``u`` under the Tietze
-    move as its witness: the table maps the excluded letter to its shifted
-    Tietze value, and the fold is one lookup per letter and one free
-    reduction.
+    ``pivot_ends[s < 0]``; the fold is ``u``'s witness shifted by ``-s``,
+    through ``folds[s < 0]``, that sign's :class:`FoldTable`.  When the
+    excluded letter occurs once in the base relator (it has a move in
+    ``base.moves``), the base group is free on the other generators, so
+    every ``u`` is a member, with ``u`` under the Tietze move as its
+    witness: ``tietze[s < 0]`` is that move's letter table over window
+    letter ids (None without a move), and the fold is the shift of ``u``'s
+    image under it.  Both tables of each sign are built with the zero node.
     """
 
     stable: int                 # generator t with exponent sum 0
@@ -224,9 +225,11 @@ class ZeroCaseData:
                                 # greatest subscript
     folds: tuple = field(repr=False, compare=False)  # the FoldTable
                                 # of each sign s, at folds[s < 0]
+    tietze: tuple = field(repr=False)  # the excluded letter's Tietze
+                                # table or None of each sign s, at [s < 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbeddingData:
     """The Magnus embedding of a nonzero node by a pair ``(a, b)``: the
     image's letters ``x`` and ``y`` are ids 0 and 1, and every other
@@ -237,7 +240,7 @@ class EmbeddingData:
     gen_map: dict               # other old gen id -> image gen id
     back: dict = field(repr=False)  # signed image letter but x, y -> its
                                 # old letter, pulling witnesses back
-    substitution: dict = field(repr=False)  # old gen id -> image word
+    substitution: dict = field(repr=False)  # old letter -> image word
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +256,9 @@ def rewrite_zero_case(relator, t, pivot=None):
     (queries enter at height 0, so the base owns the pivot's ``g_0``); nor
     a free reduction, as two stamps that cancel, at one height with no
     ``t`` between them, would be adjacent in the cyclically reduced
-    relator.  The base group on the sorted pairs and both fold tables,
-    each holding its excluded letter only when the base relator has a move
-    for it, are built from the stamps, once per node.  The relator uses
+    relator.  The base group on the sorted pairs, both fold tables and
+    the Tietze table of each excluded letter with a move in the base
+    relator are built from the stamps, once per node.  The relator uses
     every generator, so its rank is one more than its largest id.
     """
     if words.exponent_sum(relator, t) != 0:
@@ -283,20 +286,20 @@ def rewrite_zero_case(relator, t, pivot=None):
     base_id = {pair: k + 1 for k, pair in enumerate(pairs)}
     base = Node(tuple(s * base_id[g, i - low] for s, g, i in stamps))
     pivot_ends = pivot + 1, _encode(rank, pivot, max(heights) - low)
-    moves = dict(base.moves)
     # a stable letter of sign s closes pinches that shift by -s and
-    # exclude pivot_ends[s < 0]
+    # exclude pivot_ends[s < 0], whose Tietze move, if the base relator
+    # has one, is renumbered onto window letter ids
     lo, hi = min(i for _, i in pairs) - 1, max(i for _, i in pairs) + 1
     folds = FoldTable(rank, -1, lo, hi), FoldTable(rank, 1, lo, hi)
-    for table, excluded in zip(folds, pivot_ends):
-        value = moves.get(index[excluded])
-        if value is not None:
-            image = tuple(table[ids[lt - 1] if lt > 0 else -ids[-lt - 1]]
-                          for lt in value)
-            table[excluded], table[-excluded] = image, words.invert(image)
+    window = lambda lt: ids[lt - 1] if lt > 0 else -ids[-lt - 1]
+    moves = dict(base.moves)
+    tietze = tuple(
+        {window(lt): tuple(map(window, v))
+         for lt, v in moves[index[e]].items()} if index[e] in moves else None
+        for e in pivot_ends)
     return ZeroCaseData(stable=t, pivot=pivot, rank=rank, pairs=pairs,
                         ids=ids, index=index, base=base,
-                        pivot_ends=pivot_ends, folds=folds)
+                        pivot_ends=pivot_ends, folds=folds, tietze=tietze)
 
 
 def base_word(zdata, u, keep):
@@ -322,8 +325,7 @@ def base_word(zdata, u, keep):
             frozenset(k for k, a in enumerate(ids) if keep(a)))
 
 
-def embed_nonzero_case(rank, relator, a, b,
-                       max_len=words.DEFAULT_MAX_WORD_LEN):
+def embed_nonzero_case(rank, relator, a, b, max_len):
     """Magnus embedding ``a -> y x^-beta, b -> x^alpha`` (others fixed).
 
     The image relator gets ``x``-exponent sum ``alpha*(-beta) + beta*alpha
@@ -340,10 +342,12 @@ def embed_nonzero_case(rank, relator, a, b,
     # x is id 0 and y id 1
     gen_map, back, substitution = {}, {}, {}
     for k, g in enumerate((g for g in range(rank) if g not in (a, b)), 2):
-        gen_map[g], substitution[g] = k, (k + 1,)
+        gen_map[g] = k
+        substitution[g + 1], substitution[-g - 1] = (k + 1,), (-k - 1,)
         back[k + 1], back[-k - 1] = g + 1, -g - 1
-    substitution[a] = (2,) + tuple([-1] * beta if beta > 0 else [1] * (-beta))
-    substitution[b] = tuple([1] * alpha if alpha > 0 else [-1] * (-alpha))
+    for g, v in ((a, (2,) + (-1 if beta > 0 else 1,) * abs(beta)),
+                 (b, (1 if alpha > 0 else -1,) * abs(alpha))):
+        substitution[g + 1], substitution[-g - 1] = v, words.invert(v)
     core = words.cyclic_reduce(words.substitute(relator, substitution,
                                                 max_len))
     return EmbeddingData(alpha=alpha, image=Node(core), gen_map=gen_map,

@@ -83,7 +83,7 @@ def build_parser():
                                      "freiheitssatz", "modular-group"])
     p.add_argument("--max-len", type=int, default=None,
                    help="word length bound, default 4 (freiheitssatz: "
-                        "relator length, at least 3, default 6)")
+                        "relator length, at least 6, default 6)")
     p.add_argument("--relators", type=int, default=200,
                    help="freiheitssatz: number of random relators")
     p.add_argument("--words", type=int, default=50,
@@ -209,8 +209,8 @@ def cmd_oracle_ncl(args, solver):
 
 
 def cmd_check(args, solver):
-    # the freiheitssatz relators use all three of a, b, c
-    least = 3 if args.suite == "freiheitssatz" else 1
+    # a freiheitssatz relator holds each of a, b, c at least twice
+    least = 6 if args.suite == "freiheitssatz" else 1
     max_len = args.max_len
     if max_len is None:
         max_len = 6 if args.suite == "freiheitssatz" else 4

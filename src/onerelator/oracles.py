@@ -263,10 +263,10 @@ def free_at_length(m1, m2, max_len):
 # ---------------------------------------------------------------------------
 # rank-2 primitivity
 
-#: the rank-2 Whitehead automorphisms that move one generator, keyed by
-#: generator id as :func:`.words.substitute` takes them
+#: the rank-2 Whitehead automorphisms that move one generator, as the
+#: letter tables :func:`.words.substitute` takes
 _WHITEHEAD_AUTOS = [
-    {g - 1: image}
+    {g: image, -g: invert(image)}
     for g, x in ((1, 2), (2, 1)) for eps in (1, -1)
     for image in ((g, eps * x), (-eps * x, g), (-eps * x, g, eps * x))]
 
@@ -426,47 +426,45 @@ def random_reduced_word(rng, num_gens, length):
     return tuple(out)
 
 
-def random_cyclically_reduced_word(rng, num_gens, length,
-                                   require_full_support=False):
-    """Rejection-sampled cyclically reduced word; optionally full support,
-    which needs ``length >= num_gens`` (``ValueError`` otherwise)."""
-    if require_full_support and length < num_gens:
-        raise ValueError(f"a word of length {length} cannot use all "
-                         f"{num_gens} generators")
+def random_cyclically_reduced_word(rng, num_gens, length):
+    """Rejection-sampled cyclically reduced word of the given length."""
     while True:
         w = random_reduced_word(rng, num_gens, length)
-        if not words.is_cyclically_reduced(w):
-            continue
-        if require_full_support and len(words.support(w)) < num_gens:
-            continue
-        return w
+        if words.is_cyclically_reduced(w):
+            return w
 
 
 def check_freiheitssatz(relators=200, words_per_relator=50, relator_len=6,
-                        word_len=10, seed=0, solver=None):
+                        seed=0, solver=None):
     """Nontrivial elements of the subgroup on a, b stay nontrivial.
 
-    Relators ``r`` are random cyclically reduced words on all of a, b, c.
+    Relators ``r`` are random cyclically reduced words of length
+    6..``relator_len`` in which each of a, b, c occurs at least twice, so
+    no Tietze move decides the top node (``ValueError`` below length 6).
     A probe is a nontrivial commutator of random reduced words over a, b of
-    length 1..``word_len`` with ``g r^+-1 g^-1`` (``|g| <= 2``) spliced in:
-    the same element, but holding c and with the exponent sums of
-    ``r^+-1``, so neither the solver's Freiheitssatz exit nor its abelian
-    test can answer it at the top node.
+    length 1..10 with ``g r^+-1 g^-1`` (``|g| <= 2``) spliced in: the same
+    element, but holding c and with the exponent sums of ``r^+-1``, so
+    neither the solver's Freiheitssatz exit nor its abelian test can answer
+    it at the top node.
     """
+    if relator_len < 6:
+        raise ValueError(f"relator_len must be at least 6, got {relator_len}")
     rng = random.Random(seed)
     solver = solver or Solver()
     alphabet = Alphabet(("a", "b", "c"))
     report = CheckReport(name=f"freiheitssatz relators={relators} "
                               f"words={words_per_relator} seed={seed}")
     for _ in range(relators):
-        r = random_cyclically_reduced_word(
-            rng, 3, rng.randint(3, relator_len), require_full_support=True)
+        r = ()
+        while any(r.count(a) + r.count(-a) < 2 for a in (1, 2, 3)):
+            r = random_cyclically_reduced_word(
+                rng, 3, rng.randint(6, relator_len))
         pres = make_presentation(alphabet, r)
         for _ in range(words_per_relator):
             comm = ()
             while not comm:
-                u = random_reduced_word(rng, 2, rng.randint(1, word_len))
-                v = random_reduced_word(rng, 2, rng.randint(1, word_len))
+                u = random_reduced_word(rng, 2, rng.randint(1, 10))
+                v = random_reduced_word(rng, 2, rng.randint(1, 10))
                 comm = concat((u, v, invert(u), invert(v)))
             g = random_reduced_word(rng, 3, rng.randint(0, 2))
             k = rng.randint(0, len(comm))

@@ -32,7 +32,7 @@ def make_presentation(alphabet, relator_input):
     return OneRelatorPresentation(alphabet, core)
 
 
-def abelian_obstruction(rank, exponents, w, subset=frozenset()):
+def abelian_obstruction(rank, exponents, w, subset):
     """Fast negative certificate for membership of ``w`` in the Magnus
     subgroup on ``subset`` of ``<rank generators | relator>``, given the
     relator's ``exponents`` (its exponent sums of the first ids; the rest

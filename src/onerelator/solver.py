@@ -32,7 +32,8 @@ subgroup on no generators, with witness ``()``:
   one excluded pivot letter); when the excluded letter occurs once in the
   base relator, the base group is free on the other letters, so every
   residue is a member with its image under that Tietze move as witness,
-  and the pinch folds through the zero node's fold table without a test
+  and the pinch folds without a test, through the zero node's Tietze
+  table for that letter and then its fold table
   (``stats["tietze_folds"]`` counts these folds); any other test
   (``stats["pinch_tests"]``), and the test of the final residue
   (``stats["residue_tests"]``), depends only on the base group, the
@@ -53,18 +54,20 @@ The recursion carries no generator names: a node is a rank and a
 support, exponent sums and Tietze moves, built once per relator.  The node
 builds on first use, and owns, everything built from its relator: its zero
 node, its zero nodes on other pivots, its embeddings and its free-part
-core.  A zero node owns its base group's node and one fold table per sign
-of the stable letter that closes a pinch (:class:`.breakdown.FoldTable`),
-both built with it by :func:`.breakdown.rewrite_zero_case`; an embedding
-owns its image's node.  Each edge renumbers a word through a dict from
-signed letter to signed letter that its owner built once: the core's
-tables into and out of its support, the embedding's table back from its
-image and the fold tables.  Every descent into a base group enters it by
-one call of :func:`.breakdown.base_word`, which maps the residue and picks
-the subset by a test of the letters to keep.  Each node shape has one path,
-wherever the subset lies; a subset holding a zero node's stable letter
-``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
-t^-i`` times a power of ``t``).  Names are made only in
+core.  A zero node owns its base group's node and, per sign of the stable
+letter that closes a pinch, a fold table (:class:`.breakdown.FoldTable`)
+and the excluded letter's Tietze table, all built with it by
+:func:`.breakdown.rewrite_zero_case`; an embedding owns its image's node.
+Each edge maps a word through tables its owner built once: letter to
+letter for the core's tables into and out of its support, the embedding's
+table back from its image and the fold tables; letter to word, through
+:func:`.words.substitute`, for a Tietze move, a zero node's Tietze table
+and an embedding's substitution.  Every descent into a base group enters
+it by one call of :func:`.breakdown.base_word`, which maps the residue and
+picks the subset by a test of the letters to keep.  Each node shape has
+one path, wherever the subset lies; a subset holding a zero node's stable
+letter ``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i
+g t^-i`` times a power of ``t``).  Names are made only in
 :meth:`Solver._tree`, which names, prints and describes each node of the
 document that ``hierarchy_tree`` returns in its one walk.
 
@@ -247,11 +250,11 @@ class Solver:
         are pushed onto the word below, under the word-length cap.  The
         shift looks each letter up in the zero node's fold table for the
         incoming sign, and needs no test when ``u`` misses that one
-        excluded letter (``u`` is its own witness) or when the table holds
-        the letter, mapped to its shifted Tietze value (the base group is
-        free on the other letters, and the lookups followed by one free
-        reduction give ``u``'s witness, shifted).  Only otherwise is ``u``
-        tested, by a :meth:`_base_member` descent.  If the test fails, the
+        excluded letter (``u`` is its own witness) or when the zero node
+        keeps a Tietze table for it (the base group is free on the other
+        letters, and ``u``'s image under the table is its witness, which
+        is then shifted).  Only otherwise is ``u`` tested, by a
+        :meth:`_base_member` descent.  If the test fails, the
         letter and its chunk go on top.  A word below the top changes only
         at its seam with a push, so a fold costs the letters it pushes,
         each stable letter costs at most one membership test, and no pinch
@@ -264,18 +267,13 @@ class Solver:
             sign, u = (1 if w[k] > 0 else -1), w[k + 1:end]
             if len(out) > 1 and out[-2] == -sign:
                 top, excluded = out[-1], zdata.pivot_ends[sign < 0]
-                table = zdata.folds[sign < 0]
+                table, tietze = zdata.folds[sign < 0], zdata.tietze[sign < 0]
                 if excluded not in top and -excluded not in top:
                     folded = tuple(map(table.__getitem__, top))
-                elif excluded in table:
+                elif tietze is not None:
                     self.stats["tietze_folds"] += 1
-                    letters = []
-                    for v in map(table.__getitem__, top):
-                        if v.__class__ is tuple:
-                            letters += v
-                        else:
-                            letters.append(v)
-                    folded = words.reduce(letters, cap)
+                    folded = tuple(map(table.__getitem__,
+                                       words.substitute(top, tietze, cap)))
                 else:
                     self.stats["pinch_tests"] += 1
                     witness = self._base_member(
@@ -331,11 +329,10 @@ class Solver:
                 # group is free on the generators other than h, so the
                 # image decides the node; with h in the subset, only an
                 # empty image does (w is trivial)
-                h, value = next((m for m in node.moves if m[0] not in subset),
-                                node.moves[0])
+                h, move = next((m for m in node.moves if m[0] not in subset),
+                               node.moves[0])
                 try:
-                    image = words.substitute(w, {h: value},
-                                             self.limits.max_word_len)
+                    image = words.substitute(w, move, self.limits.max_word_len)
                 except ResourceExhausted:
                     if h not in subset:
                         raise

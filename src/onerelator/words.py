@@ -135,16 +135,14 @@ def concat(words, max_len=DEFAULT_MAX_WORD_LEN):
     return reduce(chain.from_iterable(words), max_len)
 
 
-def substitute(w, images, max_len=DEFAULT_MAX_WORD_LEN):
-    """Image of ``w`` under ``g -> images[g]``, freely reduced; generators
-    without an image stay as they are."""
-    letters = {}
-    for g, v in images.items():
-        letters[g + 1], letters[-g - 1] = v, invert(v)
+def substitute(w, letters, max_len=DEFAULT_MAX_WORD_LEN):
+    """Image of ``w`` under ``letters``, a table from signed letter (both
+    signs of each generator it moves) to reduced word, freely reduced;
+    letters missing from the table stay as they are."""
     out = []
     for lt in w:
         if lt in letters:
-            out.extend(letters[lt])
+            out += letters[lt]
         else:
             out.append(lt)
     return reduce(out, max_len)

@@ -26,6 +26,7 @@ from test_acceptance import SEED, fuzz_queries
 ROOT = Path(__file__).resolve().parents[1]
 
 AB = Alphabet(("a", "b"))
+CAP = words.DEFAULT_MAX_WORD_LEN
 
 
 def test_subscripted_letter_ids():
@@ -125,10 +126,11 @@ def test_fresh_names_avoid_collisions():
 
 def test_embed_nonzero_case():
     r = (1, 1, 2, 2, 2)  # alpha=2, beta=3
-    emb = embed_nonzero_case(2, r, 0, 1)
+    emb = embed_nonzero_case(2, r, 0, 1, CAP)
     assert emb.alpha == 2
     # a -> y x^-3 (beta = 3), b -> x^2
-    assert emb.substitution == {0: (2, -1, -1, -1), 1: (1, 1)}
+    assert emb.substitution == {1: (2, -1, -1, -1), -1: (1, 1, 1, -2),
+                                2: (1, 1), -2: (-1, -1)}
     # sigma_x of the image relator must vanish
     assert words.exponent_sum(emb.image.relator, 0) == 0
     # translating the relator itself gives a trivial image
@@ -138,14 +140,14 @@ def test_embed_nonzero_case():
 
 
 def test_embed_nonzero_preserves_other_generators():
-    emb = embed_nonzero_case(3, (1, 2, 3), 0, 1)
+    emb = embed_nonzero_case(3, (1, 2, 3), 0, 1, CAP)
     assert emb.gen_map == {2: 2}
     assert words.substitute((3,), emb.substitution) == (3,)
 
 
 def test_embed_nonzero_preconditions():
     with pytest.raises(PreconditionViolated):
-        embed_nonzero_case(2, (1, 2, -1, -2, -2), 0, 1)  # alpha = 0
+        embed_nonzero_case(2, (1, 2, -1, -2, -2), 0, 1, CAP)  # alpha = 0
 
 
 def test_zero_case_presentation():
@@ -254,7 +256,7 @@ def test_reachable_nodes_are_free_on_what_they_keep():
         if zd is None:
             pairs = [(a, b) for a in range(rank) for b in range(rank)
                      if a < b or b == min(set(range(rank)) - {a})]
-            todo.update((rank, embed_nonzero_case(rank, relator, *ab)
+            todo.update((rank, embed_nonzero_case(rank, relator, *ab, CAP)
                          .image.relator) for ab in pairs)
             continue
         t = zd.stable
@@ -329,8 +331,9 @@ def test_every_node_relator_is_cyclically_reduced(monkeypatch):
         if node.relator in seen:
             continue
         seen.add(node.relator)
-        for h, value in node.moves:
-            assert value == words.reduce(value), (node, h)
+        for h, move in node.moves:
+            for value in move.values():
+                assert value == words.reduce(value), (node, h)
         rank = len(node.support)
         if rank == 1:
             continue
@@ -339,7 +342,7 @@ def test_every_node_relator_is_cyclically_reduced(monkeypatch):
             continue
         zd = node.zero
         if zd is None:
-            todo.extend(embed_nonzero_case(rank, node.relator, a, b).image
+            todo.extend(embed_nonzero_case(rank, node.relator, a, b, CAP).image
                         for a in range(rank) for b in range(rank)
                         if a < b or b == min(set(range(rank)) - {a}))
             continue
@@ -383,18 +386,20 @@ def test_fold_tables():
     """A zero node is built with one fold table per sign of the stable
     letter that closes a pinch.  In BS(1,2), with base relator b_1 b_0^-2:
     a pinch a^-1 u a shifts subscripts down and excludes b_0, which occurs
-    twice, so b_0 stays out of its table; a pinch a u a^-1 shifts up and
-    excludes b_1 = b_0^2, which its table maps to the shifted Tietze value
-    b_1^2.  Any other letter, one off the window too, enters a table on
-    its first lookup; a letter two off is shifted but not kept."""
+    twice, so it has no Tietze table; a pinch a u a^-1 shifts up and
+    excludes b_1 = b_0^2, whose Tietze table maps it to b_0^2.  A fold
+    table maps letters to letters: a letter, one off the window too,
+    enters it on its first lookup; a letter two off is shifted but not
+    kept."""
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
     b = {i: _encode(2, 1, i) for i in range(-3, 5)}
     down, up = zd.folds
-    assert not down
+    assert not down and not up
+    assert zd.tietze == (None, {b[1]: (b[0], b[0]), -b[1]: (-b[0], -b[0])})
     assert (down[b[1]], down[-b[1]]) == (b[0], -b[0])
     assert down[-b[2]] == -b[1] and down[b[2]] == b[1]
     assert b[0] not in down and -b[0] not in down
-    assert up[b[1]] == (b[1], b[1]) and up[-b[1]] == (-b[1], -b[1])
+    assert up[b[1]] == b[2] and up[-b[1]] == -b[2]
     assert up[b[0]] == b[1] and up[-b[-1]] == -b[0] and up[b[2]] == b[3]
     # the window b_0..b_1 widened by one is b_-1..b_2
     assert up[b[3]] == b[4] and down[-b[-2]] == -b[-3]
@@ -404,8 +409,7 @@ def test_fold_tables():
     # both pivot ends, each the inverse of the other
     zd = Node((1, 2, 1, -2)).zero
     a0, a1 = zd.pivot_ends
-    assert zd.folds[0][a0] == (-a0,)
-    assert zd.folds[1][a1] == (-a1,)
+    assert zd.tietze == ({a0: (-a1,), -a0: (a1,)}, {a1: (-a0,), -a1: (a0,)})
 
 
 def wp_warm_zero_nodes():
@@ -426,7 +430,7 @@ def wp_warm_zero_nodes():
         zd = node.zero
         if zd is None:
             todo.append(embed_nonzero_case(len(node.support), node.relator,
-                                           0, 1).image)
+                                           0, 1, CAP).image)
         else:
             out.append(zd)
             todo.append(zd.base)
@@ -447,7 +451,7 @@ def test_tietze_fold_agrees_with_the_descent():
                    for i in (-3, 4)]
         for sign in (1, -1):
             excluded = zd.pivot_ends[sign < 0]
-            if excluded not in zd.folds[sign < 0]:
+            if zd.tietze[sign < 0] is None:
                 continue
             checked.add((zd.base.relator, sign))
             letters = [s * a for a in zd.ids + tuple(outside) for s in (1, -1)]

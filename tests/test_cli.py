@@ -256,7 +256,7 @@ def test_check_command(capsys):
 
 @pytest.mark.parametrize("suite, max_len, least", [
     ("conjugacy", "0", 1), ("commutator-roots", "-1", 1),
-    ("freiheitssatz", "2", 3)])
+    ("freiheitssatz", "5", 6)])
 def test_check_rejects_max_len_out_of_range(capsys, suite, max_len, least):
     assert main(["check", suite, "--max-len", max_len]) == 2
     err = capsys.readouterr().err
@@ -264,7 +264,7 @@ def test_check_rejects_max_len_out_of_range(capsys, suite, max_len, least):
 
 
 def test_check_freiheitssatz_least_max_len(capsys):
-    assert main(["check", "freiheitssatz", "--max-len", "3",
+    assert main(["check", "freiheitssatz", "--max-len", "6",
                  "--relators", "2", "--words", "2"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
 

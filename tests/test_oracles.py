@@ -394,13 +394,27 @@ def test_random_reduced_word_is_reduced():
         assert words.reduce(w) == w
 
 
-def test_random_cyclically_reduced_word_full_support():
-    rng = random.Random(0)
-    w = random_cyclically_reduced_word(rng, 3, 3, require_full_support=True)
-    assert words.is_cyclically_reduced(w) and words.support(w) == {0, 1, 2}
-    # two letters cannot use three generators: refused, not sampled forever
+def test_freiheitssatz_relators_repeat_every_generator():
+    """The Freiheitssatz suite draws cyclically reduced relators of length
+    6..relator_len in which each of a, b, c occurs at least twice, so no
+    top node has a Tietze move; a shorter relator cannot hold each twice,
+    so a lower bound is refused, not sampled forever."""
+    drawn = set()
+
+    class Recording(Solver):
+        def word_problem(self, pres, w):
+            drawn.add(pres.relator)
+            return super().word_problem(pres, w)
+
+    report = check_freiheitssatz(relators=20, words_per_relator=2,
+                                 relator_len=7, seed=2, solver=Recording())
+    assert report.passed and len(drawn) == 20
+    for r in drawn:
+        assert 6 <= len(r) <= 7 and words.is_cyclically_reduced(r)
+        assert all(r.count(a) + r.count(-a) >= 2 for a in (1, 2, 3)), r
     with pytest.raises(ValueError):
-        random_cyclically_reduced_word(rng, 3, 2, require_full_support=True)
+        check_freiheitssatz(relator_len=5)
+    rng = random.Random(0)
     assert len(random_cyclically_reduced_word(rng, 3, 2)) == 2
 
 

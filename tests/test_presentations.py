@@ -47,8 +47,8 @@ def test_abelian_obstruction():
     assert obstructs(3, ababc, (1,), {1, 2})
     assert not obstructs(3, ababc, (2, 3), {1, 2})
     # a vector shorter than the rank: the later relator sums are 0
-    assert not abelian_obstruction(3, (2,), (1, 1, 3, -3))
-    assert abelian_obstruction(3, (2,), (1, 1, 3))
+    assert not abelian_obstruction(3, (2,), (1, 1, 3, -3), frozenset())
+    assert abelian_obstruction(3, (2,), (1, 1, 3), frozenset())
 
 
 def test_restrict_to_subalphabet():

@@ -14,9 +14,11 @@ prepares it (the workload's catalogue set up), then answers the first ``N``
 queries in process.  Each answer is rendered as the worker renders it
 (``exhausted`` when a budget runs out).  One line per run gives the SHA-256
 over the answers, each followed by a newline, then the hierarchy nodes,
-the pinch tests and the tests of final residues the queries took (``nodes
-N pinch_tests P residue_tests R``); the last line is the SHA-256 over the
-six raw digests, in that order.
+the pinch tests, the tests of final residues, the pinches folded through
+a Tietze table and the nodes a Tietze move decided that the queries took
+(``nodes N pinch_tests P residue_tests R tietze_folds F eliminations
+E``); the last line is the SHA-256 over the six raw digests, in that
+order.
 """
 
 import hashlib
@@ -67,7 +69,8 @@ def main(argv):
             h.update(text.encode() + b"\n")
         digests.append(h.digest())
         counts = " ".join(f"{key} {solver.stats[key] - before[key]}"
-                          for key in ("nodes", "pinch_tests", "residue_tests"))
+                          for key in ("nodes", "pinch_tests", "residue_tests",
+                                      "tietze_folds", "eliminations"))
         print(f"{workload} seed {seed}: {h.hexdigest()} {counts}")
     total = hashlib.sha256(b"".join(digests)).hexdigest()
     print(f"total {total}")
