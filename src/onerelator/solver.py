@@ -4,6 +4,11 @@ Magnus-subgroup membership is decided by one recursion over the hierarchy
 produced in :mod:`.breakdown`; the word problem is membership in the
 subgroup on no generators, with witness ``()``:
 
+* a subset holding every relator generator is settled at the entry: the
+  full subset holds ``w``, its own witness, and any other goes to the free
+  split below; every subset asked about below misses a relator letter, so
+  it is free on itself (Freiheitssatz) and its witness, the unique reduced
+  word over it, is what every rule below returns and a pinch shifts,
 * when the subset and the word's letters miss a relator generator, they
   are free on themselves (Freiheitssatz): the reduced word is a member
   exactly when it is over the subset, and then its own witness
@@ -14,10 +19,10 @@ subgroup on no generators, with witness ``()``:
 * a generator ``h`` that occurs once in the relator is eliminated by a
   Tietze move (one of the node's ``moves``, the least ``h`` outside the
   subset if there is one): the group is free on the other generators, so
-  substituting for ``h`` and freely reducing decides the query when ``h``
-  lies outside the subset (the reduced image is the witness); with ``h``
-  in the subset only an empty image decides it, as a trivial word with
-  witness ``()``; ``stats["eliminations"]`` counts the nodes it decides,
+  the image under substituting for ``h`` and freely reducing is the
+  witness when it lies over the subset, and with ``h`` outside the subset
+  no other image is a member; ``stats["eliminations"]`` counts the nodes
+  it decides,
 * free-factor generators split off as a free product, decided in one
   stack pass over the query's maximal runs that asks each active syllable
   once (:meth:`Solver._member_free_split`),
@@ -41,13 +46,6 @@ subgroup on no generators, with witness ``()``:
 * otherwise an injective substitution creates such a generator and maps
   the queried subset into a Magnus subgroup of the image, which the same
   recursion decides at the same depth (:meth:`Solver._member_nonzero`).
-
-Membership queries return witnesses (words over the queried subset), which
-is what makes the pinch elimination effective: a subset that misses a letter
-of a cyclically reduced relator is free on itself (Freiheitssatz), so the
-witness is the unique normal form, a word whose letters and subset miss a
-relator letter is decided without a descent (its own witness when it is over
-the subset), and shifting subscripts realizes the conjugation.
 
 The recursion carries no generator names: a node is a rank and a
 :class:`.breakdown.Node`, a relator over ids below the rank with its
@@ -124,7 +122,9 @@ class Solver:
     Both queries run through one recursion, :meth:`_member`; the word
     problem is membership on the empty subset.  Every descent returns the
     witness, a reduced word over the subset, or None for a non-member; the
-    empty witness ``()`` is a member, so each test reads ``is None``.  Only
+    empty witness ``()`` is a member, so each test reads ``is None``.  A
+    subset holding every letter of its node's relator is settled at the
+    entry of :meth:`_member`, so every subset below it is free.  Only
     :meth:`magnus_membership` wraps the answer, in a
     :class:`MembershipVerdict`.  A word from outside is reduced and checked
     once, by :func:`.words.validate_word`, on the way in.
@@ -314,8 +314,9 @@ class Solver:
     def _member(self, node, rank, w, subset, depth):
         try:
             self._bump(depth)
-            if len(subset) == rank:
-                return w
+            if node.support <= subset:
+                return w if len(subset) == rank else self._member_free_split(
+                    node, w, subset, depth)
             for g in node.support - subset:
                 if g + 1 not in w and -g - 1 not in w:
                     # the subset and w miss g: free on their letters
@@ -326,9 +327,9 @@ class Solver:
                 return None
             if node.moves:
                 # the least move, preferring an h outside the subset: the
-                # group is free on the generators other than h, so the
-                # image decides the node; with h in the subset, only an
-                # empty image does (w is trivial)
+                # group is free on the generators other than h, so an image
+                # over the subset is the witness, and with h outside the
+                # subset no other image is a member
                 h, move = next((m for m in node.moves if m[0] not in subset),
                                node.moves[0])
                 try:
@@ -336,19 +337,18 @@ class Solver:
                 except ResourceExhausted:
                     if h not in subset:
                         raise
-                    image = None
-                if h not in subset or image == ():
-                    self.stats["eliminations"] += 1
-                    if all(words.letter_gen(lt) in subset for lt in image):
-                        return image
-                    return None
+                else:
+                    over = all(words.letter_gen(lt) in subset for lt in image)
+                    if over or h not in subset:
+                        self.stats["eliminations"] += 1
+                        return image if over else None
 
             if len(node.support) < rank:
                 return self._member_free_split(node, w, subset, depth)
 
             if rank == 1:
-                # the subset is empty (the full subset returned above), so
-                # the abelian test made w a power of the relator
+                # the entry settled any other subset, so the abelian test
+                # made w a power of the relator
                 return ()
             zd = node.zero
             if zd is not None:
@@ -458,8 +458,10 @@ class Solver:
         ``<subset>`` maps into the image's Magnus subgroup ``M`` on the
         images of the subset (``x`` for ``b``).  ``y`` survives in the
         image relator, so ``M`` is free, and ``w`` lies in ``<subset>`` iff
-        its image has a witness in ``M`` whose maximal ``x``-runs are
-        powers of ``x^alpha``; ``x^(alpha j)`` pulls back to ``b^j``.
+        its image has a witness in ``M``.  With ``b`` in the subset ``S``,
+        the image group is ``G *_{b = x^alpha} <x>``, where ``<S - b, x>``
+        meets ``G`` in ``<S>``; the witness being unique, each maximal
+        ``x``-run is a power ``x^(alpha j)``, and pulls back to ``b^j``.
         """
         omitted = sorted(set(range(rank)) - subset)
         a = omitted[0]
@@ -480,8 +482,6 @@ class Solver:
                 continue
             # the witness is reduced, so a run of x letters has one sign
             e = words.letter_sign(run[0]) * len(run)
-            if e % emb.alpha != 0:
-                return None
             parts.append(words.power((b + 1,), e // emb.alpha, cap))
         return words.concat(parts, cap)
 

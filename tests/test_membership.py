@@ -75,7 +75,8 @@ def test_tietze_member_and_non_member():
 
 def test_tietze_subset_holding_the_once_occurring_generator():
     # c is the only once-occurring generator and lies in the subset: the
-    # group is still free on a, b, but only an empty image decides the node
+    # group is still free on a, b, so an image over the subset is the
+    # witness and decides the node, and any other image falls through
     p = make_presentation(ABC, (1, 2, 1, -2, -3))
     solver = Solver()
     # a b a b^-1 is its own image, so the query falls through to the
@@ -86,14 +87,17 @@ def test_tietze_subset_holding_the_once_occurring_generator():
     assert res.witness == (3,)
     assert solver.stats["nodes"] > 1
     assert not solver.magnus_membership(p, (1,), {2}).member
-    # the relator's image is empty: it is trivial, decided at the top node;
-    # so is b a^3 b a^-2 in <a,b | a b^2>, by a = b^-2
-    for pres, subset, w in ((p, {2}, p.relator),
-                            (parse_presentation("a,b | ab^2"), {0},
-                             parse_word("ba^3bA^2", AB))):
+    # decided at the top node: the relator's image is empty, so is that of
+    # b a^3 b a^-2 in <a,b | a b^2>, by a = b^-2, and c b a^-1 b^-1 maps to
+    # a, over {a, c}
+    for pres, subset, w, witness in (
+            (p, {2}, p.relator, ()),
+            (parse_presentation("a,b | ab^2"), {0}, parse_word("ba^3bA^2", AB),
+             ()),
+            (p, {0, 2}, parse_word("cbAB", ABC), (1,))):
         solver = Solver()
         res = solver.magnus_membership(pres, w, subset)
-        assert res.member and res.witness == ()
+        assert res.member and res.witness == witness
         assert solver.stats["eliminations"] == solver.stats["nodes"] == 1
     # b occurs once in AcaBaC^2 and lies in the subset; the image of
     # AB^2CBc overruns 12 letters, which decides nothing, and the hierarchy
@@ -102,6 +106,17 @@ def test_tietze_subset_holding_the_once_occurring_generator():
     solver = Solver(SolverLimits(max_word_len=12))
     res = solver.magnus_membership(p, parse_word("AB^2CBc", ABC), {1, 2})
     assert not res.member
+
+
+def test_subset_holding_the_relator_is_settled_at_the_entry():
+    # {a, b} holds every letter of a b^2, so it is not free: the free split
+    # asks the word problem of <a,b | ab^2> for each syllable over a, b,
+    # drops the trivial ones and keeps the others as their own witnesses
+    p = parse_presentation("a,b,c | ab^2")
+    for text, witness in (("cab^2C", ()), ("abA", (1, 2, -1)),
+                          ("caC", None)):
+        w = parse_word(text, p.alphabet)
+        assert Solver().magnus_membership(p, w, {0, 1}).witness == witness
 
 
 def test_magnus_subgroup_is_free_basis():

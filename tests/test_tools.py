@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,20 @@ def test_answer_hash_is_pinned():
          "200"], capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == ("total fdc270311c491706ae98ad5ebeb32862"
                                     "301fc81e36ba8908fe9ce5e2b46ea7cd")
+
+
+def test_opcount_is_deterministic():
+    # two processes, under different string hash seeds, count the same
+    # opcodes on the same draw
+    outs = [subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "opcount.py"), str(ROOT), "5"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")]
+    lines = outs[0].splitlines()
+    assert [line.split(":")[0] for line in lines[:6]] == [
+        f"{w} seed {s}" for w in ("wp-warm", "member-warm", "wp-cold")
+        for s in (1, 2)]
+    assert len(lines) == 7 and lines[6].startswith("total opcodes ")
+    assert all(int(line.split()[-1]) > 0 for line in lines)
+    assert outs[0] == outs[1]

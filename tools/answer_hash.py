@@ -31,11 +31,12 @@ RUNS = [(workload, seed) for workload in ("wp-warm", "member-warm", "wp-cold")
         for seed in (1, 2)]
 
 
-def main(argv):
-    if len(argv) not in (2, 3):
-        sys.exit(__doc__)
-    tree = os.path.abspath(argv[1])
-    count = int(argv[2]) if len(argv) == 3 else 3000
+def replay(tree, count, call=lambda answer, query: answer(query)):
+    """Answer the first ``count`` queries of each run in ``RUNS`` with the
+    checkout at ``tree``, each by ``call(answer, query)``, so that a caller
+    can wrap each query's parse and solve and nothing else.  Yields
+    ``(workload, seed, answers, counts)`` per run: the rendered answers and
+    the rise of five solver counters over them, by name."""
     sys.path[:0] = [os.path.join(tree, "src"),
                     os.path.join(os.path.dirname(HERE), "perfbench")]
     from onerelator import Solver, parse_presentation, parse_word
@@ -43,34 +44,46 @@ def main(argv):
     from onerelator.textio import print_word
     import gen
 
-    def answer(solver, query):
-        pres = parse_presentation(query[1])
-        w = parse_word(query[2], pres.alphabet)
-        if query[0] == "wp":
-            return solver.word_problem(pres, w).value
-        subset = {pres.alphabet.index(x) for x in query[3].split(",")}
-        res = solver.magnus_membership(pres, w, subset)
-        if not res.member:
-            return "nonmember"
-        return "member " + print_word(res.witness, pres.alphabet)
-
-    digests = []
     for workload, seed in RUNS:
         solver = Solver()
         for text in gen.catalogue(workload):
             solver.hierarchy_tree(parse_presentation(text))
-        before = dict(solver.stats)
-        h = hashlib.sha256()
-        for query, _ in islice(gen.stream(workload, seed), count):
+
+        def answer(query):
             try:
-                text = answer(solver, query)
+                pres = parse_presentation(query[1])
+                w = parse_word(query[2], pres.alphabet)
+                if query[0] == "wp":
+                    return solver.word_problem(pres, w).value
+                subset = {pres.alphabet.index(x) for x in query[3].split(",")}
+                res = solver.magnus_membership(pres, w, subset)
             except ResourceExhausted:
-                text = "exhausted"
+                return "exhausted"
+            if not res.member:
+                return "nonmember"
+            return "member " + print_word(res.witness, pres.alphabet)
+
+        before = dict(solver.stats)
+        answers = [call(answer, query)
+                   for query, _ in islice(gen.stream(workload, seed), count)]
+        yield workload, seed, answers, {
+            key: solver.stats[key] - before[key]
+            for key in ("nodes", "pinch_tests", "residue_tests",
+                        "tietze_folds", "eliminations")}
+
+
+def main(argv):
+    if len(argv) not in (2, 3):
+        sys.exit(__doc__)
+    count = int(argv[2]) if len(argv) == 3 else 3000
+    digests = []
+    for workload, seed, answers, counts in replay(os.path.abspath(argv[1]),
+                                                  count):
+        h = hashlib.sha256()
+        for text in answers:
             h.update(text.encode() + b"\n")
         digests.append(h.digest())
-        counts = " ".join(f"{key} {solver.stats[key] - before[key]}"
-                          for key in ("nodes", "pinch_tests", "residue_tests",
-                                      "tietze_folds", "eliminations"))
+        counts = " ".join(f"{key} {n}" for key, n in counts.items())
         print(f"{workload} seed {seed}: {h.hexdigest()} {counts}")
     total = hashlib.sha256(b"".join(digests)).hexdigest()
     print(f"total {total}")
