@@ -22,18 +22,20 @@ subscripted letters are ordinary :mod:`.words` words and ``g_0`` is the
 plain letter of ``g``.  :func:`base_word` renumbers such a word onto the
 base group's ids, and picks the subset a descent asks for.
 
-Each relator the hierarchy reaches is a :class:`Node`, built once, and
-everything built from a relator is built by its node on first use and kept
-there: its zero node, the zero nodes on other pivots, its embeddings and
-its free-part core.  A zero node owns its base group's node and, per sign
-of the stable letter that closes its pinches, a fold table
-(:class:`FoldTable`) from letter to letter and the excluded letter's
-Tietze table; an embedding owns its image's node.  Every word map, a
-Tietze move or an embedding's substitution too, is a table from signed
-letter to reduced word, built once and applied by :func:`.words.substitute`.
+Each relator the hierarchy reaches is a :class:`Node`, built once with
+its support, and everything else built from a relator is built by its node
+on first use and kept there: its exponent sums, its Tietze moves, its zero
+node, the zero nodes on other pivots, its embeddings and its free-part
+core.  A zero node owns its base group's node and, per sign of the stable
+letter that closes its pinches, a fold table (:class:`FoldTable`) from
+letter to letter and the excluded letter's Tietze table; an embedding owns
+its image's node.  Every word map, a Tietze move or an embedding's
+substitution too, is a table from signed letter to reduced word, built
+once and applied by :func:`.words.substitute`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import words
 from .errors import PreconditionViolated
@@ -78,9 +80,6 @@ class FoldTable(dict):
 # ---------------------------------------------------------------------------
 # hierarchy nodes
 
-_UNBUILT = object()
-
-
 class Node:
     """A relator of the hierarchy and everything built from it, built once
     per relator.
@@ -89,18 +88,18 @@ class Node:
     is: a presentation stores its cyclically reduced core, and the zero-case
     rewriting, the embedding and the restriction to the support keep that.
     A node has no rank, since a base group's residue may bring free
-    generators beyond the relator's ids.
+    generators beyond the relator's ids.  It is built with its ``support``,
+    the generator ids of the relator, and builds the rest on first use and
+    keeps it (``exponents``, ``moves``, ``zero`` and ``core`` are cached
+    properties), so a top node decided from its support alone builds
+    nothing else:
 
-    * ``support``: the generator ids of the relator;
     * ``exponents``: the exponent sums of ids ``0..max(support)``;
     * ``moves``: the Tietze moves, one ``(h, {h: v, h^-1: v^-1})`` per
       generator ``h`` that occurs once, in increasing ``h``.  From ``r = p
       h^e q`` the rotation ``h^e q p`` is trivial too, so ``v = ((q
       p)^-1)^e``, and ``q p``, a piece of a cyclically reduced word's
-      rotation, is reduced.
-
-    The node builds the rest on first use and keeps it:
-
+      rotation, is reduced;
     * ``zero``: for a relator over ids ``0..k-1``, the zero node
       (:func:`rewrite_zero_case`) on the least generator of exponent sum
       0, or None for a nonzero node;
@@ -117,25 +116,10 @@ class Node:
     relators are equal, so a node in a memo key stands for its relator.
     """
 
-    __slots__ = ("relator", "support", "exponents", "moves", "_hash",
-                 "_zero", "_core", "_steps")
-
     def __init__(self, relator):
-        letters = sorted(set(map(abs, relator)))
         self.relator = relator
-        self.support = frozenset([a - 1 for a in letters])
-        self.exponents = words.exponent_vector(relator, letters[-1])
-        moves = []
-        for a in letters:
-            if relator.count(a) + relator.count(-a) == 1:
-                k = relator.index(a) if a in relator else relator.index(-a)
-                qp = relator[k + 1:] + relator[:k]
-                pq = words.invert(qp)
-                moves.append((a - 1, {a: qp, -a: pq} if relator[k] < 0
-                              else {a: pq, -a: qp}))
-        self.moves = tuple(moves)
+        self.support = frozenset([a - 1 for a in set(map(abs, relator))])
         self._hash = hash(relator)
-        self._zero = self._core = _UNBUILT
         self._steps = {}
 
     def __eq__(self, other):
@@ -148,13 +132,27 @@ class Node:
     def __repr__(self):
         return f"Node({self.relator})"
 
-    @property
+    @cached_property
+    def exponents(self):
+        return words.exponent_vector(self.relator, max(self.support) + 1)
+
+    @cached_property
+    def moves(self):
+        r, moves = self.relator, []
+        for g in sorted(self.support):
+            a = g + 1
+            if r.count(a) + r.count(-a) == 1:
+                k = r.index(a) if a in r else r.index(-a)
+                qp = r[k + 1:] + r[:k]
+                pq = words.invert(qp)
+                moves.append((g, {a: qp, -a: pq} if r[k] < 0
+                              else {a: pq, -a: qp}))
+        return tuple(moves)
+
+    @cached_property
     def zero(self):
-        if self._zero is _UNBUILT:
-            e = self.exponents
-            self._zero = (rewrite_zero_case(self.relator, e.index(0))
-                          if 0 in e else None)
-        return self._zero
+        e = self.exponents
+        return rewrite_zero_case(self.relator, e.index(0)) if 0 in e else None
 
     def _repivot(self, pivot):
         """The zero node on the same stable letter and another pivot."""
@@ -174,23 +172,21 @@ class Node:
                 len(self.support), self.relator, a, b, max_len)
         return emb
 
-    @property
+    @cached_property
     def core(self):
-        if self._core is _UNBUILT:
-            into = {}
-            for k, g in enumerate(sorted(self.support), 1):
-                into[g + 1], into[-g - 1] = k, -k
-            relator = tuple(map(into.__getitem__, self.relator))
-            # a base group's relator uses ids 0..k-1 and is its own core
-            core = self if relator == self.relator else Node(relator)
-            self._core = core, into, {b: a for a, b in into.items()}
-        return self._core
+        into = {}
+        for k, g in enumerate(sorted(self.support), 1):
+            into[g + 1], into[-g - 1] = k, -k
+        relator = tuple(map(into.__getitem__, self.relator))
+        # a base group's relator uses ids 0..k-1 and is its own core
+        core = self if relator == self.relator else Node(relator)
+        return core, into, {b: a for a, b in into.items()}
 
     @property
     def classified(self):
         """True once the hierarchy below the node has been entered: its
         zero node or its core is built."""
-        return self._zero is not _UNBUILT or self._core is not _UNBUILT
+        return "zero" in self.__dict__ or "core" in self.__dict__
 
 
 # ---------------------------------------------------------------------------

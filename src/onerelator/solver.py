@@ -4,18 +4,19 @@ Magnus-subgroup membership is decided by one recursion over the hierarchy
 produced in :mod:`.breakdown`; the word problem is membership in the
 subgroup on no generators, with witness ``()``:
 
-* a subset holding every relator generator is settled at the entry: the
-  full subset holds ``w``, its own witness, and any other goes to the free
-  split below; every subset asked about below misses a relator letter, so
-  it is free on itself (Freiheitssatz) and its witness, the unique reduced
-  word over it, is what every rule below returns and a pinch shifts,
 * when the subset and the word's letters miss a relator generator, they
   are free on themselves (Freiheitssatz): the reduced word is a member
   exactly when it is over the subset, and then its own witness
   (``stats["free_exits"]`` counts the nodes this exit decides),
 * a word whose exponent sums outside the subset are not one multiple of
   the relator's is refused next (:func:`.presentations.abelian_obstruction`,
-  the recursion's one exponent-sum test),
+  the recursion's one exponent-sum test, which every member passes),
+* a subset holding every relator generator is settled right after that
+  test: the full subset holds ``w``, its own witness, and any other goes
+  to the free split below; every subset asked about below misses a
+  relator letter, so it is free on itself (Freiheitssatz) and its witness,
+  the unique reduced word over it, is what every rule below returns and a
+  pinch shifts,
 * a generator ``h`` that occurs once in the relator is eliminated by a
   Tietze move (one of the node's ``moves``, the least ``h`` outside the
   subset if there is one): the group is free on the other generators, so
@@ -49,13 +50,15 @@ subgroup on no generators, with witness ``()``:
 
 The recursion carries no generator names: a node is a rank and a
 :class:`.breakdown.Node`, a relator over ids below the rank with its
-support, exponent sums and Tietze moves, built once per relator.  The node
-builds on first use, and owns, everything built from its relator: its zero
-node, its zero nodes on other pivots, its embeddings and its free-part
-core.  A zero node owns its base group's node and, per sign of the stable
-letter that closes a pinch, a fold table (:class:`.breakdown.FoldTable`)
-and the excluded letter's Tietze table, all built with it by
-:func:`.breakdown.rewrite_zero_case`; an embedding owns its image's node.
+support, built once per relator.  The node builds on first use, and owns,
+everything else built from its relator: its exponent sums, its Tietze
+moves, its zero node, its zero nodes on other pivots, its embeddings and
+its free-part core, so a query that the Freiheitssatz exit decides at the
+top builds none of them.  A zero node owns its base group's node and, per
+sign of the stable letter that closes a pinch, a fold table
+(:class:`.breakdown.FoldTable`) and the excluded letter's Tietze table,
+all built with it by :func:`.breakdown.rewrite_zero_case`; an embedding
+owns its image's node.
 Each edge maps a word through tables its owner built once: letter to
 letter for the core's tables into and out of its support, the embedding's
 table back from its image and the fold tables; letter to word, through
@@ -123,9 +126,9 @@ class Solver:
     problem is membership on the empty subset.  Every descent returns the
     witness, a reduced word over the subset, or None for a non-member; the
     empty witness ``()`` is a member, so each test reads ``is None``.  A
-    subset holding every letter of its node's relator is settled at the
-    entry of :meth:`_member`, so every subset below it is free.  Only
-    :meth:`magnus_membership` wraps the answer, in a
+    subset holding every letter of its node's relator is settled in
+    :meth:`_member` right after the abelian test, so every subset below it
+    is free.  Only :meth:`magnus_membership` wraps the answer, in a
     :class:`MembershipVerdict`.  A word from outside is reduced and checked
     once, by :func:`.words.validate_word`, on the way in.
 
@@ -314,9 +317,6 @@ class Solver:
     def _member(self, node, rank, w, subset, depth):
         try:
             self._bump(depth)
-            if node.support <= subset:
-                return w if len(subset) == rank else self._member_free_split(
-                    node, w, subset, depth)
             for g in node.support - subset:
                 if g + 1 not in w and -g - 1 not in w:
                     # the subset and w miss g: free on their letters
@@ -325,6 +325,9 @@ class Solver:
                                     for lt in w) else None
             if abelian_obstruction(rank, node.exponents, w, subset):
                 return None
+            if node.support <= subset:
+                return w if len(subset) == rank else self._member_free_split(
+                    node, w, subset, depth)
             if node.moves:
                 # the least move, preferring an h outside the subset: the
                 # group is free on the generators other than h, so an image
@@ -347,8 +350,8 @@ class Solver:
                 return self._member_free_split(node, w, subset, depth)
 
             if rank == 1:
-                # the entry settled any other subset, so the abelian test
-                # made w a power of the relator
+                # a subset holding the relator's letter was settled above,
+                # so the abelian test made w a power of the relator
                 return ()
             zd = node.zero
             if zd is not None:

@@ -358,12 +358,17 @@ def test_node_holds_what_its_relator_fixes():
     its core renumbers the support in increasing order, through a table
     of signed letters into it and one back out (a word's round trip is
     checked in test_presentations.py); nodes with equal relators
-    are equal and hash alike, whoever built them."""
+    are equal and hash alike, whoever built them.  A fresh node holds
+    only its relator and support, and builds each other field on first
+    read; it is classified once its zero node or its core is built."""
     node = Node((1, 3, 1, -3))
+    assert not vars(node).keys() & {"exponents", "moves", "zero", "core"}
     assert node.support == {0, 2}
     assert node.exponents == (2, 0, 0)
     assert node.moves == ()
+    assert not node.classified
     core, into, out = node.core
+    assert node.classified
     assert core.relator == (1, 2, 1, -2)
     assert into == {1: 1, -1: -1, 3: 2, -3: -2}
     assert out == {1: 1, -1: -1, 2: 3, -2: -3}
@@ -372,6 +377,9 @@ def test_node_holds_what_its_relator_fixes():
     same = {1: 1, -1: -1, 2: 2, -2: -2}
     assert core.core == (core, same, same)
     assert core.zero.stable == 1
+    fresh = Node((1, 2, -1, -2))
+    assert not fresh.classified and fresh.zero.stable == 0
+    assert fresh.classified
     assert Node((1, 3, 1, -3)) == node and hash(Node(node.relator)) == \
         hash(node)
     assert Node((1, 2)) != node

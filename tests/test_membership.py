@@ -111,12 +111,16 @@ def test_tietze_subset_holding_the_once_occurring_generator():
 def test_subset_holding_the_relator_is_settled_at_the_entry():
     # {a, b} holds every letter of a b^2, so it is not free: the free split
     # asks the word problem of <a,b | ab^2> for each syllable over a, b,
-    # drops the trivial ones and keeps the others as their own witnesses
+    # drops the trivial ones and keeps the others as their own witnesses.
+    # The abelian test runs first, so cab^2, whose c-sum is 1 where the
+    # relator's is 0, is refused at the top node
     p = parse_presentation("a,b,c | ab^2")
     for text, witness in (("cab^2C", ()), ("abA", (1, 2, -1)),
-                          ("caC", None)):
+                          ("caC", None), ("cab^2", None)):
         w = parse_word(text, p.alphabet)
-        assert Solver().magnus_membership(p, w, {0, 1}).witness == witness
+        solver = Solver()
+        assert solver.magnus_membership(p, w, {0, 1}).witness == witness
+    assert solver.stats["nodes"] == 1
 
 
 def test_magnus_subgroup_is_free_basis():

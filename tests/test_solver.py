@@ -460,18 +460,27 @@ def test_residue_over_the_kept_letters_is_its_own_witness():
     # [a, b] misses c: nontrivial by the Freiheitssatz alone
     ("a,b,c | a^2b^2c^2", "abAB"),
     ("a,b | abaB", "a^2"),
+    # a and c occur once in ab^2c, but the exit builds no move for them
+    ("a,b,c | ab^2c", "abAB"),
 ])
-def test_freiheitssatz_exit_decides_a_word_at_its_node(text, w):
+def test_freiheitssatz_exit_decides_a_word_at_its_node(text, w, monkeypatch):
     """A word whose letters miss a relator letter is a nontrivial element
-    of a free subgroup: it is decided at the top node, with no zero node,
+    of a free subgroup: it is decided at the top node from the node's
+    support, with no exponent vector, Tietze move table, zero node,
     embedding or memo entry."""
     p = parse_presentation(text)
+    w = parse_word(w, p.alphabet)
+    calls = collections.Counter()
+    for name in ("exponent_vector", "invert"):
+        def counting(*args, _name=name, _f=getattr(words, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(words, name, counting)
     solver = Solver()
-    assert solver.word_problem(p, parse_word(w, p.alphabet)) is \
-        Verdict.NONTRIVIAL
+    assert solver.word_problem(p, w) is Verdict.NONTRIVIAL
     assert solver.stats["nodes"] == solver.stats["free_exits"] == 1
     assert solver.stats["max_depth"] == 0
-    assert not solver._memo
+    assert not solver._memo and not calls
 
 
 def test_freiheitssatz_exit_needs_a_missed_relator_letter():

@@ -14,12 +14,13 @@ def test_answer_hash_prints_one_line_per_run_and_a_total():
     assert [line.split(":")[0] for line in lines[:6]] == [
         f"{w} seed {s}" for w in ("wp-warm", "member-warm", "wp-cold")
         for s in (1, 2)]
-    # each run line ends with its five counters, by name
+    # each run line ends with its six counters, by name
     for line in lines[:6]:
         fields = line.split()
-        assert fields[-10::2] == ["nodes", "pinch_tests", "residue_tests",
-                                  "tietze_folds", "eliminations"], line
-        assert all(n.isdigit() for n in fields[-9::2]), line
+        assert fields[-12::2] == ["nodes", "pinch_tests", "residue_tests",
+                                  "tietze_folds", "eliminations",
+                                  "free_exits"], line
+        assert all(n.isdigit() for n in fields[-11::2]), line
     assert len(lines) == 7 and len(lines[6].split()[1]) == 64
 
 

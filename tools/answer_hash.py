@@ -15,10 +15,10 @@ queries in process.  Each answer is rendered as the worker renders it
 (``exhausted`` when a budget runs out).  One line per run gives the SHA-256
 over the answers, each followed by a newline, then the hierarchy nodes,
 the pinch tests, the tests of final residues, the pinches folded through
-a Tietze table and the nodes a Tietze move decided that the queries took
-(``nodes N pinch_tests P residue_tests R tietze_folds F eliminations
-E``); the last line is the SHA-256 over the six raw digests, in that
-order.
+a Tietze table, the nodes a Tietze move decided and the nodes the
+Freiheitssatz exit decided that the queries took (``nodes N pinch_tests P
+residue_tests R tietze_folds F eliminations E free_exits X``); the last
+line is the SHA-256 over the six raw digests, in that order.
 """
 
 import hashlib
@@ -36,7 +36,7 @@ def replay(tree, count, call=lambda answer, query: answer(query)):
     checkout at ``tree``, each by ``call(answer, query)``, so that a caller
     can wrap each query's parse and solve and nothing else.  Yields
     ``(workload, seed, answers, counts)`` per run: the rendered answers and
-    the rise of five solver counters over them, by name."""
+    the rise of six solver counters over them, by name."""
     sys.path[:0] = [os.path.join(tree, "src"),
                     os.path.join(os.path.dirname(HERE), "perfbench")]
     from onerelator import Solver, parse_presentation, parse_word
@@ -69,7 +69,7 @@ def replay(tree, count, call=lambda answer, query: answer(query)):
         yield workload, seed, answers, {
             key: solver.stats[key] - before[key]
             for key in ("nodes", "pinch_tests", "residue_tests",
-                        "tietze_folds", "eliminations")}
+                        "tietze_folds", "eliminations", "free_exits")}
 
 
 def main(argv):
