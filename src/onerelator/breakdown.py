@@ -20,18 +20,19 @@ letter id ``1 + g + rank*z(i)``, where ``z`` zigzags the subscript
 (``z(i) = 2i`` for ``i >= 0``, ``-2i-1`` otherwise), so words over
 subscripted letters are ordinary :mod:`.words` words and ``g_0`` is the
 plain letter of ``g``.  :func:`base_word` renumbers such a word onto the
-base group's ids, and picks the subset a descent asks for.
+base group's ids and picks the subset a descent asks for; :func:`from_base`
+renumbers back.
 
-Each relator the hierarchy reaches is a :class:`Node`, built once with
-its support, and everything else built from a relator is built by its node
-on first use and kept there: its exponent sums, its Tietze moves, its zero
+Each relator the hierarchy reaches is a :class:`Node`, built once with its
+support, and everything else built from a relator is built by its node on
+first use and kept there: its exponent sums, its Tietze moves, its zero
 node, the zero nodes on other pivots, its embeddings and its free-part
-core.  A zero node owns its base group's node and, per sign of the stable
-letter that closes its pinches, a fold table (:class:`FoldTable`) from
-letter to letter and the excluded letter's Tietze table; an embedding owns
-its image's node.  Every word map, a Tietze move or an embedding's
-substitution too, is a table from signed letter to reduced word, built
-once and applied by :func:`.words.substitute`.
+core.  A zero node owns its base group's node and one closing entry per
+sign of the stable letter that closes its pinches: the excluded letter, its
+fold table (:class:`FoldTable`) and its Tietze table; an embedding owns its
+image's node.  Every word map, a Tietze move or an embedding's substitution
+too, is a table from signed letter to reduced word, built once and applied
+by :func:`.words.substitute`.
 """
 
 from dataclasses import dataclass, field
@@ -57,12 +58,12 @@ def _decode(rank, a):
 
 class FoldTable(dict):
     """Signed letter -> the letter of its image under the conjugation
-    ``g_i -> g_{i+delta}``: a zero node's pinches fold through one table
-    per sign of the stable letter that closes them, built with the zero
-    node (:func:`rewrite_zero_case`).  A letter enters on its first lookup
-    when its subscript lies in ``lo..hi``, the zero node's window widened
-    by one each way, so the table's size is fixed by its zero node; any
-    other letter is shifted on each lookup."""
+    ``g_i -> g_{i+delta}``: a zero node's pinches fold through the table
+    in the closing entry of the stable letter that closes them, built with
+    the zero node (:func:`rewrite_zero_case`).  A letter enters on its
+    first lookup when its subscript lies in ``lo..hi``, the zero node's
+    window widened by one each way, so the table's size is fixed by its
+    zero node; any other letter is shifted on each lookup."""
 
     __slots__ = ("rank", "delta", "lo", "hi")
 
@@ -196,16 +197,16 @@ class Node:
 class ZeroCaseData:
     """The HNN form of a relator whose generator ``t`` has exponent sum 0.
 
-    A pinch ``t^-s u t^s`` (``s`` = +-1) folds when ``u`` lies in the
-    associated subgroup, on every base generator but the excluded letter
-    ``pivot_ends[s < 0]``; the fold is ``u``'s witness shifted by ``-s``,
-    through ``folds[s < 0]``, that sign's :class:`FoldTable`.  When the
-    excluded letter occurs once in the base relator (it has a move in
-    ``base.moves``), the base group is free on the other generators, so
-    every ``u`` is a member, with ``u`` under the Tietze move as its
-    witness: ``tietze[s < 0]`` is that move's letter table over window
-    letter ids (None without a move), and the fold is the shift of ``u``'s
-    image under it.  Both tables of each sign are built with the zero node.
+    A pinch ``t^-s u t^s`` (``s`` = +-1) closes through the closing entry
+    ``close[s < 0] = (excluded, fold, tietze)``.  It folds when ``u`` lies
+    in the associated subgroup, on every base generator but ``excluded``,
+    and the fold is ``u``'s witness shifted by ``-s`` through the
+    :class:`FoldTable` ``fold``.  When the excluded letter occurs once in
+    the base relator (it has a move in ``base.moves``), the base group is
+    free on the other generators, so every ``u`` is a member, with ``u``
+    under the Tietze move as its witness: ``tietze`` is that move's letter
+    table over window letter ids (None without a move).  Both entries are
+    built with the zero node.
     """
 
     stable: int                 # generator t with exponent sum 0
@@ -217,12 +218,8 @@ class ZeroCaseData:
     ids: tuple                  # letter id of each base generator
     index: dict                 # letter id -> base generator id
     base: Node                  # the rewritten relator over the base ids
-    pivot_ends: tuple           # letter ids of the pivot's least and
-                                # greatest subscript
-    folds: tuple = field(repr=False, compare=False)  # the FoldTable
-                                # of each sign s, at folds[s < 0]
-    tietze: tuple = field(repr=False)  # the excluded letter's Tietze
-                                # table or None of each sign s, at [s < 0]
+    close: tuple = field(repr=False, compare=False)  # [s < 0]: (excluded
+                                # letter, FoldTable, Tietze table or None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,10 +249,11 @@ def rewrite_zero_case(relator, t, pivot=None):
     (queries enter at height 0, so the base owns the pivot's ``g_0``); nor
     a free reduction, as two stamps that cancel, at one height with no
     ``t`` between them, would be adjacent in the cyclically reduced
-    relator.  The base group on the sorted pairs, both fold tables and
-    the Tietze table of each excluded letter with a move in the base
-    relator are built from the stamps, once per node.  The relator uses
-    every generator, so its rank is one more than its largest id.
+    relator.  The base group on the sorted pairs and the closing entry of
+    each sign (its excluded letter, its fold table and that letter's
+    Tietze table when the base relator has a move for it) are built from
+    the stamps, once per node.  The relator uses every generator, so its
+    rank is one more than its largest id.
     """
     if words.exponent_sum(relator, t) != 0:
         raise PreconditionViolated("stable letter must have exponent sum 0")
@@ -281,21 +279,19 @@ def rewrite_zero_case(relator, t, pivot=None):
     index = {a: k for k, a in enumerate(ids)}
     base_id = {pair: k + 1 for k, pair in enumerate(pairs)}
     base = Node(tuple(s * base_id[g, i - low] for s, g, i in stamps))
-    pivot_ends = pivot + 1, _encode(rank, pivot, max(heights) - low)
-    # a stable letter of sign s closes pinches that shift by -s and
-    # exclude pivot_ends[s < 0], whose Tietze move, if the base relator
-    # has one, is renumbered onto window letter ids
+    # the stable letter of sign s closes pinches that shift by -s and
+    # exclude the pivot's least (s > 0) or greatest subscript, whose
+    # Tietze move, if any, is renumbered onto window letter ids
     lo, hi = min(i for _, i in pairs) - 1, max(i for _, i in pairs) + 1
-    folds = FoldTable(rank, -1, lo, hi), FoldTable(rank, 1, lo, hi)
-    window = lambda lt: ids[lt - 1] if lt > 0 else -ids[-lt - 1]
     moves = dict(base.moves)
-    tietze = tuple(
-        {window(lt): tuple(map(window, v))
-         for lt, v in moves[index[e]].items()} if index[e] in moves else None
-        for e in pivot_ends)
+    close = tuple(
+        (e, FoldTable(rank, delta, lo, hi),
+         {s * e: from_base(ids, moves[g][s * (g + 1)]) for s in (1, -1)}
+         if (g := index[e]) in moves else None)
+        for delta, e in ((-1, pivot + 1),
+                         (1, _encode(rank, pivot, max(heights) - low))))
     return ZeroCaseData(stable=t, pivot=pivot, rank=rank, pairs=pairs,
-                        ids=ids, index=index, base=base,
-                        pivot_ends=pivot_ends, folds=folds, tietze=tietze)
+                        ids=ids, index=index, base=base, close=close)
 
 
 def base_word(zdata, u, keep):
@@ -319,6 +315,11 @@ def base_word(zdata, u, keep):
     ids = zdata.ids + tuple(outside)
     return (tuple(out), ids,
             frozenset(k for k, a in enumerate(ids) if keep(a)))
+
+
+def from_base(ids, word):
+    """``word`` over base ids renumbered onto the letter ids ``ids``."""
+    return tuple(ids[lt - 1] if lt > 0 else -ids[-lt - 1] for lt in word)
 
 
 def embed_nonzero_case(rank, relator, a, b, max_len):

@@ -38,12 +38,11 @@ subgroup on no generators, with witness ``()``:
   one excluded pivot letter); when the excluded letter occurs once in the
   base relator, the base group is free on the other letters, so every
   residue is a member with its image under that Tietze move as witness,
-  and the pinch folds without a test, through the zero node's Tietze
-  table for that letter and then its fold table
-  (``stats["tietze_folds"]`` counts these folds); any other test
-  (``stats["pinch_tests"]``), and the test of the final residue
-  (``stats["residue_tests"]``), depends only on the base group, the
-  residue and the subset (memoized),
+  and the pinch folds without a test (``stats["tietze_folds"]``); any
+  other test (``stats["pinch_tests"]``), and the test of the final
+  residue (``stats["residue_tests"]``), depends only on the base group,
+  the residue and the subset (memoized); a pinch's witness is shifted
+  through the fold table of the closing letter's sign,
 * otherwise an injective substitution creates such a generator and maps
   the queried subset into a Magnus subgroup of the image, which the same
   recursion decides at the same depth (:meth:`Solver._member_nonzero`).
@@ -54,21 +53,22 @@ support, built once per relator.  The node builds on first use, and owns,
 everything else built from its relator: its exponent sums, its Tietze
 moves, its zero node, its zero nodes on other pivots, its embeddings and
 its free-part core, so a query that the Freiheitssatz exit decides at the
-top builds none of them.  A zero node owns its base group's node and, per
-sign of the stable letter that closes a pinch, a fold table
-(:class:`.breakdown.FoldTable`) and the excluded letter's Tietze table,
-all built with it by :func:`.breakdown.rewrite_zero_case`; an embedding
-owns its image's node.
+top builds none of them.  A zero node owns its base group's node and,
+per sign of the stable letter that closes a pinch, one closing entry: the
+excluded letter, a fold table (:class:`.breakdown.FoldTable`) and the
+excluded letter's Tietze table, all built with it by
+:func:`.breakdown.rewrite_zero_case`; an embedding owns its image's node.
 Each edge maps a word through tables its owner built once: letter to
 letter for the core's tables into and out of its support, the embedding's
 table back from its image and the fold tables; letter to word, through
 :func:`.words.substitute`, for a Tietze move, a zero node's Tietze table
 and an embedding's substitution.  Every descent into a base group enters
 it by one call of :func:`.breakdown.base_word`, which maps the residue and
-picks the subset by a test of the letters to keep.  Each node shape has
-one path, wherever the subset lies; a subset holding a zero node's stable
-letter ``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i
-g t^-i`` times a power of ``t``).  Names are made only in
+picks the subset by a test of the letters to keep, and its witness comes
+back by :func:`.breakdown.from_base`.  Each node shape has one path,
+wherever the subset lies; a subset holding a zero node's stable letter
+``t`` pulls its witness back as a tower of ``t``-conjugates (``t^i g
+t^-i`` times a power of ``t``).  Names are made only in
 :meth:`Solver._tree`, which names, prints and describes each node of the
 document that ``hierarchy_tree`` returns in its one walk.
 
@@ -82,7 +82,7 @@ from enum import Enum
 from itertools import chain, groupby, islice
 
 from . import breakdown, words
-from .breakdown import _decode, base_word
+from .breakdown import _decode, base_word, from_base
 from .errors import ResourceExhausted, UnknownGenerator
 from .presentations import abelian_obstruction, make_presentation
 from .textio import print_word
@@ -244,54 +244,48 @@ class Solver:
 
         ``w`` is cut at its stable letters ``t``, and each comes in with the
         chunk of subscript-0 letters after it.  The stack alternates words
-        over subscripted letters and stable-letter signs.  An incoming
-        stable letter inverse to the one below the top word ``u`` closes a
-        pinch ``t u t^-1``; if ``u`` lies in the associated subgroup (every
-        generator but the pivot's top subscript for ``t u t^-1``,
-        symmetrically for ``t^-1 u t``), both are popped, and the
-        subscript-shift of ``u``'s free-basis witness and the incoming chunk
-        are pushed onto the word below, under the word-length cap.  The
-        shift looks each letter up in the zero node's fold table for the
-        incoming sign, and needs no test when ``u`` misses that one
-        excluded letter (``u`` is its own witness) or when the zero node
-        keeps a Tietze table for it (the base group is free on the other
-        letters, and ``u``'s image under the table is its witness, which
-        is then shifted).  Only otherwise is ``u`` tested, by a
-        :meth:`_base_member` descent.  If the test fails, the
-        letter and its chunk go on top.  A word below the top changes only
-        at its seam with a push, so a fold costs the letters it pushes,
-        each stable letter costs at most one membership test, and no pinch
-        is left.
+        over subscripted letters and the stable letters between them, on a
+        bottom 0 that closes nothing.  An incoming stable letter inverse to
+        the one below the top word ``u`` closes a pinch, and the closing
+        entry of its sign names the excluded letter (the pivot's top
+        subscript for ``t u t^-1``, symmetrically for ``t^-1 u t``), the
+        fold table and the Tietze table.  The image to fold is ``u`` when
+        it misses the excluded letter (its own witness), else its image
+        under the Tietze table if there is one (the base group is free on
+        the other letters), else its witness from a :meth:`_base_member`
+        test.  With an image, both are popped, and the image shifted
+        through the fold table, then the chunk, are pushed onto the word
+        below, under the word-length cap; without one, the letter and its
+        chunk go on top.  A word below the top changes only at its seam
+        with a push, so a fold costs the letters it pushes, each stable
+        letter costs at most one membership test, and no pinch is left.
         """
         t, cap = zdata.stable + 1, self.limits.max_word_len
         cuts = [k for k, lt in enumerate(w) if abs(lt) == t] + [len(w)]
-        out = [list(w[:cuts[0]])]
+        out = [0, list(w[:cuts[0]])]
         for k, end in zip(cuts, cuts[1:]):
-            sign, u = (1 if w[k] > 0 else -1), w[k + 1:end]
-            if len(out) > 1 and out[-2] == -sign:
-                top, excluded = out[-1], zdata.pivot_ends[sign < 0]
-                table, tietze = zdata.folds[sign < 0], zdata.tietze[sign < 0]
+            lt, u = w[k], w[k + 1:end]
+            if out[-2] == -lt:
+                top = out[-1]
+                excluded, table, tietze = zdata.close[lt < 0]
                 if excluded not in top and -excluded not in top:
-                    folded = tuple(map(table.__getitem__, top))
+                    image = top
                 elif tietze is not None:
                     self.stats["tietze_folds"] += 1
-                    folded = tuple(map(table.__getitem__,
-                                       words.substitute(top, tietze, cap)))
+                    image = words.substitute(top, tietze, cap)
                 else:
                     self.stats["pinch_tests"] += 1
-                    witness = self._base_member(
+                    image = self._base_member(
                         zdata, *base_word(zdata, top, excluded.__ne__), depth)
-                    folded = None if witness is None else tuple(
-                        map(table.__getitem__, witness))
-                if folded is not None:
+                if image is not None:
                     del out[-2:]
-                    # the folded witness followed by u need not be
-                    # reduced, so each is pushed on its own
-                    words.push(out[-1], folded, cap)
+                    # the folded image and the chunk may cancel: each is pushed
+                    words.push(out[-1], tuple(map(table.__getitem__, image)),
+                               cap)
                     words.push(out[-1], u, cap)
                     continue
-            out += (sign, list(u))
-        return out[0] if len(out) == 1 else None
+            out += (lt, list(u))
+        return out[1] if len(out) == 2 else None
 
     def _base_member(self, zdata, word, ids, subset, depth):
         """Membership of a residue, given as its :func:`.breakdown.base_word`
@@ -307,10 +301,7 @@ class Solver:
         else:
             self.stats["pinch_hits"] += 1
         self._store(key, witness)
-        if witness is None:
-            return None
-        return tuple(ids[lt - 1] if lt > 0 else -ids[-lt - 1]
-                     for lt in witness)
+        return None if witness is None else from_base(ids, witness)
 
     # -- Magnus subgroup membership ---------------------------------------
 

@@ -75,7 +75,13 @@ def parse_word(text, alphabet, offset=0, max_len=DEFAULT_MAX_WORD_LEN):
             if i == start or text[start:i] == "-":
                 raise WordSyntaxError("expected integer after '^'",
                                       offset + start)
-            k = int(text[start:i])
+            try:
+                k = int(text[start:i])
+            except ValueError:
+                # more digits than int() reads: leading zeros aside, one
+                # digit more than max_len has puts the power past max_len
+                digits = text[start:i].lstrip("-0")[:len(str(max_len)) + 1]
+                k = int(digits or 0) * (-1 if text[start] == "-" else 1)
             if k == 0:
                 raise WordSyntaxError("zero power is not allowed",
                                       offset + start)

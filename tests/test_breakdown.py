@@ -13,6 +13,7 @@ from onerelator.breakdown import (
     _encode,
     base_word,
     embed_nonzero_case,
+    from_base,
     rewrite_zero_case,
 )
 from onerelator.errors import PreconditionViolated
@@ -167,6 +168,7 @@ def test_zero_case_presentation():
     assert ids == (b[0], b[1], b[2], b[-1])
     assert word == (-3, 1, 4, 3, 2)
     assert subset == {1, 2, 3}
+    assert from_base(ids, word) == (-b[2], b[0], b[-1], b[2], b[1])
 
 
 def exhaustive_relators(max_len):
@@ -383,27 +385,29 @@ def test_node_holds_what_its_relator_fixes():
     assert Node((1, 3, 1, -3)) == node and hash(Node(node.relator)) == \
         hash(node)
     assert Node((1, 2)) != node
-    # the zero node carries its base group's node and the pivot's end
-    # letters
+    # the zero node carries its base group's node and, as the excluded
+    # letter of each sign's closing entry, the pivot's end letters
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
     b = {i: _encode(2, 1, i) for i in (-1, 0, 1, 2)}
-    assert zd.base == Node((2, -1, -1)) and zd.pivot_ends == (b[0], b[1])
+    assert zd.base == Node((2, -1, -1))
+    assert tuple(e for e, _, _ in zd.close) == (b[0], b[1])
 
 
 def test_fold_tables():
-    """A zero node is built with one fold table per sign of the stable
-    letter that closes a pinch.  In BS(1,2), with base relator b_1 b_0^-2:
-    a pinch a^-1 u a shifts subscripts down and excludes b_0, which occurs
-    twice, so it has no Tietze table; a pinch a u a^-1 shifts up and
-    excludes b_1 = b_0^2, whose Tietze table maps it to b_0^2.  A fold
-    table maps letters to letters: a letter, one off the window too,
-    enters it on its first lookup; a letter two off is shifted but not
-    kept."""
+    """A zero node is built with one closing entry per sign of the stable
+    letter that closes a pinch, each holding a fold table.  In BS(1,2),
+    with base relator b_1 b_0^-2: a pinch a^-1 u a shifts subscripts down
+    and excludes b_0, which occurs twice, so it has no Tietze table; a
+    pinch a u a^-1 shifts up and excludes b_1 = b_0^2, whose Tietze table
+    maps it to b_0^2.  A fold table maps letters to letters: a letter, one
+    off the window too, enters it on its first lookup; a letter two off is
+    shifted but not kept."""
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
     b = {i: _encode(2, 1, i) for i in range(-3, 5)}
-    down, up = zd.folds
+    (_, down, down_tietze), (_, up, up_tietze) = zd.close
     assert not down and not up
-    assert zd.tietze == (None, {b[1]: (b[0], b[0]), -b[1]: (-b[0], -b[0])})
+    assert (down_tietze, up_tietze) == (
+        None, {b[1]: (b[0], b[0]), -b[1]: (-b[0], -b[0])})
     assert (down[b[1]], down[-b[1]]) == (b[0], -b[0])
     assert down[-b[2]] == -b[1] and down[b[2]] == b[1]
     assert b[0] not in down and -b[0] not in down
@@ -416,8 +420,9 @@ def test_fold_tables():
     # the Klein bottle a b a B: the base relator a_0 a_1 has a move for
     # both pivot ends, each the inverse of the other
     zd = Node((1, 2, 1, -2)).zero
-    a0, a1 = zd.pivot_ends
-    assert zd.tietze == ({a0: (-a1,), -a0: (a1,)}, {a1: (-a0,), -a1: (a0,)})
+    (a0, _, tietze0), (a1, _, tietze1) = zd.close
+    assert (tietze0, tietze1) == ({a0: (-a1,), -a0: (a1,)},
+                                  {a1: (-a0,), -a1: (a0,)})
 
 
 def wp_warm_zero_nodes():
@@ -458,8 +463,8 @@ def test_tietze_fold_agrees_with_the_descent():
         outside = [_encode(zd.rank, g, i) for g, i in zd.pairs[:2]
                    for i in (-3, 4)]
         for sign in (1, -1):
-            excluded = zd.pivot_ends[sign < 0]
-            if zd.tietze[sign < 0] is None:
+            excluded, _, tietze = zd.close[sign < 0]
+            if tietze is None:
                 continue
             checked.add((zd.base.relator, sign))
             letters = [s * a for a in zd.ids + tuple(outside) for s in (1, -1)]

@@ -332,6 +332,9 @@ def test_exit_code_3_on_oversized_power(capsys):
     # the power is refused before it is spelled out
     assert main(["solve", "a,b | a^99999999999", "a"]) == 3
     assert "budget max_word_len" in capsys.readouterr().err
+    # so is one with more digits than int() reads
+    assert main(["solve", "a,b | ab", "a^" + "9" * 5000]) == 3
+    assert "budget max_word_len" in capsys.readouterr().err
 
 
 def test_hierarchy_overrun_names_its_depth(capsys):

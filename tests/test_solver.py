@@ -179,14 +179,14 @@ def test_tietze_folds_leave_fold_tables_letter_to_letter():
     assert solver.word_problem(BS12, w) is Verdict.NONTRIVIAL
     assert solver.stats["tietze_folds"] == 4
     zd = solver._memo[breakdown.Node, BS12.relator].zero
-    b0, b1 = zd.pivot_ends
-    assert zd.tietze[1] == {b1: (b0, b0), -b1: (-b0, -b0)}
-    values = [v for table in zd.folds for v in table.values()]
+    (b0, _, _), (b1, _, tietze) = zd.close
+    assert tietze == {b1: (b0, b0), -b1: (-b0, -b0)}
+    values = [v for _, table, _ in zd.close for v in table.values()]
     assert values and not any(isinstance(v, tuple) for v in values)
     a1 = breakdown._encode(2, 0, 1)
-    assert words.substitute((b0, b1, a1, -b1), zd.tietze[1]) == (
+    assert words.substitute((b0, b1, a1, -b1), tietze) == (
         b0, b0, b0, a1, -b0, -b0)
-    assert words.substitute((a1, -b0), zd.tietze[1]) == (a1, -b0)
+    assert words.substitute((a1, -b0), tietze) == (a1, -b0)
 
 
 def test_depth_budget_reported_honestly():
@@ -294,7 +294,7 @@ def test_fold_tables_do_not_grow_with_the_query():
         w = parse_word(f"C^{n}bc^{n}", p.alphabet)
         assert not solver.magnus_membership(p, w, {0, 1}).member
         zd = solver._memo[breakdown.Node, p.relator].zero
-        sizes.append([len(table) for table in zd.folds])
+        sizes.append([len(table) for _, table, _ in zd.close])
     # every pinch closes with c, so the other table is never looked up
     assert sizes[0] == sizes[1] == [4, 0]
 

@@ -128,6 +128,19 @@ def test_parse_word_matches_the_two_pass_reference():
                       "ResourceExhausted", "plain overrun"}
 
 
+def test_parse_word_reads_exponents_past_the_int_digit_limit():
+    # by default int() refuses strings of more than 4300 digits
+    with pytest.raises(ResourceExhausted, match=r"\(at offset 2\)"):
+        parse_word("a^" + "9" * 5000, AB)
+    with pytest.raises(ResourceExhausted, match=r"\(at offset 3\)"):
+        parse_word("ba^-" + "9" * 5000, AB)
+    assert parse_word("a^" + "0" * 5000 + "1", AB) == (1,)
+    assert parse_word("a^-" + "0" * 5000 + "2", AB) == (-1, -1)
+    with pytest.raises(WordSyntaxError, match="zero power") as err:
+        parse_word("a^-" + "0" * 5000, AB)
+    assert err.value.offset == 2
+
+
 @pytest.fixture
 def empty_cache():
     textio._presentations.clear()
