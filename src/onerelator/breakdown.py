@@ -23,16 +23,16 @@ plain letter of ``g``.  :func:`base_word` renumbers such a word onto the
 base group's ids and picks the subset a descent asks for; :func:`from_base`
 renumbers back.
 
-Each relator the hierarchy reaches is a :class:`Node`, built once with its
-support, and everything else built from a relator is built by its node on
-first use and kept there: its exponent sums, its Tietze moves, its zero
-node, the zero nodes on other pivots, its embeddings and its free-part
-core.  A zero node owns its base group's node and one closing entry per
-sign of the stable letter that closes its pinches: the excluded letter, its
-fold table (:class:`FoldTable`) and its Tietze table; an embedding owns its
-image's node.  Every word map, a Tietze move or an embedding's substitution
-too, is a table from signed letter to reduced word, built once and applied
-by :func:`.words.substitute`.
+Each relator the hierarchy reaches is a :class:`Node`, a tuple that is
+its relator, built once with its support; everything else built from a
+relator is built by its node on first use and kept there: its exponent
+sums, its Tietze moves, its zero node, the zero nodes on other pivots,
+its embeddings and its free-part core.  A zero node owns its base group's
+node and one closing entry per sign of the stable letter that closes its
+pinches: the excluded letter, its fold table (:class:`FoldTable`) and its
+Tietze table; an embedding owns its image's node.  Every word map, a
+Tietze move or an embedding's substitution too, is a table from signed
+letter to reduced word, built once and applied by :func:`.words.substitute`.
 """
 
 from dataclasses import dataclass, field
@@ -81,9 +81,9 @@ class FoldTable(dict):
 # ---------------------------------------------------------------------------
 # hierarchy nodes
 
-class Node:
-    """A relator of the hierarchy and everything built from it, built once
-    per relator.
+class Node(tuple):
+    """A relator of the hierarchy, as a tuple, with everything built from
+    it, built once per relator.
 
     The relator is cyclically reduced, as every relator in the hierarchy
     is: a presentation stores its cyclically reduced core, and the zero-case
@@ -113,33 +113,21 @@ class Node:
       of the support to its core letter, and the table back.
 
     A zero node has no embedding and a nonzero node no pivot, so both
-    live in one dict, keyed by pivot or by pair.  Nodes with equal
-    relators are equal, so a node in a memo key stands for its relator.
+    live in one dict, keyed by pivot or by pair.
     """
 
-    def __init__(self, relator):
-        self.relator = relator
-        self.support = frozenset([a - 1 for a in set(map(abs, relator))])
-        self._hash = hash(relator)
+    def __init__(self, _):
+        # the tuple holds the relator, and the argument may be spent
+        self.support = frozenset([a - 1 for a in set(map(abs, self))])
         self._steps = {}
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Node)
-                                 and self.relator == other.relator)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Node({self.relator})"
 
     @cached_property
     def exponents(self):
-        return words.exponent_vector(self.relator, max(self.support) + 1)
+        return words.exponent_vector(self, max(self.support) + 1)
 
     @cached_property
     def moves(self):
-        r, moves = self.relator, []
+        r, moves = self, []
         for g in sorted(self.support):
             a = g + 1
             if r.count(a) + r.count(-a) == 1:
@@ -153,14 +141,14 @@ class Node:
     @cached_property
     def zero(self):
         e = self.exponents
-        return rewrite_zero_case(self.relator, e.index(0)) if 0 in e else None
+        return rewrite_zero_case(self, e.index(0)) if 0 in e else None
 
     def _repivot(self, pivot):
         """The zero node on the same stable letter and another pivot."""
         zd = self._steps.get(pivot)
         if zd is None:
             zd = self._steps[pivot] = rewrite_zero_case(
-                self.relator, self.zero.stable, pivot)
+                self, self.zero.stable, pivot)
         return zd
 
     def _embedding(self, a, b, max_len):
@@ -170,7 +158,7 @@ class Node:
         emb = self._steps.get((a, b))
         if emb is None:
             emb = self._steps[a, b] = embed_nonzero_case(
-                len(self.support), self.relator, a, b, max_len)
+                len(self.support), self, a, b, max_len)
         return emb
 
     @cached_property
@@ -178,9 +166,9 @@ class Node:
         into = {}
         for k, g in enumerate(sorted(self.support), 1):
             into[g + 1], into[-g - 1] = k, -k
-        relator = tuple(map(into.__getitem__, self.relator))
+        relator = tuple(map(into.__getitem__, self))
         # a base group's relator uses ids 0..k-1 and is its own core
-        core = self if relator == self.relator else Node(relator)
+        core = self if relator == self else Node(relator)
         return core, into, {b: a for a, b in into.items()}
 
     @property
@@ -278,7 +266,7 @@ def rewrite_zero_case(relator, t, pivot=None):
     ids = tuple(_encode(rank, g, i) for g, i in pairs)
     index = {a: k for k, a in enumerate(ids)}
     base_id = {pair: k + 1 for k, pair in enumerate(pairs)}
-    base = Node(tuple(s * base_id[g, i - low] for s, g, i in stamps))
+    base = Node(s * base_id[g, i - low] for s, g, i in stamps)
     # the stable letter of sign s closes pinches that shift by -s and
     # exclude the pivot's least (s > 0) or greatest subscript, whose
     # Tietze move, if any, is renumbered onto window letter ids

@@ -48,9 +48,9 @@ subgroup on no generators, with witness ``()``:
   recursion decides at the same depth (:meth:`Solver._member_nonzero`).
 
 The recursion carries no generator names: a node is a rank and a
-:class:`.breakdown.Node`, a relator over ids below the rank with its
-support, built once per relator.  The node builds on first use, and owns,
-everything else built from its relator: its exponent sums, its Tietze
+:class:`.breakdown.Node`, which is its relator over ids below the rank,
+built once per relator with its support.  The node builds on first use,
+and owns, everything else built from its relator: its exponent sums, its Tietze
 moves, its zero node, its zero nodes on other pivots, its embeddings and
 its free-part core, so a query that the Freiheitssatz exit decides at the
 top builds none of them.  A zero node owns its base group's node and,
@@ -130,7 +130,10 @@ class Solver:
     :meth:`_member` right after the abelian test, so every subset below it
     is free.  Only :meth:`magnus_membership` wraps the answer, in a
     :class:`MembershipVerdict`.  A word from outside is reduced and checked
-    once, by :func:`.words.validate_word`, on the way in.
+    once, by :func:`.words.validate_word`, on the way in.  The depth that
+    ``max_depth`` bounds counts zero nodes, in queries and in the hierarchy
+    walk alike: a base group is one below its zero node, and a free-part
+    core or an embedding's image is at its node's depth.
 
     The memo holds two kinds of entry.  One is the node of each
     presentation's relator, keyed by ``(breakdown.Node, relator)``, so
@@ -151,18 +154,17 @@ class Solver:
     witness), a fold counted in ``stats["tietze_folds"]``.  Any other
     pinch test, and the base word of a zero node's residue, is a
     :meth:`_base_member` descent whose answer the memo keeps, keyed by the
-    base group's node (equal nodes have equal relators), its rank, the
-    residue, the subset and the depth; a pinch test counts in
-    ``stats["pinch_tests"]``, the test of a final residue in
-    ``stats["residue_tests"]``, and a hit of either also in
-    ``stats["pinch_hits"]``.  The
-    depth in the key means a hit stands for a computation under the same
-    budgets, and a test that raised stores nothing, so verdicts, witnesses
-    and :class:`~onerelator.errors.ResourceExhausted` do not depend on the
+    base group's node (a node is its relator), its rank, the residue, the
+    subset and the depth; a pinch test counts in ``stats["pinch_tests"]``,
+    the test of a final residue in ``stats["residue_tests"]``, and a hit
+    of either also in ``stats["pinch_hits"]``.  The depth in the key means
+    a hit stands for a computation under the same budgets, and a test that
+    raised stores nothing, so verdicts, witnesses and
+    :class:`~onerelator.errors.ResourceExhausted` do not depend on the
     solver's history.  The memo keeps at most :data:`MEMO_ENTRIES`
     entries, evicting the least recently used first, so a stream of
-    distinct presentations runs in bounded memory.
-    Distinct instances are independent and may run in parallel.
+    distinct presentations runs in bounded memory.  Distinct instances are
+    independent and may run in parallel.
     """
 
     def __init__(self, limits=None):
@@ -352,7 +354,7 @@ class Solver:
             # an overrun inside words names no node: this is the innermost
             # node it leaves
             if exc.relator is None:
-                exc.depth, exc.rank, exc.relator = depth, rank, node.relator
+                exc.depth, exc.rank, exc.relator = depth, rank, node
             raise
 
     def _member_free_split(self, node, w, subset, depth):
@@ -482,7 +484,7 @@ class Solver:
     # -- hierarchy tree ----------------------------------------------------
 
     def _tree(self, node, names, depth):
-        """The document of the hierarchy below ``<names | node.relator>``:
+        """The document of the hierarchy below ``<names | node>``:
         the one place where the generators of base groups and embedding
         images get names."""
         free_part = [n for g, n in enumerate(names) if g not in node.support]
@@ -491,23 +493,23 @@ class Solver:
             node = node.core[0]
         try:
             self._bump(depth)
-            zd = node.zero if len(names) > 1 else None
+            zd = node.zero
             emb = (node._embedding(0, 1, self.limits.max_word_len)
                    if zd is None and len(names) > 1 else None)
         except ResourceExhausted as exc:
             # the depth budget, or the image relator overran inside words,
             # at this node
-            exc.depth, exc.rank, exc.relator = depth, len(names), node.relator
+            exc.depth, exc.rank, exc.relator = depth, len(names), node
             raise
         doc = {"case": "base_single", "alphabet": list(names),
-               "relator": print_word(node.relator, Alphabet(names)),
+               "relator": print_word(node, Alphabet(names)),
                "children": []}
         if free_part:
             doc["free_part"] = free_part
         if emb is not None:
             child_names = fresh_names(names, 2) + [
                 names[g] for g in sorted(emb.gen_map)]
-            child = self._tree(emb.image, child_names, depth + 1)
+            child = self._tree(emb.image, child_names, depth)
             doc["case"] = "nonzero"
         elif zd is not None:
             child = self._tree(zd.base,

@@ -197,8 +197,8 @@ def test_criterion_8_hierarchy_strict_descent():
         checked += 1
         zd = Node(pres.relator).zero
         if zd is not None:
-            assert len(zd.base.relator) < len(r)
-            back = substitute_back(zd.base.relator, zd.pairs, zd.stable)
+            assert len(zd.base) < len(r)
+            back = substitute_back(zd.base, zd.pairs, zd.stable)
             core = words.cyclic_reduce(back)
             assert words.cyclically_equal_up_to_inversion(core, r)
         # depth = number of shortening (zero-case) steps; embedding nodes

@@ -79,7 +79,7 @@ def test_rewrite_zero_case_bs12():
     # a b a^-1 b^-2 with t = a rewrites to b_1 b_0^-2
     zd = rewrite_zero_case((1, 2, -1, -2, -2), 0)
     assert zd.pairs == ((1, 0), (1, 1))
-    assert zd.base.relator == (2, -1, -1)
+    assert zd.base == (2, -1, -1)
     assert zd.rank == 2
     assert zd.pivot == 1
 
@@ -87,7 +87,7 @@ def test_rewrite_zero_case_bs12():
 def test_rewrite_zero_case_round_trip():
     p = make_presentation(AB, (1, 2, -1, -2, -2))
     zd = rewrite_zero_case(p.relator, 0)
-    back = substitute_back(zd.base.relator, zd.pairs, 0)
+    back = substitute_back(zd.base, zd.pairs, 0)
     # the rewritten relator spells a conjugate of (a cyclic shift of) the
     # relator
     core = words.cyclic_reduce(back)
@@ -99,6 +99,8 @@ def test_rewrite_zero_case_preconditions():
         rewrite_zero_case((1, 2, -1, -2, -2), 1)  # sigma_b = -1
     with pytest.raises(PreconditionViolated):
         rewrite_zero_case((1, 2, -1, -2), 0, pivot=0)
+    with pytest.raises(PreconditionViolated):
+        rewrite_zero_case((1, 1, 1), 1)  # b misses the relator
 
 
 def test_substitute_back_inverts_rewrite():
@@ -133,10 +135,10 @@ def test_embed_nonzero_case():
     assert emb.substitution == {1: (2, -1, -1, -1), -1: (1, 1, 1, -2),
                                 2: (1, 1), -2: (-1, -1)}
     # sigma_x of the image relator must vanish
-    assert words.exponent_sum(emb.image.relator, 0) == 0
+    assert words.exponent_sum(emb.image, 0) == 0
     # translating the relator itself gives a trivial image
     core = words.cyclic_reduce(words.substitute(r, emb.substitution))
-    assert words.cyclically_equal_up_to_inversion(core, emb.image.relator) \
+    assert words.cyclically_equal_up_to_inversion(core, emb.image) \
         or core == ()
 
 
@@ -158,7 +160,7 @@ def test_zero_case_presentation():
     assert zd.pairs == ((1, 0), (1, 1))
     assert zd.ids == (b[0], b[1])
     assert zd.index == {b[0]: 0, b[1]: 1}
-    assert zd.base.relator == (2, -1, -1)
+    assert zd.base == (2, -1, -1)
     assert base_word(zd, (), b[1].__ne__) == ((), (b[0], b[1]), {0})
     # window letters keep their ids; the residue's letters outside the
     # window follow, in order of first occurrence, and the relator is
@@ -197,10 +199,10 @@ def test_zero_case_strict_descent_exhaustive():
         zd = Node(p.relator).zero
         if zd is None:
             continue
-        assert len(zd.base.relator) < len(r)
-        assert len(zd.base.relator) == len(r) - sum(
+        assert len(zd.base) < len(r)
+        assert len(zd.base) == len(r) - sum(
             1 for lt in r if words.letter_gen(lt) == zd.stable)
-        back = substitute_back(zd.base.relator, zd.pairs, zd.stable)
+        back = substitute_back(zd.base, zd.pairs, zd.stable)
         core = words.cyclic_reduce(back)
         assert words.cyclically_equal_up_to_inversion(core, r)
 
@@ -249,7 +251,7 @@ def test_reachable_nodes_are_free_on_what_they_keep():
         rank, relator = todo.pop()
         assert cyclically_reduced(relator), (rank, relator)
         active = words.support(relator)
-        relator = Node(relator).core[0].relator
+        relator = Node(relator).core[0]
         rank = len(active)
         if rank == 1 or (rank, relator) in seen:
             continue
@@ -259,16 +261,16 @@ def test_reachable_nodes_are_free_on_what_they_keep():
             pairs = [(a, b) for a in range(rank) for b in range(rank)
                      if a < b or b == min(set(range(rank)) - {a})]
             todo.update((rank, embed_nonzero_case(rank, relator, *ab, CAP)
-                         .image.relator) for ab in pairs)
+                         .image) for ab in pairs)
             continue
         t = zd.stable
         for pivot in sorted(active - {t}):
             zd = rewrite_zero_case(relator, t, pivot)
-            letters = {zd.pairs[abs(lt) - 1] for lt in zd.base.relator}
+            letters = {zd.pairs[abs(lt) - 1] for lt in zd.base}
             subs = [i for g, i in zd.pairs if g == pivot]
             assert {(pivot, min(subs)), (pivot, max(subs))} <= letters
             assert any(i != 0 for _, i in letters), (relator, pivot)
-            todo.add((len(zd.pairs), zd.base.relator))
+            todo.add((len(zd.pairs), zd.base))
     assert len(seen) > 10000
 
 
@@ -297,13 +299,13 @@ def test_rewrite_zero_case_is_rotation_invariant():
                 if words.exponent_sum(r, t) != 0:
                     continue
                 zd = rewrite_zero_case(r, t)
-                base = zd.base.relator
+                base = zd.base
                 turns = {base[k:] + base[:k] for k in range(len(base))}
                 for k in range(1, len(r)):
                     rot = rewrite_zero_case(r[k:] + r[:k], t)
                     assert (rot.pairs, rot.pivot) == (zd.pairs, zd.pivot), (
                         r, t, k)
-                    assert rot.base.relator in turns, (r, t, k)
+                    assert rot.base in turns, (r, t, k)
                     checked += 1
     assert checked == 63488
 
@@ -320,7 +322,7 @@ def test_every_node_relator_is_cyclically_reduced(monkeypatch):
     init = Node.__init__
 
     def recording(self, relator):
-        built.append(relator)
+        built.append(self)
         init(self, relator)
 
     monkeypatch.setattr(Node, "__init__", recording)
@@ -330,9 +332,9 @@ def test_every_node_relator_is_cyclically_reduced(monkeypatch):
     seen = set()
     while todo:
         node = todo.pop()
-        if node.relator in seen:
+        if node in seen:
             continue
-        seen.add(node.relator)
+        seen.add(node)
         for h, move in node.moves:
             for value in move.values():
                 assert value == words.reduce(value), (node, h)
@@ -344,11 +346,11 @@ def test_every_node_relator_is_cyclically_reduced(monkeypatch):
             continue
         zd = node.zero
         if zd is None:
-            todo.extend(embed_nonzero_case(rank, node.relator, a, b, CAP).image
+            todo.extend(embed_nonzero_case(rank, node, a, b, CAP).image
                         for a in range(rank) for b in range(rank)
                         if a < b or b == min(set(range(rank)) - {a}))
             continue
-        todo.extend(rewrite_zero_case(node.relator, zd.stable, pivot).base
+        todo.extend(rewrite_zero_case(node, zd.stable, pivot).base
                     for pivot in sorted(node.support - {zd.stable}))
     assert tops > 4000 and len(built) > tops
     bad = [r for r in built if not cyclically_reduced(r)]
@@ -359,8 +361,8 @@ def test_node_holds_what_its_relator_fixes():
     """A node's support, exponent sums (up to its greatest id) and moves;
     its core renumbers the support in increasing order, through a table
     of signed letters into it and one back out (a word's round trip is
-    checked in test_presentations.py); nodes with equal relators
-    are equal and hash alike, whoever built them.  A fresh node holds
+    checked in test_presentations.py); a node is its relator, so it
+    equals and hashes as that tuple, whoever built it.  A fresh node holds
     only its relator and support, and builds each other field on first
     read; it is classified once its zero node or its core is built."""
     node = Node((1, 3, 1, -3))
@@ -371,7 +373,7 @@ def test_node_holds_what_its_relator_fixes():
     assert not node.classified
     core, into, out = node.core
     assert node.classified
-    assert core.relator == (1, 2, 1, -2)
+    assert core == (1, 2, 1, -2)
     assert into == {1: 1, -1: -1, 3: 2, -3: -2}
     assert out == {1: 1, -1: -1, 2: 3, -2: -3}
     assert node.core[0] is core
@@ -382,8 +384,8 @@ def test_node_holds_what_its_relator_fixes():
     fresh = Node((1, 2, -1, -2))
     assert not fresh.classified and fresh.zero.stable == 0
     assert fresh.classified
-    assert Node((1, 3, 1, -3)) == node and hash(Node(node.relator)) == \
-        hash(node)
+    assert Node((1, 3, 1, -3)) == node == (1, 3, 1, -3)
+    assert hash(Node(node)) == hash(node) == hash((1, 3, 1, -3))
     assert Node((1, 2)) != node
     # the zero node carries its base group's node and, as the excluded
     # letter of each sign's closing entry, the pivot's end letters
@@ -442,7 +444,7 @@ def wp_warm_zero_nodes():
             continue
         zd = node.zero
         if zd is None:
-            todo.append(embed_nonzero_case(len(node.support), node.relator,
+            todo.append(embed_nonzero_case(len(node.support), node,
                                            0, 1, CAP).image)
         else:
             out.append(zd)
@@ -466,7 +468,7 @@ def test_tietze_fold_agrees_with_the_descent():
             excluded, _, tietze = zd.close[sign < 0]
             if tietze is None:
                 continue
-            checked.add((zd.base.relator, sign))
+            checked.add((zd.base, sign))
             letters = [s * a for a in zd.ids + tuple(outside) for s in (1, -1)]
             for _ in range(40):
                 u = words.reduce(rng.choice(letters)

@@ -12,7 +12,7 @@ from onerelator.errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
-from onerelator.solver import SolverLimits, Verdict
+from onerelator.solver import Solver, SolverLimits, Verdict
 from onerelator.textio import (
     parse_alphabet,
     parse_presentation,
@@ -226,6 +226,18 @@ def test_hierarchy_output_pinned(capsys, text, lines, doc):
         doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_hierarchy_depth_counts_as_a_query_does(capsys):
+    """An embedding's image sits at its node's depth in the hierarchy walk,
+    as in a query: the whole ABCBc hierarchy lies within depth 1, where
+    only the zero node's base group is one below the top."""
+    text, lines, doc = HIERARCHY_OUTPUT[-1]
+    solver = Solver(SolverLimits(max_depth=1))
+    assert solver.hierarchy_tree(parse_presentation(text)) == doc
+    assert solver.stats["max_depth"] == 1
+    assert main(["--max-depth", "1", "hierarchy", text]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_is_root_command(capsys):
     assert main(["is-root", "ab", "abab", "--alphabet", "a,b"]) == 0
     assert capsys.readouterr().out.strip() == "root"
@@ -251,6 +263,8 @@ def test_check_command(capsys):
     assert main(["check", "modular-group"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
     assert main(["check", "commutator-roots", "--max-len", "3"]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+    assert main(["check", "conjugacy", "--max-len", "3"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 

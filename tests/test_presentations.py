@@ -55,7 +55,7 @@ def test_restrict_to_subalphabet():
     # a relator's core renumbers its support in increasing order, and a
     # word over the support goes into the core and back
     core, into, out = Node((2, 3, -2, -3)).core
-    assert core.relator == (1, 2, -1, -2)
+    assert core == (1, 2, -1, -2)
     assert into == {2: 1, -2: -1, 3: 2, -3: -2}
     assert tuple(map(into.__getitem__, (2, -3))) == (1, -2)
     assert tuple(map(out.__getitem__, (1, -2))) == (2, -3)

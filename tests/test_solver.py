@@ -793,7 +793,7 @@ def test_memo_holds_top_nodes_and_pinch_answers():
     kinds = collections.Counter()
     for key, value in solver._memo.items():
         if key[0] is breakdown.Node:
-            assert len(key) == 2 and value.relator == key[1]
+            assert len(key) == 2 and value == key[1]
             assert value.classified
             kinds["top"] += 1
         else:
@@ -831,7 +831,7 @@ def test_hierarchy_tree_shapes():
     # the base group of the zero node, which the child describes
     zd = breakdown.Node(BS12.relator).zero
     assert len(zd.pairs) == 2
-    assert len(zd.base.relator) < len(BS12.relator)
+    assert len(zd.base) < len(BS12.relator)
 
     leaf = tree
     depth = 0

@@ -14,9 +14,13 @@ standard library (a ``functools.cached_property`` read runs its
 ``__get__`` in Python) is counted too.  One line per run gives the opcodes
 its queries executed (``opcodes N``); the last line gives their total.
 
-A call into C counts as one opcode whatever it does, and counts differ
-across Python versions: compare trees under one interpreter, beside timed
-runs.  Tracing makes the queries about five times slower.
+A call into C counts as one opcode whatever it does, so work done in C
+does not show: a ``cached_property``'s first read takes its ``RLock``
+(Python 3.11) and fills the instance dict in C, and a tuple, a
+``breakdown.Node`` too, is hashed in C, letter by letter, each time.
+Counts also differ across Python versions: compare trees under one
+interpreter, and pair the counts with timed runs.  Tracing makes the
+queries about five times slower.
 """
 
 import os
